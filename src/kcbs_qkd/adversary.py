@@ -7,9 +7,11 @@ maximum-likelihood rule given the protocol's post-processing: a click means
 her setting probably matched Alice's preparation (Alice writes 0 only when
 settings match), no click means Alice most likely wrote 1.
 
-``attack_expectation`` is the module's brute-force oracle: it enumerates all
-preparation / branch / setting combinations with explicit density matrices
-and no sampling, and is used to validate every Monte-Carlo estimate.
+``build_channel`` builds the exact intercept-resend channel of a pentagon basis
+once, from explicit density matrices.  The session sampler draws from it and
+``attack_expectation``, the exact oracle that validates every Monte-Carlo
+estimate, sums over it; ``intercept`` is the state-vector reference that the
+tests check the channel against.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ __all__ = [
     "RESEND_EIGENSTATE",
     "EveStrategy",
     "EveRecord",
+    "Channel",
     "AttackExpectation",
+    "build_channel",
     "intercept",
     "eve_guess",
     "estimate_pe",
@@ -119,6 +123,49 @@ def intercept(
     return resent, EveRecord(setting=k, outcome=outcome, guess=eve_guess(outcome))
 
 
+@dataclass(frozen=True)
+class Channel:
+    """Exact Born-rule probabilities of one round, indexed by Alice's ray i,
+    Eve's setting k, Eve's outcome e (1 = click) and Bob's setting j.
+
+    overlap[i, j]     : P(Bob clicks | undisturbed ray i, setting j)
+    branch[i, k, e]   : P(Eve's outcome e | ray i, setting k); 0 below 1e-15
+    click[i, k, e, j] : P(Bob clicks | ray i, Eve's k and e, setting j);
+                        0 on branches that branch[] sets to 0
+    """
+
+    overlap: np.ndarray
+    branch: np.ndarray
+    click: np.ndarray
+
+
+def build_channel(basis: KcbsBasis, resend: str) -> Channel:
+    """The intercept-resend channel of a basis under one resend policy."""
+    rays = [s.amplitudes for s in basis.source_vectors]
+    proj = [p.matrix for p in basis.projectors]
+    stacked = np.stack(proj)
+    identity = np.eye(3, dtype=np.complex128)
+    overlap = np.array(
+        [[float(abs(np.vdot(rays[i], rays[j])) ** 2) for j in range(5)] for i in range(5)]
+    )
+    branch = np.zeros((5, 5, 2))
+    click = np.zeros((5, 5, 2, 5))
+    for i in range(5):
+        rho = np.outer(rays[i], rays[i].conj())
+        for k in range(5):
+            for e, m in ((1, proj[k]), (0, identity - proj[k])):
+                p_branch = float(np.trace(m @ rho).real)
+                if p_branch < 1e-15:
+                    continue  # branch never sampled
+                if e == 1 and resend == RESEND_EIGENSTATE:
+                    rho_out = np.outer(rays[k], rays[k].conj())
+                else:
+                    rho_out = m @ rho @ m / p_branch
+                branch[i, k, e] = p_branch
+                click[i, k, e] = np.trace(stacked @ rho_out, axis1=1, axis2=2).real
+    return Channel(overlap=overlap, branch=branch, click=click)
+
+
 def estimate_pe(transcript) -> float:
     """Fraction of sifted rounds where Eve's guess matches Alice's key bit."""
     hits = 0
@@ -173,14 +220,14 @@ class AttackExpectation:
 def attack_expectation(strategy: EveStrategy, basis: KcbsBasis) -> AttackExpectation:
     """Exact expected values of an intercept-resend attack (no sampling).
 
-    Enumerates every Alice preparation, Eve setting/branch and Bob setting,
-    propagating post-measurement states as density matrices.
+    Accumulates every Alice preparation, Eve setting/branch and Bob setting
+    over the exact channel, in (i, k, e, j) order.
     """
     if not strategy.present:
         raise ValueError("attack_expectation requires a present eavesdropper")
-    proj = [p.matrix for p in basis.projectors]
-    rays = [s.amplitudes for s in basis.source_vectors]
-    identity = np.eye(3, dtype=np.complex128)
+    ch = build_channel(basis, strategy.resend)
+    branch = ch.branch.tolist()
+    click = ch.click.tolist()
     eve_settings = (
         [(strategy.setting, 1.0)]
         if strategy.kind == FIXED
@@ -193,30 +240,23 @@ def attack_expectation(strategy: EveStrategy, basis: KcbsBasis) -> AttackExpecta
     kae_den = 0.0
 
     for i in range(5):
-        rho = np.outer(rays[i], rays[i].conj())
         for k, w_k in eve_settings:
-            for e, measurement in ((1, proj[k]), (0, identity - proj[k])):
-                p_branch = float(np.trace(measurement @ rho).real)
-                if p_branch < 1e-15:
-                    continue
-                if e == 1 and strategy.resend == RESEND_EIGENSTATE:
-                    rho_out = np.outer(rays[k], rays[k].conj())
-                else:
-                    rho_out = measurement @ rho @ measurement / p_branch
+            for e in (1, 0):
+                weight = w_k * branch[i][k][e]  # 0 on branches the channel skips
                 guess = eve_guess(e)
                 for j in range(5):
                     if not _in_context(i, j):
                         continue
                     alice = 0 if i == j else 1
-                    p_click = float(np.trace(proj[j] @ rho_out).real)
+                    p_click = click[i][k][e][j]
                     p_anti = p_click if alice == 0 else 1.0 - p_click
-                    anticorr[i][j] += w_k * p_branch * p_anti
-                    guess_tab[i][j] += w_k * p_branch * (1.0 if guess == alice else 0.0)
+                    anticorr[i][j] += weight * p_anti
+                    guess_tab[i][j] += weight * (1.0 if guess == alice else 0.0)
                 # Alice-Eve anti-correlation: Eve in Bob's role
                 if _in_context(i, k):
                     alice_vs_eve = 0 if i == k else 1
-                    kae_num += w_k * p_branch * (1.0 if e != alice_vs_eve else 0.0)
-                    kae_den += w_k * p_branch
+                    kae_num += weight * (1.0 if e != alice_vs_eve else 0.0)
+                    kae_den += weight
 
     kab = sum(anticorr[i][j] for i in range(5) for j in range(5) if anticorr[i][j] is not None) / 15.0
     pe = sum(guess_tab[i][j] for i in range(5) for j in range(5) if guess_tab[i][j] is not None) / 15.0

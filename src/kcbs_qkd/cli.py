@@ -2,7 +2,8 @@
 protocol simulation and machine-readable report emission.
 
 Exit codes for ``simulate``: 0 Secure, 2 Insecure, 3 Inconclusive, 1 error.
-``verify`` and ``monogamy`` exit 0 on success, 1 on any failed check.
+``verify`` and ``monogamy`` exit 0 on success, 1 on any failed check.  A
+usage error exits 1 too, so that 2 always means Insecure.
 """
 
 from __future__ import annotations
@@ -226,11 +227,15 @@ def _cmd_simulate(args) -> int:
         print(f"simulate: {exc}", file=sys.stderr)
         return 1
     transcript = run_session(cfg)
-    stats = key_stats(transcript)
-    # the security test draws from its own stream, outside the round ids
-    security = estimate_security(
-        transcript, cfg.sacrifice_fraction, RngStream(cfg.seed, stream_id=cfg.rounds)
-    )
+    try:
+        stats = key_stats(transcript)
+        # the security test draws from its own stream, outside the round ids
+        security = estimate_security(
+            transcript, cfg.sacrifice_fraction, RngStream(cfg.seed, stream_id=cfg.rounds)
+        )
+    except ValueError as exc:  # e.g. no sifted rounds in a very short session
+        print(f"simulate: {exc}", file=sys.stderr)
+        return 1
     report = build_report(cfg, transcript, stats, security)
     text = report_json(report)
     if args.out:
@@ -261,8 +266,16 @@ def _cmd_simulate(args) -> int:
 # --- entry point -----------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1 instead of argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kcbs-qkd",
         description="Contextuality-based qutrit QKD simulator and analysis toolkit",
     )

@@ -8,10 +8,9 @@ measures {P_j, I - P_j} and announces j; the round is sifted into case C1
 key but kept in the transcript).
 
 Round r consumes only the random stream derived as (seed, stream_id = r), so
-sessions are reproducible bit for bit regardless of execution order or worker
-count.  For throughput, outcome probabilities are precomputed into lookup
-tables once per (basis, strategy) pair; the tables are exact Born-rule values,
-not approximations.
+sessions are reproducible bit for bit and any round can be replayed alone.
+Outcome probabilities come from the exact channel of ``adversary.build_channel``,
+built once per config on first use.
 """
 
 from __future__ import annotations
@@ -19,14 +18,14 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .adversary import FIXED, EveStrategy, estimate_pe, eve_guess
+from .adversary import ABSENT, FIXED, Channel, EveStrategy, build_channel, estimate_pe, eve_guess
 from .kcbs import KcbsBasis
-from .qutrit import RngStream
+from .qutrit import NORM_TOL, RngStream
 
 __all__ = [
     "PREPARE_MEASURE",
@@ -80,6 +79,22 @@ class ProtocolConfig:
             raise ValueError("rounds must be >= 1")
         if not 0.0 <= self.sacrifice_fraction <= 0.5:
             raise ValueError("sacrifice_fraction must lie in [0, 0.5]")
+        if self.mode == ENTANGLED and any(
+            np.max(np.abs(p.matrix.imag)) > NORM_TOL for p in self.basis.projectors
+        ):
+            # the entangled kernel assumes Bob holds ray i, which holds for
+            # the isotropic pair only when the rays are real
+            raise ValueError("entangled mode requires a real pentagon basis")
+
+    @cached_property
+    def channel(self) -> Channel:
+        """The exact channel of this basis and resend policy, built on first use."""
+        return build_channel(self.basis, self.eve.resend)
+
+    @cached_property
+    def _rows(self) -> tuple[list, list]:
+        """``channel.overlap`` and ``channel.click`` as nested lists for the kernel."""
+        return self.channel.overlap.tolist(), self.channel.click.tolist()
 
 
 @dataclass(slots=True)
@@ -159,67 +174,19 @@ def _sift_case(i: int, j: int) -> str:
     return "C3"
 
 
-class _ChannelTables:
-    """Exact per-round outcome probabilities for a (basis, strategy) pair.
-
-    overlap[i][j]       : P(Bob clicks | undisturbed ray i, setting j)
-    eve_click[i][k]     : P(Eve clicks | ray i, Eve setting k)
-    bob_click[i][k][e][j]: P(Bob clicks | ray i, Eve setting k, branch e, j)
-    """
-
-    def __init__(self, basis: KcbsBasis, strategy: EveStrategy) -> None:
-        rays = [s.amplitudes for s in basis.source_vectors]
-        proj = [p.matrix for p in basis.projectors]
-        identity = np.eye(3, dtype=np.complex128)
-        self.overlap = [
-            [float(abs(np.vdot(rays[i], rays[j])) ** 2) for j in range(5)]
-            for i in range(5)
-        ]
-        self.eve_present = strategy.present
-        if not strategy.present:
-            return
-        self.eve_click = self.overlap
-        self.bob_click = [[[None, None] for _ in range(5)] for _ in range(5)]
-        for i in range(5):
-            rho = np.outer(rays[i], rays[i].conj())
-            for k in range(5):
-                for e, m in ((1, proj[k]), (0, identity - proj[k])):
-                    p_branch = float(np.trace(m @ rho).real)
-                    if p_branch < 1e-15:
-                        # branch never sampled; keep a placeholder row
-                        self.bob_click[i][k][e] = [0.0] * 5
-                        continue
-                    if e == 1 and strategy.resend == "eigenstate":
-                        rho_out = np.outer(rays[k], rays[k].conj())
-                    else:
-                        rho_out = m @ rho @ m / p_branch
-                    self.bob_click[i][k][e] = [
-                        float(np.trace(proj[j] @ rho_out).real) for j in range(5)
-                    ]
-
-
-_tables_cache: dict[tuple[int, EveStrategy], _ChannelTables] = {}
-
-
-def _tables_for(cfg: ProtocolConfig) -> _ChannelTables:
-    key = (id(cfg.basis), cfg.eve)
-    tables = _tables_cache.get(key)
-    if tables is None:
-        tables = _ChannelTables(cfg.basis, cfg.eve)
-        if len(_tables_cache) > 64:
-            _tables_cache.clear()
-        _tables_cache[key] = tables
-    return tables
-
-
-def _run_round(
-    cfg: ProtocolConfig, tables: _ChannelTables, index: int, rng: RngStream
+def run_round(
+    cfg: ProtocolConfig, round_index: int, rng: RngStream | None = None
 ) -> RoundRecord:
+    """Execute one protocol round on its own derived random stream."""
+    if rng is None:
+        rng = RngStream(cfg.seed, stream_id=round_index)
+    overlap, click = cfg._rows
     attempts = 1
     if cfg.mode == ENTANGLED:
         # Alice measures {P_i (x) I} on a fresh isotropic pair until she
         # clicks; each click has probability Tr(P_i)/3 = 1/3 exactly, and on
-        # success Bob holds the (real) ray i, as in prepare-and-measure.
+        # success Bob holds ray i (the config admits only real rays here),
+        # as in prepare-and-measure.
         while True:
             i = rng.integer(5)
             if rng.uniform() < 1.0 / 3.0:
@@ -229,15 +196,17 @@ def _run_round(
         i = rng.integer(5)
 
     eve_setting = eve_outcome = eve_bit_guess = None
-    if tables.eve_present:
-        k = cfg.eve.setting if cfg.eve.kind == FIXED else rng.integer(5)
-        e = 1 if rng.uniform() < tables.eve_click[i][k] else 0
+    eve = cfg.eve
+    if eve.kind == ABSENT:
+        j = rng.integer(5)
+        p_click = overlap[i][j]
+    else:
+        k = eve.setting if eve.kind == FIXED else rng.integer(5)
+        # Eve's P_k clicks on ray i as Bob's would: overlap[i][k]
+        e = 1 if rng.uniform() < overlap[i][k] else 0
         eve_setting, eve_outcome, eve_bit_guess = k, e, eve_guess(e)
         j = rng.integer(5)
-        p_click = tables.bob_click[i][k][e][j]
-    else:
-        j = rng.integer(5)
-        p_click = tables.overlap[i][j]
+        p_click = click[i][k][e][j]
 
     bob_outcome = 1 if rng.uniform() < p_click else 0
     case = _sift_case(i, j)
@@ -247,7 +216,7 @@ def _run_round(
         alice_bit = 0 if case == "C1" else 1
         bob_bit = bob_outcome
     return RoundRecord(
-        index=index,
+        index=round_index,
         alice_setting=i,
         bob_setting=j,
         bob_outcome=bob_outcome,
@@ -261,50 +230,11 @@ def _run_round(
     )
 
 
-def run_round(
-    cfg: ProtocolConfig, round_index: int, rng: RngStream | None = None
-) -> RoundRecord:
-    """Execute one protocol round on its own derived random stream."""
-    if rng is None:
-        rng = RngStream(cfg.seed, stream_id=round_index)
-    return _run_round(cfg, _tables_for(cfg), round_index, rng)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("KCBS_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"KCBS_THREADS must be a positive integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"KCBS_THREADS must be a positive integer, got {raw!r}")
-    return value
-
-
-def run_session(cfg: ProtocolConfig, workers: int | None = None) -> Transcript:
-    """Execute all rounds; output is bit-identical for a given config and seed.
-
-    Rounds are independent given their per-round streams, so chunks may run on
-    worker threads; records are always assembled in round-index order.
-    """
-    if workers is None:
-        workers = _worker_count()
-    tables = _tables_for(cfg)
-
-    def run_chunk(bounds: tuple[int, int]) -> list[RoundRecord]:
-        lo, hi = bounds
-        return [
-            _run_round(cfg, tables, r, RngStream(cfg.seed, stream_id=r))
-            for r in range(lo, hi)
-        ]
-
-    if workers == 1 or cfg.rounds < 2 * workers:
-        records = run_chunk((0, cfg.rounds))
-    else:
-        step = -(-cfg.rounds // workers)
-        chunks = [(lo, min(lo + step, cfg.rounds)) for lo in range(0, cfg.rounds, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = [rec for part in pool.map(run_chunk, chunks) for rec in part]
+def run_session(cfg: ProtocolConfig) -> Transcript:
+    """Execute all rounds; output is bit-identical for a given config and seed."""
+    records = [
+        run_round(cfg, r, RngStream(cfg.seed, stream_id=r)) for r in range(cfg.rounds)
+    ]
     return Transcript(
         config=cfg,
         rounds=records,

@@ -4,7 +4,8 @@ States are plain complex state vectors normalized at construction; projectors
 are validated 3x3 Hermitian idempotents of trace one.  All randomness flows
 through :class:`RngStream`, a thin wrapper around numpy's counter-based Philox
 generator keyed by ``(seed, stream_id)``, so any round of a larger simulation
-can be replayed in isolation and parallel execution is order-independent.
+can be replayed in isolation.  These state-vector routines (with
+``adversary.intercept``) are the reference the tests hold the exact channel to.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class Projector:
 
 @dataclass
 class RngStream:
-    """Counter-based random stream, reproducible across platforms and threads.
+    """Counter-based random stream, reproducible across platforms.
 
     Wraps numpy's Philox generator keyed by ``(seed, stream_id)``.  Distinct
     stream ids give statistically independent streams; a simulation derives

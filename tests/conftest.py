@@ -3,12 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from kcbs_qkd.kcbs import standard_basis
+from kcbs_qkd.kcbs import KcbsBasis, standard_basis
 
 
 @pytest.fixture(scope="session")
 def basis():
     return standard_basis()
+
+
+@pytest.fixture(scope="session")
+def complex_basis(basis):
+    """The standard pentagon under the unitary diag(1, 1, i): complex rays."""
+    u = np.diag([1.0, 1.0, 1j])
+    return KcbsBasis.from_vectors([u @ v.amplitudes for v in basis.source_vectors])
 
 
 # Closed-form pentagon constants, evaluated independently of the package:

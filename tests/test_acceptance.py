@@ -4,9 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  The heavy Monte-Carlo criteria use fixed seeds and stated tolerances.
 """
 
+import hashlib
 import math
-import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,24 +229,49 @@ def test_criterion_8a_graph_cross_checks():
     )
 
 
-def test_criterion_8b_thread_determinism(tmp_path, monkeypatch):
-    configurations = [
-        ["--rounds", "5000", "--seed", "11"],
-        ["--rounds", "5000", "--seed", "12", "--eve", "fixed:1", "--resend", "collapsed"],
-        ["--rounds", "5000", "--seed", "13", "--mode", "entangled"],
-    ]
-    ok = True
-    for idx, flags in enumerate(configurations):
-        outputs = set()
-        for threads in ("1", "2", "4"):
-            monkeypatch.setenv("KCBS_THREADS", threads)
-            out = tmp_path / f"report_{idx}_{threads}.json"
-            code = main(["simulate", *flags, "--sacrifice", "0.1", "--out", str(out)])
-            outputs.add(out.read_bytes())
-        ok = ok and len(outputs) == 1
-    monkeypatch.delenv("KCBS_THREADS")
+# Byte-exact `simulate --rounds 5000` reports for each mode and Eve kind, and
+# the sha256 of the Eve runs' CSV transcripts (tests/golden/transcripts.sha256).
+# Regenerate them only for an intended change of the report or the draws.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CONFIGS = {
+    "prepare_absent": ["--mode", "prepare", "--seed", "11"],
+    "prepare_fixed1_collapsed": [
+        "--mode", "prepare", "--seed", "12", "--eve", "fixed:1", "--resend", "collapsed",
+    ],
+    "prepare_random_eigenstate": [
+        "--mode", "prepare", "--seed", "13", "--eve", "random", "--resend", "eigenstate",
+    ],
+    "entangled_absent": ["--mode", "entangled", "--seed", "14"],
+    "entangled_fixed1_collapsed": [
+        "--mode", "entangled", "--seed", "15", "--eve", "fixed:1", "--resend", "collapsed",
+    ],
+    "entangled_random_eigenstate": [
+        "--mode", "entangled", "--seed", "16", "--eve", "random", "--resend", "eigenstate",
+    ],
+}
+
+
+def test_criterion_8b_golden_reports(tmp_path, capsys):
+    hashes = {}
+    for line in (GOLDEN / "transcripts.sha256").read_text().splitlines():
+        digest, name = line.split()
+        hashes[name] = digest
+    mismatches = []
+    for name, flags in GOLDEN_CONFIGS.items():
+        out = tmp_path / f"{name}.json"
+        csv = tmp_path / f"{name}.csv"
+        main(["simulate", "--rounds", "5000", *flags,
+              "--out", str(out), "--transcript", str(csv)])
+        if out.read_bytes() != (GOLDEN / f"{name}.json").read_bytes():
+            mismatches.append(f"{name}.json")
+        if f"{name}.csv" in hashes and (
+            hashlib.sha256(csv.read_bytes()).hexdigest() != hashes[f"{name}.csv"]
+        ):
+            mismatches.append(f"{name}.csv")
+    capsys.readouterr()
     report(
-        "criterion 8b (thread-count determinism)",
-        ok,
-        "byte-identical reports across KCBS_THREADS in {1, 2, 4} on 3 configurations",
+        "criterion 8b (golden reports)",
+        not mismatches and len(hashes) == 4,
+        f"{len(GOLDEN_CONFIGS)} reports and {len(hashes)} transcript hashes checked, "
+        f"mismatches {mismatches}",
     )

@@ -7,12 +7,13 @@ from conftest import D2_OVERLAP
 from kcbs_qkd.adversary import (
     EveStrategy,
     attack_expectation,
+    build_channel,
     estimate_pe,
     eve_guess,
     intercept,
 )
 from kcbs_qkd.protocol import PREPARE_MEASURE, ProtocolConfig, run_session
-from kcbs_qkd.qutrit import RngStream, inner_product
+from kcbs_qkd.qutrit import RngStream, born_probability, inner_product
 
 FIXED_1 = EveStrategy(kind="fixed", setting=1)
 
@@ -71,6 +72,47 @@ def test_intercept_click_rate_distance_two(basis):
 def test_intercept_requires_eve(basis):
     with pytest.raises(ValueError):
         intercept(EveStrategy(), basis.source_vectors[0], basis, RngStream(0, 0))
+
+
+class ForcedDraws:
+    """A stand-in for RngStream whose every uniform draw is one fixed value."""
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+
+    def uniform(self) -> float:
+        return self.value
+
+
+@pytest.mark.parametrize("resend", ["collapsed", "eigenstate"])
+@pytest.mark.parametrize("which", ["basis", "complex_basis"])
+def test_channel_matches_state_vector_reference(request, which, resend):
+    # every channel entry against Born probabilities of the states that the
+    # state-vector intercept() forwards; draw 0.0 forces a click, 1.0 none
+    pentagon = request.getfixturevalue(which)
+    ch = build_channel(pentagon, resend)
+    assert ch.overlap.shape == (5, 5) and ch.branch.shape == (5, 5, 2)
+    assert ch.click.shape == (5, 5, 2, 5)
+    for i, ray in enumerate(pentagon.source_vectors):
+        for j in range(5):
+            assert ch.overlap[i, j] == pytest.approx(
+                born_probability(ray, pentagon.projectors[j]), abs=1e-12
+            )
+        for k in range(5):
+            p_click = born_probability(ray, pentagon.projectors[k])
+            strategy = EveStrategy(kind="fixed", setting=k, resend=resend)
+            for e, p_e, draw in ((1, p_click, 0.0), (0, 1.0 - p_click, 1.0)):
+                if p_e < 1e-15:  # a branch never sampled
+                    assert ch.branch[i, k, e] == 0.0
+                    assert not ch.click[i, k, e].any()
+                    continue
+                assert ch.branch[i, k, e] == pytest.approx(p_e, abs=1e-12)
+                resent, rec = intercept(strategy, ray, pentagon, ForcedDraws(draw))
+                assert rec.outcome == e
+                for j in range(5):
+                    assert ch.click[i, k, e, j] == pytest.approx(
+                        born_probability(resent, pentagon.projectors[j]), abs=1e-12
+                    )
 
 
 def test_oracle_fixed_collapsed(basis):

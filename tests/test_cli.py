@@ -1,11 +1,13 @@
 import importlib.resources
 import json
 import math
+import re
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from kcbs_qkd.cli import main, report_json, round_floats
+from kcbs_qkd.cli import _build_parser, main, report_json, round_floats
 
 
 def run(capsys, *argv):
@@ -153,8 +155,22 @@ def test_simulate_rejects_bad_eve_spec(capsys):
 def test_simulate_requires_seed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--rounds", "100"])
-    assert exc.value.code == 2  # argparse usage error
+    assert exc.value.code == 1  # a usage error, not 2 (Insecure)
     capsys.readouterr()
+
+
+def test_usage_error_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--rounds", "10", "--seed", "1", "--json-out", "x.json"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --json-out" in capsys.readouterr().err
+
+
+def test_simulate_without_sifted_rounds(capsys):
+    # the only round of seed 1 falls out of context (C3)
+    code, _, err = run(capsys, "simulate", "--rounds", "1", "--seed", "1")
+    assert code == 1
+    assert err.startswith("simulate: no sifted rounds")
 
 
 def test_simulate_inconclusive_exit_code(tmp_path, capsys):
@@ -213,6 +229,33 @@ def test_simulate_insecure_exit_code(tmp_path, capsys, monkeypatch):
     )
     assert code == 2
     assert "verdict Insecure" in out
+
+
+def test_readme_usage_matches_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    parser = _build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    checked = 0
+    for block in blocks:
+        lines = [line.strip() for line in block.splitlines()]
+        for n, line in enumerate(lines):
+            if not line.startswith("kcbs-qkd "):
+                continue
+            if "[" not in line:  # a complete command line
+                parser.parse_args(line.split()[1:])
+            options = commands[line.split()[1]]._option_string_actions
+            synopsis = line
+            for more in lines[n + 1:]:
+                if not more.startswith("["):
+                    break
+                synopsis += " " + more
+            for flag, value in re.findall(r"(--[a-z-]+)(?: ([^\s\]]+))?", synopsis):
+                assert flag in options, f"README flag {flag} unknown to the parser"
+                if flag == "--mode":
+                    assert set(value.split("|")) == set(options[flag].choices), synopsis
+                checked += 1
+    assert checked >= 15
 
 
 def test_round_floats_precision():

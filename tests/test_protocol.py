@@ -1,9 +1,11 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 
-from kcbs_qkd.adversary import EveStrategy
+from kcbs_qkd.adversary import EveStrategy, build_channel
+from kcbs_qkd.kcbs import KcbsBasis, standard_vectors_unnormalized
 from kcbs_qkd.protocol import (
     ENTANGLED,
     PREPARE_MEASURE,
@@ -17,7 +19,7 @@ from kcbs_qkd.protocol import (
     run_session,
     write_transcript_csv,
 )
-from kcbs_qkd.qutrit import RngStream
+from kcbs_qkd.qutrit import RngStream, TwoQutritState, born_probability, entangled_collapse
 
 NO_EVE = EveStrategy()
 
@@ -128,9 +130,36 @@ def test_session_determinism(basis):
     assert t1.rounds != t3.rounds
 
 
-def test_session_worker_invariance(basis):
-    cfg = config(basis, rounds=3000, seed=9)
-    assert run_session(cfg, workers=1).rounds == run_session(cfg, workers=4).rounds
+def test_channel_built_per_config():
+    # each config must read the channel of its own basis, also when a fresh
+    # basis takes over the memory (and so the id) of a freed one
+    vectors = standard_vectors_unnormalized()
+    eve = EveStrategy(kind="fixed", setting=1)
+    for n in range(300):
+        order = range(5) if n % 2 == 0 else [(i + 1) % 5 for i in range(5)]
+        fresh_basis = KcbsBasis.from_vectors([vectors[i] for i in order])
+        cfg = config(fresh_basis, rounds=1, eve=eve)
+        run_round(cfg, 0)
+        fresh = build_channel(fresh_basis, eve.resend)
+        assert np.array_equal(cfg.channel.overlap, fresh.overlap)
+        assert np.array_equal(cfg.channel.branch, fresh.branch)
+        assert np.array_equal(cfg.channel.click, fresh.click)
+
+
+def test_entangled_mode_requires_real_basis(basis, complex_basis):
+    # the kernel takes Bob's state to be ray i; for complex rays the isotropic
+    # pair steers Bob to conj(v_i) instead, which P_i seldom clicks on
+    isotropic = TwoQutritState(np.eye(3).reshape(-1))
+    p0 = complex_basis.projectors[0]
+    for r in range(200):
+        outcome, bob = entangled_collapse(isotropic, p0, RngStream(3, r))
+        if outcome == 1:
+            break
+    assert born_probability(bob, p0) < 0.5
+    with pytest.raises(ValueError, match="real"):
+        config(complex_basis, mode=ENTANGLED)
+    config(complex_basis)  # prepare-and-measure sends v_i itself
+    config(basis, mode=ENTANGLED)
 
 
 def test_key_stats_ideal(basis):

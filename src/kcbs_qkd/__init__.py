@@ -14,7 +14,7 @@ from .kcbs import KcbsBasis, KcbsBounds, bounds, k_anticorr, ktilde, standard_ba
 from .protocol import (
     KeyStats,
     ProtocolConfig,
-    RoundRecord,
+    Round,
     SecurityReport,
     Transcript,
     estimate_security,
@@ -53,7 +53,7 @@ __all__ = [
     "standard_basis",
     "KeyStats",
     "ProtocolConfig",
-    "RoundRecord",
+    "Round",
     "SecurityReport",
     "Transcript",
     "estimate_security",

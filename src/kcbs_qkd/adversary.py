@@ -10,8 +10,9 @@ settings match), no click means Alice most likely wrote 1.
 ``build_channel`` builds the exact intercept-resend channel of a pentagon basis
 once, from explicit density matrices.  The session sampler draws from it and
 ``attack_expectation``, the exact oracle that validates every Monte-Carlo
-estimate, sums over it; ``intercept`` is the state-vector reference that the
-tests check the channel against.
+estimate, sums over it.  The session statistics and the oracle share the sift
+rule ``SIFT``; ``intercept`` is the state-vector reference that the tests
+check the channel against.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ __all__ = [
     "RANDOM",
     "RESEND_COLLAPSED",
     "RESEND_EIGENSTATE",
+    "C3",
+    "SIFT",
     "EveStrategy",
     "EveRecord",
     "Channel",
@@ -45,6 +48,16 @@ FIXED = "fixed"
 RANDOM = "random"
 RESEND_COLLAPSED = "collapsed"
 RESEND_EIGENSTATE = "eigenstate"
+
+# Sift case of Alice's setting i and Bob's setting j, by (j - i) % 5: equal
+# settings are case C1, coded 0 (Alice writes 0), neighbours C2, coded 1
+# (Alice writes 1), and the rest C3, coded 2 (out of context, discarded).  On a
+# sifted round the case code is Alice's key bit.
+C3 = 2
+SIFT = np.array(
+    [[(0, 1, C3, C3, 1)[(j - i) % 5] for j in range(5)] for i in range(5)], dtype=np.int8
+)
+SIFT.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -134,20 +147,24 @@ class Channel:
                         0 on branches that branch[] sets to 0
     """
 
+    resend: str | None
     overlap: np.ndarray
-    branch: np.ndarray
-    click: np.ndarray
+    branch: np.ndarray | None
+    click: np.ndarray | None
 
 
-def build_channel(basis: KcbsBasis, resend: str) -> Channel:
-    """The intercept-resend channel of a basis under one resend policy."""
+def build_channel(basis: KcbsBasis, resend: str | None) -> Channel:
+    """The intercept-resend channel of a basis under one resend policy, or
+    the undisturbed channel (``overlap`` alone) when ``resend`` is None."""
     rays = [s.amplitudes for s in basis.source_vectors]
-    proj = [p.matrix for p in basis.projectors]
-    stacked = np.stack(proj)
-    identity = np.eye(3, dtype=np.complex128)
     overlap = np.array(
         [[float(abs(np.vdot(rays[i], rays[j])) ** 2) for j in range(5)] for i in range(5)]
     )
+    if resend is None:
+        return Channel(resend=None, overlap=overlap, branch=None, click=None)
+    proj = [p.matrix for p in basis.projectors]
+    stacked = np.stack(proj)
+    identity = np.eye(3, dtype=np.complex128)
     branch = np.zeros((5, 5, 2))
     click = np.zeros((5, 5, 2, 5))
     for i in range(5):
@@ -163,28 +180,17 @@ def build_channel(basis: KcbsBasis, resend: str) -> Channel:
                     rho_out = m @ rho @ m / p_branch
                 branch[i, k, e] = p_branch
                 click[i, k, e] = np.trace(stacked @ rho_out, axis1=1, axis2=2).real
-    return Channel(overlap=overlap, branch=branch, click=click)
+    return Channel(resend=resend, overlap=overlap, branch=branch, click=click)
 
 
 def estimate_pe(transcript) -> float:
     """Fraction of sifted rounds where Eve's guess matches Alice's key bit."""
-    hits = 0
-    total = 0
-    for rec in transcript.rounds:
-        if rec.sift_case == "C3":
-            continue
-        if rec.eve_guess is None:
-            raise ValueError("transcript has sifted rounds without Eve records")
-        total += 1
-        if rec.eve_guess == rec.alice_bit:
-            hits += 1
-    if total == 0:
+    alice, _, eve_outcome = transcript.sifted()
+    if (eve_outcome < 0).any():
+        raise ValueError("transcript has sifted rounds without Eve records")
+    if len(alice) == 0:
         raise ValueError("no sifted rounds with Eve records")
-    return hits / total
-
-
-def _in_context(i: int, j: int) -> bool:
-    return (j - i) % 5 in (0, 1, 4)
+    return np.count_nonzero(eve_guess(eve_outcome) == alice) / len(alice)
 
 
 @dataclass(frozen=True)
@@ -217,25 +223,28 @@ class AttackExpectation:
         }
 
 
-def attack_expectation(strategy: EveStrategy, basis: KcbsBasis) -> AttackExpectation:
+def attack_expectation(strategy: EveStrategy, channel: Channel) -> AttackExpectation:
     """Exact expected values of an intercept-resend attack (no sampling).
 
     Accumulates every Alice preparation, Eve setting/branch and Bob setting
-    over the exact channel, in (i, k, e, j) order.
+    over ``channel``, which must be built for the strategy's resend policy,
+    in (i, k, e, j) order.
     """
     if not strategy.present:
         raise ValueError("attack_expectation requires a present eavesdropper")
-    ch = build_channel(basis, strategy.resend)
-    branch = ch.branch.tolist()
-    click = ch.click.tolist()
+    if channel.resend != strategy.resend:
+        raise ValueError(f"channel built for resend policy {channel.resend!r}")
+    branch = channel.branch.tolist()
+    click = channel.click.tolist()
+    sift = SIFT.tolist()
     eve_settings = (
         [(strategy.setting, 1.0)]
         if strategy.kind == FIXED
         else [(k, 0.2) for k in range(5)]
     )
 
-    anticorr = [[0.0 if _in_context(i, j) else None for j in range(5)] for i in range(5)]
-    guess_tab = [[0.0 if _in_context(i, j) else None for j in range(5)] for i in range(5)]
+    anticorr = [[0.0 if sift[i][j] != C3 else None for j in range(5)] for i in range(5)]
+    guess_tab = [[0.0 if sift[i][j] != C3 else None for j in range(5)] for i in range(5)]
     kae_num = 0.0
     kae_den = 0.0
 
@@ -245,16 +254,16 @@ def attack_expectation(strategy: EveStrategy, basis: KcbsBasis) -> AttackExpecta
                 weight = w_k * branch[i][k][e]  # 0 on branches the channel skips
                 guess = eve_guess(e)
                 for j in range(5):
-                    if not _in_context(i, j):
+                    alice = sift[i][j]  # Alice's key bit, or C3 off context
+                    if alice == C3:
                         continue
-                    alice = 0 if i == j else 1
                     p_click = click[i][k][e][j]
                     p_anti = p_click if alice == 0 else 1.0 - p_click
                     anticorr[i][j] += weight * p_anti
                     guess_tab[i][j] += weight * (1.0 if guess == alice else 0.0)
                 # Alice-Eve anti-correlation: Eve in Bob's role
-                if _in_context(i, k):
-                    alice_vs_eve = 0 if i == k else 1
+                alice_vs_eve = sift[i][k]
+                if alice_vs_eve != C3:
                     kae_num += weight * (1.0 if e != alice_vs_eve else 0.0)
                     kae_den += weight
 

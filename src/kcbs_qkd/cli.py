@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import __version__
@@ -42,6 +41,7 @@ from .protocol import (
     ENTANGLED,
     PREPARE_MEASURE,
     ProtocolConfig,
+    _atomic_writer,
     estimate_security,
     key_stats,
     run_session,
@@ -69,13 +69,6 @@ def round_floats(obj):
 
 def report_json(report: dict) -> str:
     return json.dumps(round_floats(report), indent=2, sort_keys=True)
-
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _load_basis(path: str | None) -> KcbsBasis:
@@ -197,7 +190,7 @@ def build_report(cfg: ProtocolConfig, transcript, stats, security) -> dict:
         "monogamy_anticorr_bounds": {"paper": 6.0 / 5.0, "derived": 2 * cert.bound},
     }
     if cfg.eve.present:
-        oracle = attack_expectation(cfg.eve, cfg.basis)
+        oracle = attack_expectation(cfg.eve, cfg.channel)
         report["oracle"] = oracle.to_json_dict()
         if security.pe_estimate is not None and not math.isnan(security.kab_estimate):
             report["diagnostics"] = {
@@ -238,10 +231,17 @@ def _cmd_simulate(args) -> int:
         return 1
     report = build_report(cfg, transcript, stats, security)
     text = report_json(report)
-    if args.out:
-        _atomic_write(args.out, text + "\n")
-    if args.transcript:
-        write_transcript_csv(transcript, args.transcript)
+    path = args.out
+    try:
+        if args.out:
+            with _atomic_writer(args.out) as fh:
+                fh.write(text + "\n")
+        path = args.transcript
+        if args.transcript:
+            write_transcript_csv(transcript, args.transcript)
+    except OSError as exc:
+        print(f"simulate: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return 1
     if args.json:
         print(text)
     else:

@@ -11,19 +11,26 @@ Round r consumes only the random stream derived as (seed, stream_id = r), so
 sessions are reproducible bit for bit and any round can be replayed alone.
 Outcome probabilities come from the exact channel of ``adversary.build_channel``,
 built once per config on first use.
+
+A round is stored as what it drew, a ``Round``; a session's ``Transcript``
+holds these as the columns of one int16 array.  Sift case, bits and Eve's
+guess are derived from them through ``adversary.SIFT`` when needed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .adversary import ABSENT, FIXED, Channel, EveStrategy, build_channel, estimate_pe, eve_guess
+from .adversary import ABSENT, C3, FIXED, SIFT, Channel, EveStrategy, build_channel, estimate_pe, eve_guess
 from .kcbs import KcbsBasis
 from .qutrit import NORM_TOL, RngStream
 
@@ -32,7 +39,7 @@ __all__ = [
     "ENTANGLED",
     "SECURITY_THRESHOLD",
     "ProtocolConfig",
-    "RoundRecord",
+    "Round",
     "Transcript",
     "KeyStats",
     "SecurityReport",
@@ -61,6 +68,7 @@ CSV_COLUMNS = (
     "eve_outcome",
     "eve_guess",
 )
+_CSV_CHUNK = 4096  # rounds turned into Python rows at a time
 
 
 @dataclass(frozen=True)
@@ -88,35 +96,45 @@ class ProtocolConfig:
 
     @cached_property
     def channel(self) -> Channel:
-        """The exact channel of this basis and resend policy, built on first use."""
-        return build_channel(self.basis, self.eve.resend)
+        """The exact channel of this basis and Eve, built on first use."""
+        return build_channel(self.basis, self.eve.resend if self.eve.present else None)
 
     @cached_property
-    def _rows(self) -> tuple[list, list]:
+    def _rows(self) -> tuple[list, list | None]:
         """``channel.overlap`` and ``channel.click`` as nested lists for the kernel."""
-        return self.channel.overlap.tolist(), self.channel.click.tolist()
+        click = self.channel.click.tolist() if self.eve.present else None
+        return self.channel.overlap.tolist(), click
 
 
-@dataclass(slots=True)
-class RoundRecord:
-    index: int
-    alice_setting: int
-    bob_setting: int
+class Round(NamedTuple):
+    """What one round drew; Eve's setting and outcome are -1 without Eve."""
+
+    i: int
+    j: int
     bob_outcome: int
-    sift_case: str
-    alice_bit: int | None
-    bob_bit: int | None
-    eve_setting: int | None = None
-    eve_outcome: int | None = None
-    eve_guess: int | None = None
-    attempts: int = 1  # entangled mode: Alice's draws until a positive click
+    eve_setting: int
+    eve_outcome: int
+    attempts: int  # entangled mode: Alice's draws until a positive click
 
 
 @dataclass
 class Transcript:
+    """Column r of ``columns``, one owning int16 array of shape (6, rounds),
+    holds round r's ``Round``; its rows follow the ``Round`` fields."""
+
     config: ProtocolConfig
-    rounds: list[RoundRecord]
-    total_attempts: int
+    columns: np.ndarray
+
+    @property
+    def total_attempts(self) -> int:
+        return int(self.columns[5].sum())
+
+    def sifted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Alice's bit, Bob's bit and Eve's outcome on the sifted rounds."""
+        i, j, bob_outcome, _, eve_outcome, _ = self.columns
+        case = SIFT[i, j]
+        keep = case != C3
+        return case[keep], bob_outcome[keep], eve_outcome[keep]
 
 
 @dataclass(frozen=True)
@@ -165,18 +183,9 @@ class SecurityReport:
         }
 
 
-def _sift_case(i: int, j: int) -> str:
-    d = (j - i) % 5
-    if d == 0:
-        return "C1"
-    if d in (1, 4):
-        return "C2"
-    return "C3"
-
-
 def run_round(
     cfg: ProtocolConfig, round_index: int, rng: RngStream | None = None
-) -> RoundRecord:
+) -> Round:
     """Execute one protocol round on its own derived random stream."""
     if rng is None:
         rng = RngStream(cfg.seed, stream_id=round_index)
@@ -195,51 +204,30 @@ def run_round(
     else:
         i = rng.integer(5)
 
-    eve_setting = eve_outcome = eve_bit_guess = None
     eve = cfg.eve
     if eve.kind == ABSENT:
+        k = e = -1
         j = rng.integer(5)
         p_click = overlap[i][j]
     else:
         k = eve.setting if eve.kind == FIXED else rng.integer(5)
         # Eve's P_k clicks on ray i as Bob's would: overlap[i][k]
         e = 1 if rng.uniform() < overlap[i][k] else 0
-        eve_setting, eve_outcome, eve_bit_guess = k, e, eve_guess(e)
         j = rng.integer(5)
         p_click = click[i][k][e][j]
 
     bob_outcome = 1 if rng.uniform() < p_click else 0
-    case = _sift_case(i, j)
-    if case == "C3":
-        alice_bit = bob_bit = None
-    else:
-        alice_bit = 0 if case == "C1" else 1
-        bob_bit = bob_outcome
-    return RoundRecord(
-        index=round_index,
-        alice_setting=i,
-        bob_setting=j,
-        bob_outcome=bob_outcome,
-        sift_case=case,
-        alice_bit=alice_bit,
-        bob_bit=bob_bit,
-        eve_setting=eve_setting,
-        eve_outcome=eve_outcome,
-        eve_guess=eve_bit_guess,
-        attempts=attempts,
-    )
+    return Round(i, j, bob_outcome, k, e, attempts)
 
 
 def run_session(cfg: ProtocolConfig) -> Transcript:
     """Execute all rounds; output is bit-identical for a given config and seed."""
-    records = [
-        run_round(cfg, r, RngStream(cfg.seed, stream_id=r)) for r in range(cfg.rounds)
-    ]
-    return Transcript(
-        config=cfg,
-        rounds=records,
-        total_attempts=sum(rec.attempts for rec in records),
-    )
+    # int16 rows appended in place: a value that does not fit raises
+    rows = array("h")
+    for r in range(cfg.rounds):
+        rows.extend(run_round(cfg, r, RngStream(cfg.seed, stream_id=r)))
+    by_round = np.frombuffer(rows, dtype=np.int16).reshape(cfg.rounds, len(Round._fields))
+    return Transcript(config=cfg, columns=by_round.T.copy())
 
 
 def _entropy_bits(p: float) -> float:
@@ -250,16 +238,15 @@ def _entropy_bits(p: float) -> float:
 
 def key_stats(t: Transcript) -> KeyStats:
     """Sift-rate, bit frequencies, entropy and key rate over sifted rounds."""
-    sifted = [rec for rec in t.rounds if rec.sift_case != "C3"]
-    if not sifted:
+    alice, bob, _ = t.sifted()
+    n = len(alice)
+    if not n:
         raise ValueError("no sifted rounds: cannot compute key statistics")
-    n = len(sifted)
-    ones = sum(rec.alice_bit for rec in sifted)
-    p1 = ones / n
+    p1 = np.count_nonzero(alice) / n
     p0 = 1.0 - p1
     shannon = _entropy_bits(p1)
-    sift_rate = n / len(t.rounds)
-    anticorr = sum(1 for rec in sifted if rec.alice_bit != rec.bob_bit) / n
+    sift_rate = n / t.columns.shape[1]
+    anticorr = np.count_nonzero(alice != bob) / n
     return KeyStats(
         sift_rate=sift_rate,
         p0=p0,
@@ -272,16 +259,14 @@ def key_stats(t: Transcript) -> KeyStats:
 
 def mutual_information(x_bits, y_bits) -> float:
     """Plug-in empirical mutual information between two bit sequences, in bits."""
-    x = list(x_bits)
-    y = list(y_bits)
+    x = np.asarray(x_bits)
+    y = np.asarray(y_bits)
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 100:
         raise ValueError("need at least 100 samples for a mutual-information estimate")
     n = len(x)
-    joint = [[0, 0], [0, 0]]
-    for a, b in zip(x, y):
-        joint[a][b] += 1
+    joint = np.bincount(2 * x + y, minlength=4).reshape(2, 2).tolist()
     total = 0.0
     for a in (0, 1):
         for b in (0, 1):
@@ -306,10 +291,10 @@ def estimate_security(
     """
     if not 0.0 <= sacrifice_fraction <= 1.0:
         raise ValueError("sacrifice_fraction must lie in [0, 1]")
-    sifted = [rec for rec in t.rounds if rec.sift_case != "C3"]
-    if not sifted:
+    alice, bob, eve_outcome = t.sifted()
+    if not len(alice):
         raise ValueError("no sifted rounds: cannot run a security test")
-    m = int(round(sacrifice_fraction * len(sifted)))
+    m = int(round(sacrifice_fraction * len(alice)))
     if m < 100:
         return SecurityReport(
             kab_estimate=float("nan"),
@@ -319,8 +304,9 @@ def estimate_security(
             sacrificed_count=m,
             note=f"sacrificed subset too small ({m} < 100 sifted rounds)",
         )
-    chosen = [sifted[idx] for idx in rng.subset(len(sifted), m)]
-    kab = sum(1 for rec in chosen if rec.alice_bit != rec.bob_bit) / m
+    chosen = rng.subset(len(alice), m)
+    alice, bob, eve_outcome = alice[chosen], bob[chosen], eve_outcome[chosen]
+    kab = np.count_nonzero(alice != bob) / m
     if kab in (0.0, 1.0):
         halfwidth = 1.0 / m
     else:
@@ -336,12 +322,8 @@ def estimate_security(
     mi_ae = None
     if t.config.eve.present:
         pe = estimate_pe(t)
-        mi_ae = mutual_information(
-            [rec.alice_bit for rec in chosen], [rec.eve_guess for rec in chosen]
-        )
-    mi_ab = mutual_information(
-        [rec.alice_bit for rec in chosen], [rec.bob_bit for rec in chosen]
-    )
+        mi_ae = mutual_information(alice, eve_guess(eve_outcome))
+    mi_ab = mutual_information(alice, bob)
     return SecurityReport(
         kab_estimate=kab,
         confidence_halfwidth=halfwidth,
@@ -354,25 +336,33 @@ def estimate_security(
     )
 
 
+@contextlib.contextmanager
+def _atomic_writer(path: str):
+    """A text file that replaces ``path`` once written; removed on failure."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def write_transcript_csv(t: Transcript, path: str) -> None:
     """One row per round; unset bits render as empty fields."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
+    names = ("C1", "C2", "C3")
+    sift = SIFT.tolist()
+    with _atomic_writer(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for rec in t.rounds:
-            writer.writerow(
-                [
-                    rec.index,
-                    rec.alice_setting,
-                    rec.bob_setting,
-                    rec.sift_case,
-                    rec.bob_outcome,
-                    "" if rec.alice_bit is None else rec.alice_bit,
-                    "" if rec.bob_bit is None else rec.bob_bit,
-                    "" if rec.eve_setting is None else rec.eve_setting,
-                    "" if rec.eve_outcome is None else rec.eve_outcome,
-                    "" if rec.eve_guess is None else rec.eve_guess,
-                ]
-            )
-    os.replace(tmp, path)
+        for start in range(0, t.columns.shape[1], _CSV_CHUNK):
+            rows = t.columns[:, start:start + _CSV_CHUNK].T.tolist()
+            for index, (i, j, bob_outcome, k, e, _) in enumerate(rows, start):
+                case = sift[i][j]  # on a sifted round also Alice's bit
+                sifted, eve = case != C3, e >= 0
+                writer.writerow(
+                    [index, i, j, names[case], bob_outcome,
+                     case if sifted else "", bob_outcome if sifted else "",
+                     k if eve else "", e if eve else "", eve_guess(e) if eve else ""]
+                )

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from conftest import D2_OVERLAP
-from kcbs_qkd.adversary import EveStrategy, attack_expectation, estimate_pe
+from conftest import D2_OVERLAP, synthetic_transcript
+from kcbs_qkd.adversary import EveStrategy, attack_expectation, build_channel, estimate_pe
 from kcbs_qkd.cli import main
 from kcbs_qkd.graphs import verify_monogamy_decomposition
 from kcbs_qkd.kcbs import ktilde, standard_basis
@@ -22,8 +22,6 @@ from kcbs_qkd.protocol import (
     ENTANGLED,
     PREPARE_MEASURE,
     ProtocolConfig,
-    RoundRecord,
-    Transcript,
     estimate_security,
     key_stats,
     run_session,
@@ -133,10 +131,8 @@ def test_criterion_5_entangled_mode(basis):
     success = n / te.total_attempts
 
     def cells(t):
-        counts = np.zeros((5, 5), dtype=int)
-        for rec in t.rounds:
-            counts[rec.alice_setting][rec.bob_setting] += 1
-        return counts.reshape(-1)
+        i, j = t.columns[:2]
+        return np.bincount(5 * i + j, minlength=25)
 
     # Bob's outcome is a deterministic function of (i, j) in both ideal
     # modes, so the joint (i, j, outcome) comparison reduces to (i, j) cells.
@@ -152,12 +148,12 @@ def test_criterion_5_entangled_mode(basis):
 
 def test_criterion_6_adversary_oracle(basis):
     eve = EveStrategy(kind="fixed", setting=1)
-    oracle = attack_expectation(eve, basis)
+    oracle = attack_expectation(eve, build_channel(basis, eve.resend))
     start = time.perf_counter()
     t = run_session(config(basis, rounds=1_000_000, seed=7, eve=eve))
-    sifted = [rec for rec in t.rounds if rec.sift_case != "C3"]
-    n = len(sifted)
-    kab = sum(1 for rec in sifted if rec.alice_bit != rec.bob_bit) / n
+    alice, bob, _ = t.sifted()
+    n = len(alice)
+    kab = np.count_nonzero(alice != bob) / n
     pe = estimate_pe(t)
     elapsed = time.perf_counter() - start
     kab_tol = 4 * math.sqrt(oracle.kab_expected * (1 - oracle.kab_expected) / n)
@@ -181,24 +177,10 @@ def test_criterion_6_adversary_oracle(basis):
     )
 
 
-def _synthetic(basis, fraction, n=40_000):
-    flips = round(n * (1 - fraction))
-    rounds = [
-        RoundRecord(
-            index=r, alice_setting=0, bob_setting=1,
-            bob_outcome=1 if r < flips else 0, sift_case="C2",
-            alice_bit=1, bob_bit=1 if r < flips else 0,
-        )
-        for r in range(n)
-    ]
-    cfg = config(basis, rounds=n, sacrifice_fraction=0.5)
-    return Transcript(config=cfg, rounds=rounds, total_attempts=n)
-
-
 def test_criterion_7_threshold_logic(basis):
     verdicts = {}
     for fraction in (0.60, 0.625, 0.65):
-        t = _synthetic(basis, fraction)
+        t = synthetic_transcript(basis, 40_000, fraction)
         rep = estimate_security(t, 0.5, RngStream(55, stream_id=0))
         verdicts[fraction] = rep.verdict
     ok = (

@@ -18,6 +18,10 @@ from kcbs_qkd.qutrit import RngStream, born_probability, inner_product
 FIXED_1 = EveStrategy(kind="fixed", setting=1)
 
 
+def oracle(strategy, basis):
+    return attack_expectation(strategy, build_channel(basis, strategy.resend))
+
+
 # Exact oracle values, recomputed by hand from the overlap structure:
 # q = distance-2 click probability = D2_OVERLAP^2 = 0.381966.
 # For Eve fixed at k, preparations k-1, k, k+1 pass undisturbed (anticorr 1);
@@ -116,7 +120,7 @@ def test_channel_matches_state_vector_reference(request, which, resend):
 
 
 def test_oracle_fixed_collapsed(basis):
-    exp = attack_expectation(FIXED_1, basis)
+    exp = oracle(FIXED_1, basis)
     assert exp.kab_expected == pytest.approx(EXPECTED_KAB, abs=1e-6)
     assert exp.pe_expected == pytest.approx(EXPECTED_PE, abs=1e-9)
     assert exp.pe_expected < exp.kab_expected  # P_B > P_E for this attack
@@ -124,7 +128,7 @@ def test_oracle_fixed_collapsed(basis):
 
 def test_oracle_per_setting_confinement(basis):
     # disturbance is confined to the distance-2 preparations
-    exp = attack_expectation(FIXED_1, basis)
+    exp = oracle(FIXED_1, basis)
     per_i = [
         sum(v for v in row if v is not None) / 3 for row in exp.anticorr_table
     ]
@@ -139,37 +143,33 @@ def test_oracle_dihedral_symmetry(basis):
     # strategy setting and the basis leaves the expectations unchanged
     from kcbs_qkd.kcbs import KcbsBasis, standard_vectors_unnormalized
 
-    base = attack_expectation(FIXED_1, basis)
+    base = oracle(FIXED_1, basis)
     vectors = standard_vectors_unnormalized()
     for sigma in [lambda i: (i + 1) % 5, lambda i: (-i) % 5, lambda i: (3 - i) % 5]:
         permuted = KcbsBasis.from_vectors([vectors[sigma(i)] for i in range(5)])
         k_new = next(i for i in range(5) if sigma(i) == 1)
-        exp = attack_expectation(
-            EveStrategy(kind="fixed", setting=k_new), permuted
-        )
+        exp = oracle(EveStrategy(kind="fixed", setting=k_new), permuted)
         assert exp.kab_expected == pytest.approx(base.kab_expected, abs=1e-12)
         assert exp.pe_expected == pytest.approx(base.pe_expected, abs=1e-12)
 
 
 def test_oracle_random_strategy_matches_fixed_by_symmetry(basis):
     # uniform-setting Eve averages five dihedral copies of the fixed attack
-    fixed = attack_expectation(FIXED_1, basis)
-    rand = attack_expectation(EveStrategy(kind="random"), basis)
+    fixed = oracle(FIXED_1, basis)
+    rand = oracle(EveStrategy(kind="random"), basis)
     assert rand.kab_expected == pytest.approx(fixed.kab_expected, abs=1e-12)
     assert rand.pe_expected == pytest.approx(fixed.pe_expected, abs=1e-12)
 
 
 def test_oracle_eigenstate_resend_equivalent(basis):
     # rank-1 projectors make the click branches of both policies coincide
-    collapsed = attack_expectation(FIXED_1, basis)
-    eigen = attack_expectation(
-        EveStrategy(kind="fixed", setting=1, resend="eigenstate"), basis
-    )
+    collapsed = oracle(FIXED_1, basis)
+    eigen = oracle(EveStrategy(kind="fixed", setting=1, resend="eigenstate"), basis)
     assert eigen.kab_expected == pytest.approx(collapsed.kab_expected, abs=1e-12)
 
 
 def test_oracle_kae_and_paper_form(basis):
-    exp = attack_expectation(FIXED_1, basis)
+    exp = oracle(FIXED_1, basis)
     # Eve-context rounds (i in {0,1,2}) are undisturbed: perfect anticorr
     assert exp.kae_expected == pytest.approx(1.0, abs=1e-12)
     # published linear form (3/5) P01 + 1/5 with P01 = 2/3: reported only
@@ -178,7 +178,9 @@ def test_oracle_kae_and_paper_form(basis):
 
 def test_oracle_requires_eve(basis):
     with pytest.raises(ValueError):
-        attack_expectation(EveStrategy(), basis)
+        attack_expectation(EveStrategy(), build_channel(basis, None))
+    with pytest.raises(ValueError, match="resend"):
+        attack_expectation(FIXED_1, build_channel(basis, "eigenstate"))
 
 
 def _session(basis, eve, rounds, seed):
@@ -209,10 +211,9 @@ def test_estimate_pe_requires_eve_records(basis):
 def test_constant_guess_baseline(basis):
     # guessing a constant 1 against the ideal run succeeds 2/3 of the time
     transcript = _session(basis, EveStrategy(), 50_000, 5)
-    sifted = [rec for rec in transcript.rounds if rec.sift_case != "C3"]
-    hits = sum(1 for rec in sifted if rec.alice_bit == 1)
-    p = hits / len(sifted)
-    assert p == pytest.approx(2 / 3, abs=3 * math.sqrt((2 / 3) * (1 / 3) / len(sifted)))
+    alice, _, _ = transcript.sifted()
+    p = np.count_nonzero(alice == 1) / len(alice)
+    assert p == pytest.approx(2 / 3, abs=3 * math.sqrt((2 / 3) * (1 / 3) / len(alice)))
 
 
 @pytest.mark.parametrize(
@@ -226,10 +227,10 @@ def test_constant_guess_baseline(basis):
 def test_monte_carlo_matches_oracle(basis, eve):
     rounds = 100_000
     transcript = _session(basis, eve, rounds, seed=2718)
-    exp = attack_expectation(eve, basis)
-    sifted = [rec for rec in transcript.rounds if rec.sift_case != "C3"]
-    kab = sum(1 for rec in sifted if rec.alice_bit != rec.bob_bit) / len(sifted)
-    n = len(sifted)
+    exp = oracle(eve, basis)
+    alice, bob, _ = transcript.sifted()
+    n = len(alice)
+    kab = np.count_nonzero(alice != bob) / n
     assert kab == pytest.approx(
         exp.kab_expected,
         abs=4 * math.sqrt(exp.kab_expected * (1 - exp.kab_expected) / n),

@@ -208,6 +208,42 @@ def test_simulate_json_stdout_round_trip(tmp_path, capsys):
     assert report_json(stdout_doc) == out_path.read_text().strip()
 
 
+def check_unwritable(tmp_path, capsys, flag):
+    """``flag`` aimed into a missing directory and at a directory: exit 1 with
+    a message, and no temporary file left behind."""
+    (tmp_path / "dir").mkdir()
+    for target in (tmp_path / "missing" / "r", tmp_path / "dir"):
+        code, _, err = run(capsys, "simulate", "--rounds", "300", "--seed", "4", flag, str(target))
+        assert code == 1
+        assert err.startswith("simulate: cannot write")
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_simulate_out_write_error(tmp_path, capsys):
+    check_unwritable(tmp_path, capsys, "--out")
+
+
+def test_simulate_transcript_write_error(tmp_path, capsys):
+    check_unwritable(tmp_path, capsys, "--transcript")
+
+
+def test_simulate_builds_channel_once(capsys, monkeypatch):
+    # the report's oracle reads the channel that the session sampled from
+    from kcbs_qkd import adversary, protocol
+
+    original = adversary.build_channel
+    builds = []
+
+    def counted(basis, resend):
+        builds.append(resend)
+        return original(basis, resend)
+
+    for module in (adversary, protocol):
+        monkeypatch.setattr(module, "build_channel", counted)
+    run(capsys, "simulate", "--rounds", "300", "--seed", "4", "--eve", "fixed:1")
+    assert builds == ["collapsed"]
+
+
 def test_simulate_insecure_exit_code(tmp_path, capsys, monkeypatch):
     # no built-in attack drives K(A,B) below 5/8, so exercise the Insecure
     # exit path by substituting the security estimator

@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from kcbs_qkd.adversary import EveStrategy, build_channel
+from conftest import synthetic_transcript
+from kcbs_qkd.adversary import SIFT, EveStrategy, build_channel
 from kcbs_qkd.kcbs import KcbsBasis, standard_vectors_unnormalized
 from kcbs_qkd.protocol import (
     ENTANGLED,
     PREPARE_MEASURE,
     ProtocolConfig,
-    RoundRecord,
-    Transcript,
+    Round,
     estimate_security,
     key_stats,
     mutual_information,
@@ -35,46 +35,6 @@ def config(basis, rounds=1000, seed=42, mode=PREPARE_MEASURE, eve=NO_EVE, sacrif
     )
 
 
-def synthetic_transcript(basis, n_sifted, anticorr_fraction, n_c3=0):
-    """A hand-built transcript with an exact anti-correlation fraction."""
-    rounds = []
-    flips = round(n_sifted * (1 - anticorr_fraction))
-    for r in range(n_sifted):
-        correlated = r < flips  # alice == bob on these rounds
-        rounds.append(
-            RoundRecord(
-                index=r,
-                alice_setting=0,
-                bob_setting=1,
-                bob_outcome=0 if not correlated else 1,
-                sift_case="C2",
-                alice_bit=1,
-                bob_bit=1 if correlated else 0,
-            )
-        )
-    for r in range(n_sifted, n_sifted + n_c3):
-        rounds.append(
-            RoundRecord(
-                index=r,
-                alice_setting=0,
-                bob_setting=2,
-                bob_outcome=0,
-                sift_case="C3",
-                alice_bit=None,
-                bob_bit=None,
-            )
-        )
-    cfg = ProtocolConfig(
-        mode=PREPARE_MEASURE,
-        basis=None,  # never touched after construction
-        rounds=len(rounds),
-        sacrifice_fraction=0.5,
-        eve=NO_EVE,
-        seed=0,
-    )
-    return Transcript(config=cfg, rounds=rounds, total_attempts=len(rounds))
-
-
 def test_config_validation(basis):
     with pytest.raises(ValueError):
         config(basis, rounds=0)
@@ -88,31 +48,32 @@ def test_config_validation(basis):
 
 
 def test_round_cases_no_eve(basis):
+    # sift table: C1 (code 0, Alice's bit 0) on equal settings, C2 (code 1,
+    # Alice's bit 1) on neighbours, C3 (code 2) otherwise
+    for i in range(5):
+        for j in range(5):
+            d = (j - i) % 5
+            assert SIFT[i, j] == (0 if d == 0 else 1 if d in (1, 4) else 2)
     cfg = config(basis, rounds=5000, seed=11)
     seen = set()
     for r in range(5000):
         rec = run_round(cfg, r)
-        d = (rec.bob_setting - rec.alice_setting) % 5
-        if d == 0:
-            assert rec.sift_case == "C1"
-            assert rec.bob_outcome == 1 and rec.alice_bit == 0 and rec.bob_bit == 1
-        elif d in (1, 4):
-            assert rec.sift_case == "C2"
-            assert rec.bob_outcome == 0 and rec.alice_bit == 1 and rec.bob_bit == 0
-        else:
-            assert rec.sift_case == "C3"
-            assert rec.alice_bit is None and rec.bob_bit is None
-        assert rec.eve_setting is None
-        seen.add(rec.sift_case)
-    assert seen == {"C1", "C2", "C3"}
+        case = SIFT[rec.i, rec.j]
+        if case == 0:
+            assert rec.bob_outcome == 1  # Bob's bit anti-correlates with 0
+        elif case == 1:
+            assert rec.bob_outcome == 0
+        assert rec.eve_setting == rec.eve_outcome == -1 and rec.attempts == 1
+        seen.add(int(case))
+    assert seen == {0, 1, 2}
 
 
-def test_sift_case_frequencies(basis):
+def test_sift_frequencies(basis):
     n = 50_000
     t = run_session(config(basis, rounds=n, seed=3))
-    counts = {"C1": 0, "C2": 0, "C3": 0}
-    for rec in t.rounds:
-        counts[rec.sift_case] += 1
+    i, j = t.columns[:2]
+    c1, c2, c3 = np.bincount(SIFT[i, j], minlength=3).tolist()
+    counts = {"C1": c1, "C2": c2, "C3": c3}
     for case, p in (("C1", 0.2), ("C2", 0.4), ("C3", 0.4)):
         sigma = math.sqrt(p * (1 - p) / n)
         assert counts[case] / n == pytest.approx(p, abs=3 * sigma)
@@ -125,9 +86,9 @@ def test_sift_case_frequencies(basis):
 def test_session_determinism(basis):
     t1 = run_session(config(basis, rounds=2000, seed=77))
     t2 = run_session(config(basis, rounds=2000, seed=77))
-    assert t1.rounds == t2.rounds
+    assert np.array_equal(t1.columns, t2.columns)
     t3 = run_session(config(basis, rounds=2000, seed=78))
-    assert t1.rounds != t3.rounds
+    assert not np.array_equal(t1.columns, t3.columns)
 
 
 def test_channel_built_per_config():
@@ -182,7 +143,7 @@ def test_key_stats_requires_sifted_rounds(basis):
 def test_entangled_mode_statistics(basis):
     n = 20_000
     t = run_session(config(basis, rounds=n, seed=13, mode=ENTANGLED))
-    assert len(t.rounds) == n
+    assert t.columns.shape == (6, n)
     rate = n / t.total_attempts
     assert rate == pytest.approx(1 / 3, abs=3 * math.sqrt((1 / 3) * (2 / 3) / t.total_attempts))
     ks = key_stats(t)
@@ -192,8 +153,9 @@ def test_entangled_mode_statistics(basis):
 
 def test_entangled_mode_attempt_metadata(basis):
     t = run_session(config(basis, rounds=100, seed=1, mode=ENTANGLED))
-    assert all(rec.attempts >= 1 for rec in t.rounds)
-    assert t.total_attempts == sum(rec.attempts for rec in t.rounds)
+    attempts = t.columns[5]
+    assert attempts.min() >= 1
+    assert t.total_attempts == attempts.sum() > 100
     pm = run_session(config(basis, rounds=100, seed=1))
     assert pm.total_attempts == 100
 
@@ -253,10 +215,8 @@ def test_mutual_information_identities():
 def test_mutual_information_matches_shannon_on_ideal_run(basis):
     t = run_session(config(basis, rounds=20_000, seed=30))
     ks = key_stats(t)
-    sifted = [rec for rec in t.rounds if rec.sift_case != "C3"]
-    mi = mutual_information(
-        [rec.alice_bit for rec in sifted], [rec.bob_bit for rec in sifted]
-    )
+    alice, bob, _ = t.sifted()
+    mi = mutual_information(alice, bob)
     assert mi == pytest.approx(ks.shannon, abs=1e-12)
 
 
@@ -280,7 +240,23 @@ def test_transcript_csv(tmp_path, basis):
 
 
 def test_run_round_matches_session(basis):
-    cfg = config(basis, rounds=50, seed=64)
-    t = run_session(cfg)
-    for r in (0, 17, 49):
-        assert run_round(cfg, r) == t.rounds[r]
+    for mode in (PREPARE_MEASURE, ENTANGLED):
+        for eve in (NO_EVE, EveStrategy(kind="fixed", setting=1), EveStrategy(kind="random")):
+            cfg = config(basis, rounds=50, seed=64, mode=mode, eve=eve)
+            t = run_session(cfg)
+            for r in range(cfg.rounds):
+                assert run_round(cfg, r) == Round(*t.columns[:, r].tolist())
+
+
+def test_transcript_holds_draws_only(basis):
+    # six int16 columns in one owning array: 12 bytes per round
+    t = run_session(config(basis, rounds=1000, seed=5, mode=ENTANGLED, eve=EveStrategy(kind="random")))
+    assert t.columns.dtype == np.int16 and t.columns.flags.owndata
+    assert t.columns.nbytes / 1000 <= 16
+
+
+def test_channel_without_eve_holds_overlap_only(basis):
+    cfg = config(basis)
+    run_round(cfg, 0)
+    assert cfg.channel.branch is None and cfg.channel.click is None
+    assert np.array_equal(cfg.channel.overlap, build_channel(basis, "collapsed").overlap)

@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .adversary import AttackExpectation, EveRecord, EveStrategy, attack_expectation
+from .adversary import AttackExpectation, EveStrategy, attack_expectation
 from .graphs import (
     ContextGraph,
     EdgeKind,
@@ -26,18 +26,14 @@ from .qutrit import (
     Projector,
     QutritState,
     RngStream,
-    TwoQutritState,
     born_probability,
-    entangled_collapse,
     inner_product,
-    measure,
     projector_from_state,
 )
 
 __all__ = [
     "__version__",
     "AttackExpectation",
-    "EveRecord",
     "EveStrategy",
     "attack_expectation",
     "ContextGraph",
@@ -63,10 +59,7 @@ __all__ = [
     "Projector",
     "QutritState",
     "RngStream",
-    "TwoQutritState",
     "born_probability",
-    "entangled_collapse",
     "inner_product",
-    "measure",
     "projector_from_state",
 ]

@@ -10,9 +10,9 @@ settings match), no click means Alice most likely wrote 1.
 ``build_channel`` builds the exact intercept-resend channel of a pentagon basis
 once, from explicit density matrices.  The session sampler draws from it and
 ``attack_expectation``, the exact oracle that validates every Monte-Carlo
-estimate, sums over it.  The session statistics and the oracle share the sift
-rule ``SIFT``; ``intercept`` is the state-vector reference that the tests
-check the channel against.
+estimate, contracts it.  The session statistics and the oracle share the sift
+rule ``SIFT``.  The tests hold the channel to an independent state-vector
+model of the same measurements, kept with them in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kcbs import KcbsBasis
-from .qutrit import QutritState, RngStream
 
 __all__ = [
     "ABSENT",
@@ -33,11 +32,9 @@ __all__ = [
     "C3",
     "SIFT",
     "EveStrategy",
-    "EveRecord",
     "Channel",
     "AttackExpectation",
     "build_channel",
-    "intercept",
     "eve_guess",
     "estimate_pe",
     "attack_expectation",
@@ -90,50 +87,9 @@ class EveStrategy:
         return {"kind": self.kind, "setting": self.setting, "resend": self.resend}
 
 
-@dataclass(frozen=True)
-class EveRecord:
-    """One round's intercept trace: setting, click outcome, key-bit guess."""
-
-    setting: int
-    outcome: int
-    guess: int
-
-
 def eve_guess(outcome: int) -> int:
     """Guess 0 on a click (settings likely matched), 1 otherwise."""
     return 1 - outcome
-
-
-def intercept(
-    strategy: EveStrategy,
-    in_flight: QutritState,
-    basis: KcbsBasis,
-    rng: RngStream,
-) -> tuple[QutritState, EveRecord]:
-    """Measure the in-flight state and forward a substitute.
-
-    CollapsedState forwards the post-measurement state on either branch;
-    EigenstateOnClick forwards the basis ray of Eve's setting on a click and
-    the collapsed state otherwise.  (For rank-1 projectors the click branches
-    of the two policies coincide up to phase.)
-    """
-    if not strategy.present:
-        raise ValueError("intercept requires a present eavesdropper")
-    k = strategy.setting if strategy.kind == FIXED else rng.integer(5)
-    projector = basis.projectors[k]
-    amp = in_flight.amplitudes
-    p_click = float(
-        min(max(np.vdot(amp, projector.matrix @ amp).real, 0.0), 1.0)
-    )
-    outcome = 1 if rng.uniform() < p_click else 0
-    if outcome == 1:
-        if strategy.resend == RESEND_EIGENSTATE:
-            resent = basis.source_vectors[k]
-        else:
-            resent = QutritState(projector.matrix @ amp)
-    else:
-        resent = QutritState(projector.complement_matrix @ amp)
-    return resent, EveRecord(setting=k, outcome=outcome, guess=eve_guess(outcome))
 
 
 @dataclass(frozen=True)
@@ -226,69 +182,55 @@ class AttackExpectation:
 def attack_expectation(strategy: EveStrategy, channel: Channel) -> AttackExpectation:
     """Exact expected values of an intercept-resend attack (no sampling).
 
-    Accumulates every Alice preparation, Eve setting/branch and Bob setting
-    over ``channel``, which must be built for the strategy's resend policy,
-    in (i, k, e, j) order.
+    Contracts ``channel``, which must be built for the strategy's resend
+    policy, over Eve's settings k and outcomes e (click first) for every
+    Alice ray i and Bob setting j.  Sums keep the order k, then e, per cell
+    and row-major order across cells, so every value is reproducible to the
+    last bit.
     """
     if not strategy.present:
         raise ValueError("attack_expectation requires a present eavesdropper")
     if channel.resend != strategy.resend:
         raise ValueError(f"channel built for resend policy {channel.resend!r}")
-    branch = channel.branch.tolist()
-    click = channel.click.tolist()
-    sift = SIFT.tolist()
-    eve_settings = (
-        [(strategy.setting, 1.0)]
-        if strategy.kind == FIXED
-        else [(k, 0.2) for k in range(5)]
-    )
+    if strategy.kind == FIXED:
+        settings, w_k = [strategy.setting], 1.0
+    else:
+        settings, w_k = list(range(5)), 0.2
+    outcomes = (1, 0)  # Eve's outcome e, click first, on the e axis below
+    weight = w_k * channel.branch[:, settings, ::-1]  # [i, k, e]
+    p_click = channel.click[:, settings, ::-1]  # [i, k, e, j]
+    p_anti = np.where(SIFT[:, None, None, :] == 0, p_click, 1.0 - p_click)
+    anticorr = np.zeros((5, 5))
+    guess_ok = np.zeros((5, 5))
+    for k in range(len(settings)):
+        for n, e in enumerate(outcomes):
+            w = weight[:, k, n, None]
+            anticorr += w * p_anti[:, k, n]
+            guess_ok += w * (SIFT == eve_guess(e))
 
-    anticorr = [[0.0 if sift[i][j] != C3 else None for j in range(5)] for i in range(5)]
-    guess_tab = [[0.0 if sift[i][j] != C3 else None for j in range(5)] for i in range(5)]
-    kae_num = 0.0
-    kae_den = 0.0
+    # Alice-Eve anti-correlation: Eve in Bob's role
+    eve_ctx = SIFT[:, settings, None]
+    in_eve_ctx = eve_ctx != C3
+    kae_num = sum((weight * (in_eve_ctx & (np.array(outcomes) != eve_ctx))).ravel().tolist())
+    kae_den = sum((weight * in_eve_ctx).ravel().tolist())
 
-    for i in range(5):
-        for k, w_k in eve_settings:
-            for e in (1, 0):
-                weight = w_k * branch[i][k][e]  # 0 on branches the channel skips
-                guess = eve_guess(e)
-                for j in range(5):
-                    alice = sift[i][j]  # Alice's key bit, or C3 off context
-                    if alice == C3:
-                        continue
-                    p_click = click[i][k][e][j]
-                    p_anti = p_click if alice == 0 else 1.0 - p_click
-                    anticorr[i][j] += weight * p_anti
-                    guess_tab[i][j] += weight * (1.0 if guess == alice else 0.0)
-                # Alice-Eve anti-correlation: Eve in Bob's role
-                alice_vs_eve = sift[i][k]
-                if alice_vs_eve != C3:
-                    kae_num += weight * (1.0 if e != alice_vs_eve else 0.0)
-                    kae_den += weight
-
-    kab = sum(anticorr[i][j] for i in range(5) for j in range(5) if anticorr[i][j] is not None) / 15.0
-    pe = sum(guess_tab[i][j] for i in range(5) for j in range(5) if guess_tab[i][j] is not None) / 15.0
-    kae = kae_num / kae_den if kae_den > 0 else 0.0
-
+    in_ctx = SIFT != C3
     # Published linear form: (3/5) * P01 + 1/5, with P01 the guess-success
     # probability when Eve's setting is one step from Alice's preparation.
-    per_i = [
-        sum(guess_tab[i][j] for j in range(5) if guess_tab[i][j] is not None) / 3.0
-        for i in range(5)
-    ]
-    if strategy.kind == FIXED:
-        k = strategy.setting
-        p01 = per_i[(k - 1) % 5]
-    else:
-        p01 = max(per_i)
-    paper_linear = 0.6 * p01 + 0.2
+    per_i = [sum(row[ctx].tolist()) / 3.0 for row, ctx in zip(guess_ok, in_ctx)]
+    p01 = per_i[(strategy.setting - 1) % 5] if strategy.kind == FIXED else max(per_i)
+
+    def table(cells: np.ndarray) -> tuple:
+        return tuple(
+            tuple(v if c else None for v, c in zip(row, ctx))
+            for row, ctx in zip(cells.tolist(), in_ctx.tolist())
+        )
 
     return AttackExpectation(
-        kab_expected=kab,
-        pe_expected=pe,
-        kae_expected=kae,
-        paper_kae_linear_form=paper_linear,
-        anticorr_table=tuple(tuple(row) for row in anticorr),
-        guess_table=tuple(tuple(row) for row in guess_tab),
+        kab_expected=sum(anticorr[in_ctx].tolist()) / 15.0,
+        pe_expected=sum(guess_ok[in_ctx].tolist()) / 15.0,
+        kae_expected=kae_num / kae_den if kae_den > 0 else 0.0,
+        paper_kae_linear_form=0.6 * p01 + 0.2,
+        anticorr_table=table(anticorr),
+        guess_table=table(guess_ok),
     )

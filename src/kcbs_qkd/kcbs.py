@@ -13,7 +13,7 @@ published constants disagree with the exclusivity identity (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,16 +52,20 @@ def standard_vectors_unnormalized() -> list[np.ndarray]:
 class KcbsBasis:
     """Five rank-1 projectors forming a pentagon of orthogonality relations.
 
+    The projectors are derived from the rays, so the two cannot disagree.
     Construction validates the pentagon: cyclic neighbors orthogonal within
     1e-10, non-neighbors genuinely non-orthogonal (overlap above 1e-6).
     """
 
     source_vectors: tuple[QutritState, ...]
-    projectors: tuple[Projector, ...]
+    projectors: tuple[Projector, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.source_vectors) != 5 or len(self.projectors) != 5:
+        if len(self.source_vectors) != 5:
             raise ValueError("a pentagon basis needs exactly five vectors")
+        object.__setattr__(
+            self, "projectors", tuple(projector_from_state(s) for s in self.source_vectors)
+        )
         for i in range(5):
             overlap = self.pair_overlap(i, (i + 1) % 5)
             if overlap > NEIGHBOR_TOL:
@@ -76,11 +80,7 @@ class KcbsBasis:
 
     @classmethod
     def from_vectors(cls, vectors) -> "KcbsBasis":
-        states = tuple(QutritState(v) for v in vectors)
-        return cls(
-            source_vectors=states,
-            projectors=tuple(projector_from_state(s) for s in states),
-        )
+        return cls(source_vectors=tuple(QutritState(v) for v in vectors))
 
     def pair_overlap(self, i: int, j: int) -> float:
         """Tr(P_i P_j), a real number in [0, 1]."""

@@ -265,6 +265,8 @@ def mutual_information(x_bits, y_bits) -> float:
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 100:
         raise ValueError("need at least 100 samples for a mutual-information estimate")
+    if not (np.isin(x, (0, 1)).all() and np.isin(y, (0, 1)).all()):
+        raise ValueError("mutual information takes sequences of bits 0 and 1")
     n = len(x)
     joint = np.bincount(2 * x + y, minlength=4).reshape(2, 2).tolist()
     total = 0.0

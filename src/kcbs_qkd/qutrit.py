@@ -1,11 +1,12 @@
-"""Complex linear algebra for qutrit pure states, rank-1 projectors and sampling.
+"""Qutrit pure states, rank-1 projectors, Born probabilities and random streams.
 
 States are plain complex state vectors normalized at construction; projectors
 are validated 3x3 Hermitian idempotents of trace one.  All randomness flows
 through :class:`RngStream`, a thin wrapper around numpy's counter-based Philox
 generator keyed by ``(seed, stream_id)``, so any round of a larger simulation
-can be replayed in isolation.  These state-vector routines (with
-``adversary.intercept``) are the reference the tests hold the exact channel to.
+can be replayed in isolation.  Sampling a measurement and collapsing a state
+live in the tests' state-vector reference (``tests/reference.py``); the
+package samples from the exact channel of ``adversary.build_channel``.
 """
 
 from __future__ import annotations
@@ -20,26 +21,11 @@ __all__ = [
     "NORM_TOL",
     "QutritState",
     "Projector",
-    "TwoQutritState",
     "RngStream",
     "inner_product",
     "projector_from_state",
     "born_probability",
-    "measure",
-    "entangled_collapse",
 ]
-
-
-def _as_unit_vector(amplitudes, dim: int) -> np.ndarray:
-    amp = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-    if amp.shape != (dim,):
-        raise ValueError(f"expected {dim} amplitudes, got shape {amp.shape}")
-    norm = np.linalg.norm(amp)
-    if norm < NORM_TOL:
-        raise ValueError("cannot normalize a (near-)zero amplitude vector")
-    amp = amp / norm
-    amp.setflags(write=False)
-    return amp
 
 
 @dataclass(frozen=True)
@@ -49,22 +35,20 @@ class QutritState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "amplitudes", _as_unit_vector(self.amplitudes, 3))
+        amp = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
+        if amp.shape != (3,):
+            raise ValueError(f"expected 3 amplitudes, got shape {amp.shape}")
+        norm = np.linalg.norm(amp)
+        if norm < NORM_TOL:
+            raise ValueError("cannot normalize a (near-)zero amplitude vector")
+        amp = amp / norm
+        amp.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amp)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QutritState) and np.array_equal(
             self.amplitudes, other.amplitudes
         )
-
-
-@dataclass(frozen=True)
-class TwoQutritState:
-    """A normalized pure state of two qutrits, |jk> ordered with j = subsystem A."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "amplitudes", _as_unit_vector(self.amplitudes, 9))
 
 
 @dataclass(frozen=True)
@@ -86,11 +70,6 @@ class Projector:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def complement_matrix(self) -> np.ndarray:
-        """The matrix of the complementary outcome I - P (not itself rank 1)."""
-        return np.eye(3, dtype=np.complex128) - self.matrix
 
 
 @dataclass
@@ -141,42 +120,3 @@ def born_probability(state: QutritState, p: Projector) -> float:
     """<state|P|state>, clamped to [0, 1]."""
     value = np.vdot(state.amplitudes, p.matrix @ state.amplitudes)
     return float(min(max(value.real, 0.0), 1.0))
-
-
-def measure(
-    state: QutritState, p: Projector, rng: RngStream
-) -> tuple[int, QutritState]:
-    """Sample the two-outcome measurement {P, I-P} and collapse the state.
-
-    Returns (outcome, post_state) where outcome 1 occurs with the Born
-    probability of P.  The sampled branch always has positive probability, so
-    the collapsed vector is normalizable.
-    """
-    prob = born_probability(state, p)
-    outcome = 1 if rng.uniform() < prob else 0
-    branch = p.matrix if outcome == 1 else p.complement_matrix
-    return outcome, QutritState(branch @ state.amplitudes)
-
-
-def entangled_collapse(
-    psi: TwoQutritState, p: Projector, rng: RngStream
-) -> tuple[int, QutritState | None]:
-    """Measure {P (x) I, (I-P) (x) I} on subsystem A of a two-qutrit state.
-
-    On outcome 1 returns Bob's conditional reduced state, which is pure
-    because P is rank 1.  On outcome 0 the round is aborted and None is
-    returned in place of a state (the protocol only consumes the positive
-    branch).
-    """
-    coeffs = psi.amplitudes.reshape(3, 3)  # rows = subsystem A
-    # <psi| P(x)I |psi> = Tr(P . A A^dagger) with A the coefficient matrix
-    prob = float(
-        min(max(np.trace(p.matrix @ (coeffs @ coeffs.conj().T)).real, 0.0), 1.0)
-    )
-    outcome = 1 if rng.uniform() < prob else 0
-    if outcome == 0:
-        return 0, None
-    eigvals, eigvecs = np.linalg.eigh(p.matrix)
-    v = eigvecs[:, int(np.argmax(eigvals))]
-    # collapsed state is |v> (x) |b> with b proportional to v^dagger A
-    return 1, QutritState(v.conj() @ coeffs)

@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -10,10 +12,13 @@ from kcbs_qkd.adversary import (
     build_channel,
     estimate_pe,
     eve_guess,
-    intercept,
 )
+from kcbs_qkd.kcbs import standard_basis
 from kcbs_qkd.protocol import PREPARE_MEASURE, ProtocolConfig, run_session
 from kcbs_qkd.qutrit import RngStream, born_probability, inner_product
+from reference import ForcedDraws, intercept
+
+GOLDEN_ORACLE = pathlib.Path(__file__).parent / "golden" / "oracle.json"
 
 FIXED_1 = EveStrategy(kind="fixed", setting=1)
 
@@ -50,24 +55,24 @@ def test_eve_guess_rule():
 
 
 def test_intercept_eigenstate_click(basis):
-    resent, rec = intercept(FIXED_1, basis.source_vectors[1], basis, RngStream(3, 0))
-    assert rec == rec.__class__(setting=1, outcome=1, guess=0)
+    resent, k, outcome = intercept(FIXED_1, basis.source_vectors[1], basis, RngStream(3, 0))
+    assert (k, outcome, eve_guess(outcome)) == (1, 1, 0)
     assert abs(abs(inner_product(resent, basis.source_vectors[1])) - 1) < 1e-12
 
 
 def test_intercept_orthogonal_passthrough(basis):
     # ray 0 is orthogonal to projector 1: no click, state passes unchanged
     for r in range(20):
-        resent, rec = intercept(FIXED_1, basis.source_vectors[0], basis, RngStream(4, r))
-        assert rec.outcome == 0
-        assert rec.guess == 1
+        resent, _, outcome = intercept(FIXED_1, basis.source_vectors[0], basis, RngStream(4, r))
+        assert outcome == 0
+        assert eve_guess(outcome) == 1
         assert abs(abs(inner_product(resent, basis.source_vectors[0])) - 1) < 1e-12
 
 
 def test_intercept_click_rate_distance_two(basis):
     n = 20_000
     clicks = sum(
-        intercept(FIXED_1, basis.source_vectors[3], basis, RngStream(6, r))[1].outcome
+        intercept(FIXED_1, basis.source_vectors[3], basis, RngStream(6, r))[2]
         for r in range(n)
     )
     assert clicks / n == pytest.approx(Q, abs=4 * math.sqrt(Q * (1 - Q) / n))
@@ -76,16 +81,6 @@ def test_intercept_click_rate_distance_two(basis):
 def test_intercept_requires_eve(basis):
     with pytest.raises(ValueError):
         intercept(EveStrategy(), basis.source_vectors[0], basis, RngStream(0, 0))
-
-
-class ForcedDraws:
-    """A stand-in for RngStream whose every uniform draw is one fixed value."""
-
-    def __init__(self, value: float) -> None:
-        self.value = value
-
-    def uniform(self) -> float:
-        return self.value
 
 
 @pytest.mark.parametrize("resend", ["collapsed", "eigenstate"])
@@ -111,12 +106,27 @@ def test_channel_matches_state_vector_reference(request, which, resend):
                     assert not ch.click[i, k, e].any()
                     continue
                 assert ch.branch[i, k, e] == pytest.approx(p_e, abs=1e-12)
-                resent, rec = intercept(strategy, ray, pentagon, ForcedDraws(draw))
-                assert rec.outcome == e
+                resent, _, outcome = intercept(strategy, ray, pentagon, ForcedDraws(draw))
+                assert outcome == e
                 for j in range(5):
                     assert ch.click[i, k, e, j] == pytest.approx(
                         born_probability(resent, pentagon.projectors[j]), abs=1e-12
                     )
+
+
+def test_oracle_matches_golden():
+    # every field of every CLI strategy on the standard basis, bit for bit:
+    # json round-trips floats exactly
+    golden = json.loads(GOLDEN_ORACLE.read_text())
+    strategies = [(f"fixed:{k}", dict(kind="fixed", setting=k)) for k in range(5)]
+    strategies.append(("random", dict(kind="random")))
+    names = []
+    for resend in ("collapsed", "eigenstate"):
+        for label, kwargs in strategies:
+            names.append(f"{label} {resend}")
+            exp = oracle(EveStrategy(resend=resend, **kwargs), standard_basis())
+            assert exp.to_json_dict() == golden[names[-1]], names[-1]
+    assert sorted(names) == sorted(golden)
 
 
 def test_oracle_fixed_collapsed(basis):

@@ -44,6 +44,20 @@ def test_degenerate_basis_rejected():
         KcbsBasis.from_vectors([v[0]] * 5)
 
 
+def test_projectors_follow_rays(basis):
+    # a basis holds its rays only: projectors that disagree with them (here
+    # those of a relabelled pentagon) cannot be passed in
+    v = standard_vectors_unnormalized()
+    relabelled = KcbsBasis.from_vectors([v[(i + 1) % 5] for i in range(5)])
+    with pytest.raises(TypeError):
+        KcbsBasis(source_vectors=basis.source_vectors, projectors=relabelled.projectors)
+    for ray, p in zip(basis.source_vectors, basis.projectors):
+        assert np.array_equal(p.matrix, np.outer(ray.amplitudes, ray.amplitudes.conj()))
+    # bases compare by their rays
+    assert KcbsBasis.from_vectors(v) == basis
+    assert relabelled != basis
+
+
 def test_orthogonality_graph_pentagon(basis):
     g = orthogonality_graph(basis, tol=1e-8)
     expected = {frozenset(((i, (i + 1) % 5))) for i in range(5)}

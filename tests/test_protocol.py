@@ -19,7 +19,8 @@ from kcbs_qkd.protocol import (
     run_session,
     write_transcript_csv,
 )
-from kcbs_qkd.qutrit import RngStream, TwoQutritState, born_probability, entangled_collapse
+from kcbs_qkd.qutrit import RngStream, born_probability
+from reference import TwoQutritState, entangled_collapse
 
 NO_EVE = EveStrategy()
 
@@ -210,6 +211,11 @@ def test_mutual_information_identities():
         mutual_information([0, 1], [0])
     with pytest.raises(ValueError):
         mutual_information([0] * 99, [0] * 99)
+    # y = 2 on x = 0 determines x (1 bit), and must not be binned as x = 1
+    with pytest.raises(ValueError, match="bits"):
+        mutual_information([0] * 50 + [1] * 50, [2] * 50 + [0] * 50)
+    with pytest.raises(ValueError, match="bits"):
+        mutual_information([2] * 50 + [0] * 50, [0] * 50 + [1] * 50)
 
 
 def test_mutual_information_matches_shannon_on_ideal_run(basis):

@@ -10,7 +10,7 @@ from .graphs import (
     joint_commutation_graph,
     verify_monogamy_decomposition,
 )
-from .kcbs import KcbsBasis, KcbsBounds, bounds, k_anticorr, ktilde, standard_basis
+from .kcbs import KcbsBasis, KcbsBounds, bounds, ktilde, standard_basis
 from .protocol import (
     KeyStats,
     ProtocolConfig,
@@ -27,7 +27,6 @@ from .qutrit import (
     QutritState,
     RngStream,
     born_probability,
-    inner_product,
     projector_from_state,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "KcbsBasis",
     "KcbsBounds",
     "bounds",
-    "k_anticorr",
     "ktilde",
     "standard_basis",
     "KeyStats",
@@ -60,6 +58,5 @@ __all__ = [
     "QutritState",
     "RngStream",
     "born_probability",
-    "inner_product",
     "projector_from_state",
 ]

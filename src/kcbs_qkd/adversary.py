@@ -83,9 +83,6 @@ class EveStrategy:
     def present(self) -> bool:
         return self.kind != ABSENT
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "setting": self.setting, "resend": self.resend}
-
 
 def eve_guess(outcome: int) -> int:
     """Guess 0 on a click (settings likely matched), 1 otherwise."""
@@ -167,16 +164,6 @@ class AttackExpectation:
     paper_kae_linear_form: float
     anticorr_table: tuple  # [i][j]: P(alice != bob | i, j), None off context
     guess_table: tuple  # [i][j]: P(guess == alice | i, j), None off context
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kab_expected": self.kab_expected,
-            "pe_expected": self.pe_expected,
-            "kae_expected": self.kae_expected,
-            "paper_kae_linear_form": self.paper_kae_linear_form,
-            "anticorr_table": [list(row) for row in self.anticorr_table],
-            "guess_table": [list(row) for row in self.guess_table],
-        }
 
 
 def attack_expectation(strategy: EveStrategy, channel: Channel) -> AttackExpectation:

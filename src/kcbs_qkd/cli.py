@@ -9,6 +9,7 @@ usage error exits 1 too, so that 2 always means Insecure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -174,13 +175,13 @@ def build_report(cfg: ProtocolConfig, transcript, stats, security) -> dict:
             "rounds": cfg.rounds,
             "sacrifice_fraction": cfg.sacrifice_fraction,
             "seed": cfg.seed,
-            "eve": cfg.eve.to_json_dict(),
+            "eve": dataclasses.asdict(cfg.eve),
         },
         "total_attempts": transcript.total_attempts,
-        "key_stats": stats.to_json_dict(),
-        "security": security.to_json_dict(),
+        "key_stats": dataclasses.asdict(stats),
+        "security": dataclasses.asdict(security),
         "kcbs_constants": {
-            "paper": bounds().to_json_dict(),
+            "paper": dataclasses.asdict(bounds()),
             "derived": derived_anticorr_values(),
         },
         "monogamy_certificate": cert.to_json_dict(),
@@ -191,7 +192,7 @@ def build_report(cfg: ProtocolConfig, transcript, stats, security) -> dict:
     }
     if cfg.eve.present:
         oracle = attack_expectation(cfg.eve, cfg.channel)
-        report["oracle"] = oracle.to_json_dict()
+        report["oracle"] = dataclasses.asdict(oracle)
         if security.pe_estimate is not None and not math.isnan(security.kab_estimate):
             report["diagnostics"] = {
                 "kab_plus_pe_estimate": security.kab_estimate + security.pe_estimate,

@@ -12,19 +12,18 @@ interest have at most 10 vertices.  Hard size caps raise explicit errors.
 from __future__ import annotations
 
 import enum
-import json
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
+from types import MappingProxyType
 
 __all__ = [
     "EdgeKind",
     "ContextGraph",
-    "Assignment",
     "MonogamyCertificate",
     "GraphTooLargeError",
     "MonogamyCheckError",
     "independence_number",
-    "clique_cover_number",
     "is_chordal",
     "noncontextual_max",
     "joint_commutation_graph",
@@ -33,7 +32,6 @@ __all__ = [
 ]
 
 MAX_VERTICES = 32
-MAX_CLIQUE_COVER_VERTICES = 16
 MAX_ENUMERATION_VERTICES = 20
 
 
@@ -60,7 +58,7 @@ class ContextGraph:
 
     n: int
     labels: tuple[str, ...]
-    edges: dict[frozenset[int], EdgeKind]
+    edges: Mapping[frozenset[int], EdgeKind]  # kept as a read-only copy
 
     def __post_init__(self) -> None:
         if self.n < 0 or self.n > MAX_VERTICES:
@@ -72,9 +70,7 @@ class ContextGraph:
                 raise ValueError(f"self-loop or malformed edge {set(edge)}")
             if not all(0 <= v < self.n for v in edge):
                 raise ValueError(f"edge {set(edge)} references unknown vertex")
-
-    def edge_kind(self, u: int, v: int) -> EdgeKind | None:
-        return self.edges.get(frozenset((u, v)))
+        object.__setattr__(self, "edges", MappingProxyType(dict(self.edges)))
 
     def adjacency(self, kind: EdgeKind) -> list[int]:
         """Per-vertex neighbor bitmasks restricted to the given edge kind.
@@ -115,32 +111,18 @@ class ContextGraph:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ContextGraph":
-        edges = {
-            frozenset((int(u), int(v))): EdgeKind(kind)
-            for u, v, kind in doc["edges"]
-        }
+        edges: dict[frozenset[int], EdgeKind] = {}
+        for u, v, kind in doc["edges"]:
+            edge = frozenset((int(u), int(v)))
+            if edge in edges:
+                raise ValueError(f"edge {sorted(edge)} listed more than once")
+            edges[edge] = EdgeKind(kind)
         return cls(n=int(doc["n"]), labels=tuple(doc["labels"]), edges=edges)
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """A deterministic 0/1 value assignment to the vertices of a graph."""
-
-    values: tuple[int, ...]
-
-    def respects_exclusivity(self, g: ContextGraph) -> bool:
-        """No exclusive edge may have both endpoints assigned 1."""
-        for edge, kind in g.edges.items():
-            if kind is EdgeKind.EXCLUSIVE:
-                u, v = tuple(edge)
-                if self.values[u] == 1 and self.values[v] == 1:
-                    return False
-        return True
-
-
-def independence_number(g: ContextGraph, kind: EdgeKind = EdgeKind.EXCLUSIVE) -> int:
-    """Exact maximum independent-set size w.r.t. edges of the given kind."""
-    adj = g.adjacency(kind)
+def independence_number(g: ContextGraph) -> int:
+    """Exact maximum independent-set size w.r.t. the exclusive edges."""
+    adj = g.adjacency(EdgeKind.EXCLUSIVE)
 
     def search(candidates: int, size: int, best: int) -> int:
         if candidates == 0:
@@ -157,89 +139,24 @@ def independence_number(g: ContextGraph, kind: EdgeKind = EdgeKind.EXCLUSIVE) ->
     return search((1 << g.n) - 1, 0, 0)
 
 
-def clique_cover_number(g: ContextGraph) -> int:
-    """Minimum number of cliques (w.r.t. compatible edges) covering all vertices.
-
-    Computed exactly as the chromatic number of the complement graph.
-    """
-    if g.n > MAX_CLIQUE_COVER_VERTICES:
-        raise GraphTooLargeError(
-            f"instance too large: clique cover is exact only up to "
-            f"{MAX_CLIQUE_COVER_VERTICES} vertices, got {g.n}"
-        )
-    if g.n == 0:
-        return 0
-    compat = g.adjacency(EdgeKind.COMPATIBLE)
-    full = (1 << g.n) - 1
-    comp = [full & ~compat[v] & ~(1 << v) for v in range(g.n)]
-    order = sorted(range(g.n), key=lambda v: -bin(comp[v]).count("1"))
-
-    def colorable(k: int) -> bool:
-        colors = [0] * g.n  # bitmask of vertices per color class
-
-        def assign(idx: int) -> bool:
-            if idx == g.n:
-                return True
-            v = order[idx]
-            seen_empty = False
-            for c in range(k):
-                if colors[c] == 0:
-                    if seen_empty:
-                        break  # empty classes are interchangeable
-                    seen_empty = True
-                if colors[c] & comp[v]:
-                    continue
-                colors[c] |= 1 << v
-                if assign(idx + 1):
-                    return True
-                colors[c] &= ~(1 << v)
-            return False
-
-        return assign(0)
-
-    for k in range(1, g.n + 1):
-        if colorable(k):
-            return k
-    raise AssertionError("unreachable: n colors always suffice")
-
-
 def is_chordal(g: ContextGraph) -> bool:
-    """True iff the graph (all edges) has a perfect elimination ordering.
+    """True iff the graph (all edges) has no chordless cycle of length >= 4.
 
-    Uses lexicographic BFS to produce a candidate ordering, then verifies it;
-    the verification step makes the result correct unconditionally.
+    Removes simplicial vertices (those whose remaining neighbors form a
+    clique) one at a time; a graph is chordal iff this removes every vertex.
     """
     adj = g.adjacency(EdgeKind.COMPATIBLE)
-    n = g.n
-    if n == 0:
-        return True
-
-    # Lex-BFS: repeatedly pick an unvisited vertex with lexicographically
-    # largest label; labels collect the visit times of earlier neighbors.
-    visited = [False] * n
-    labels: list[list[int]] = [[] for _ in range(n)]
-    order: list[int] = []
-    for step in range(n):
-        v = max(
-            (u for u in range(n) if not visited[u]),
-            key=lambda u: (labels[u], -u),
-        )
-        visited[v] = True
-        order.append(v)
-        for u in range(n):
-            if not visited[u] and adj[v] >> u & 1:
-                labels[u].append(n - step)
-
-    # Perfect elimination check on the reversed Lex-BFS order.
-    position = {v: i for i, v in enumerate(order)}
-    for v in order:
-        earlier = [u for u in range(n) if adj[v] >> u & 1 and position[u] < position[v]]
-        if not earlier:
-            continue
-        w = max(earlier, key=lambda u: position[u])
-        for u in earlier:
-            if u != w and not (adj[w] >> u & 1):
-                return False
+    remaining = (1 << g.n) - 1
+    while remaining:
+        for v in range(g.n):
+            around = adj[v] & remaining
+            if remaining >> v & 1 and all(
+                around & ~adj[u] == 1 << u for u in range(g.n) if around >> u & 1
+            ):
+                remaining &= ~(1 << v)
+                break
+        else:
+            return False
     return True
 
 
@@ -274,6 +191,7 @@ def noncontextual_max(g: ContextGraph) -> int:
 
 PAPER_ABSTRACT = "paper-abstract"
 MIMIC = "mimic"
+CUSTOM = "custom"  # the mode of every certificate of a user-supplied graph
 
 _BOB = [f"Π_{i}" for i in range(5)]
 _EVE = [f"Π^E_{i}" for i in range(5)]
@@ -333,9 +251,6 @@ class MonogamyCertificate:
             "mode": self.mode,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
 
 def _build_certificate(
     g: ContextGraph,
@@ -358,14 +273,14 @@ def _build_certificate(
     if not all(chordal):
         bad = [i for i, c in enumerate(chordal) if not c]
         raise MonogamyCheckError("parts_chordal", f"subgraph(s) {bad} not chordal")
-    alpha = tuple(independence_number(sub, EdgeKind.EXCLUSIVE) for sub in subgraphs)
+    alpha = tuple(independence_number(sub) for sub in subgraphs)
     if expected_alpha is not None and alpha != expected_alpha:
         raise MonogamyCheckError(
             "independence_numbers", f"expected {expected_alpha}, got {alpha}"
         )
     bound = sum(alpha) / 5.0
     det_max = noncontextual_max(g)
-    cross_check = independence_number(g, EdgeKind.EXCLUSIVE)
+    cross_check = independence_number(g)
     if det_max != cross_check:
         raise MonogamyCheckError(
             "deterministic_max_cross_check",
@@ -382,13 +297,15 @@ def _build_certificate(
     )
 
 
+@cache
 def verify_monogamy_decomposition(mode: str = PAPER_ABSTRACT) -> MonogamyCertificate:
     """Build and verify the two-part chordal decomposition of the joint graph.
 
     In paper-abstract mode every check is hard: both parts chordal, both with
     independence number 2, normalized bound 4/5.  In mimic mode the structural
     checks (partition, chordality) still apply but the independence numbers
-    are reported as computed rather than asserted.
+    are reported as computed rather than asserted.  Built once per mode and
+    process; the certificate is immutable, so every caller shares it.
     """
     g = joint_commutation_graph(mode)
     expected = (2, 2) if mode == PAPER_ABSTRACT else None
@@ -403,11 +320,12 @@ def certificate_from_graph_document(doc: dict) -> MonogamyCertificate:
 
     Expected keys: ``n``, ``labels``, ``edges`` (triples [u, v, kind]) and
     ``parts`` (two vertex lists).  Structural checks are hard errors; the
-    independence numbers and bound are reported as computed.
+    independence numbers and bound are reported as computed, under the mode
+    ``custom`` whatever the document says.
     """
     g = ContextGraph.from_json_dict(doc)
     parts = doc.get("parts")
     if not isinstance(parts, list) or len(parts) != 2:
         raise ValueError("document must supply exactly two parts")
     parts_t = (tuple(int(v) for v in parts[0]), tuple(int(v) for v in parts[1]))
-    return _build_certificate(g, parts_t, str(doc.get("mode", "custom")), None)
+    return _build_certificate(g, parts_t, CUSTOM, None)

@@ -2,11 +2,11 @@
 
 The default basis is the standard explicit choice of five real qutrit rays
 whose cyclic neighbors are orthogonal (the pentagon orthogonality structure).
-Two functionals are evaluated: the projector form (average probability of a
-click over the five settings) and the anti-correlation form over the five
-commuting neighbor pairs.  Constant bounds for both forms are exposed as a
-record, together with the independently derived values where the two forms'
-published constants disagree with the exclusivity identity (see
+The projector form (average probability of a click over the five settings) is
+evaluated as ``ktilde``.  Constant bounds for it and for the anti-correlation
+form over the five commuting neighbor pairs are exposed as a record, together
+with the independently derived values where the two forms' published
+constants disagree with the exclusivity identity (see
 ``derived_anticorr_values``).
 """
 
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import ContextGraph, EdgeKind
 from .qutrit import Projector, QutritState, born_probability, projector_from_state
 
 __all__ = [
@@ -25,9 +24,7 @@ __all__ = [
     "KcbsBounds",
     "standard_vectors_unnormalized",
     "standard_basis",
-    "orthogonality_graph",
     "ktilde",
-    "k_anticorr",
     "bounds",
     "derived_anticorr_values",
 ]
@@ -94,33 +91,9 @@ def standard_basis() -> KcbsBasis:
     return KcbsBasis.from_vectors(standard_vectors_unnormalized())
 
 
-def orthogonality_graph(basis: KcbsBasis, tol: float = 1e-8) -> ContextGraph:
-    """The 5-vertex graph with an exclusive edge wherever Tr(P_i P_j) < tol."""
-    if not 0 < tol <= 1e-3:
-        raise ValueError(f"tolerance must lie in (0, 1e-3], got {tol}")
-    edges = {
-        frozenset((i, j)): EdgeKind.EXCLUSIVE
-        for i in range(5)
-        for j in range(i + 1, 5)
-        if basis.pair_overlap(i, j) < tol
-    }
-    return ContextGraph(n=5, labels=tuple(f"Π_{i}" for i in range(5)), edges=edges)
-
-
 def ktilde(state: QutritState, basis: KcbsBasis) -> float:
     """Projector-form functional: the mean click probability over the pentagon."""
     return sum(born_probability(state, p) for p in basis.projectors) / 5.0
-
-
-def k_anticorr(state: QutritState, basis: KcbsBasis) -> float:
-    """Anti-correlation form over the five commuting neighbor pairs.
-
-    For the commuting exclusive pair (P_i, P_{i+1}) the joint distribution is
-    exact: P(1,1) = 0, P(1,0) = p_i, P(0,1) = p_{i+1}, so the outcomes differ
-    with probability p_i + p_{i+1}.  No sequential sampling is involved.
-    """
-    probs = [born_probability(state, p) for p in basis.projectors]
-    return sum(probs[i] + probs[(i + 1) % 5] for i in range(5)) / 5.0
 
 
 @dataclass(frozen=True)
@@ -134,16 +107,6 @@ class KcbsBounds:
     quantum_anticorr_form: float = (4.0 * math.sqrt(5.0) - 5.0) / 5.0
     algebraic_anticorr_max: float = 1.0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "noncontextual_projector_form": self.noncontextual_projector_form,
-            "quantum_projector_form": self.quantum_projector_form,
-            "exclusivity_max": self.exclusivity_max,
-            "noncontextual_anticorr_form": self.noncontextual_anticorr_form,
-            "quantum_anticorr_form": self.quantum_anticorr_form,
-            "algebraic_anticorr_max": self.algebraic_anticorr_max,
-        }
-
 
 def bounds() -> KcbsBounds:
     return KcbsBounds()
@@ -152,10 +115,12 @@ def bounds() -> KcbsBounds:
 def derived_anticorr_values() -> dict:
     """Anti-correlation constants implied by the identity k_anticorr = 2*ktilde.
 
-    Under exclusivity the anti-correlation form is exactly twice the projector
-    form, which gives 2 * (2/5) = 4/5 for deterministic assignments (a direct
-    pentagon enumeration confirms it) and 2/sqrt(5) for the maximal quantum
-    state.  These differ from the published anti-correlation constants and are
+    For the commuting exclusive pair (P_i, P_{i+1}) the outcomes differ with
+    probability p_i + p_{i+1}, so the anti-correlation form over the five
+    neighbor pairs is exactly twice the projector form.  That gives
+    2 * (2/5) = 4/5 for deterministic assignments (a direct pentagon
+    enumeration confirms it) and 2/sqrt(5) for the maximal quantum state.
+    These differ from the published anti-correlation constants and are
     reported side by side with them, never asserted against simulation.
     """
     return {

@@ -32,7 +32,7 @@ import numpy as np
 
 from .adversary import ABSENT, C3, FIXED, SIFT, Channel, EveStrategy, build_channel, estimate_pe, eve_guess
 from .kcbs import KcbsBasis
-from .qutrit import NORM_TOL, RngStream
+from .qutrit import KEY_LIMIT, NORM_TOL, RngStream
 
 __all__ = [
     "PREPARE_MEASURE",
@@ -85,6 +85,8 @@ class ProtocolConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+        if not 0 <= self.seed < KEY_LIMIT:
+            raise ValueError(f"seed {self.seed} outside [0, 2^64)")
         if not 0.0 <= self.sacrifice_fraction <= 0.5:
             raise ValueError("sacrifice_fraction must lie in [0, 0.5]")
         if self.mode == ENTANGLED and any(
@@ -146,16 +148,6 @@ class KeyStats:
     key_rate_per_transmission: float
     anticorr_fraction: float  # operational K(A,B) estimate = P(Bob guesses right)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "sift_rate": self.sift_rate,
-            "p0": self.p0,
-            "p1": self.p1,
-            "shannon": self.shannon,
-            "key_rate_per_transmission": self.key_rate_per_transmission,
-            "anticorr_fraction": self.anticorr_fraction,
-        }
-
 
 @dataclass(frozen=True)
 class SecurityReport:
@@ -168,19 +160,6 @@ class SecurityReport:
     mutual_info_ae: float | None = None
     sacrificed_count: int = 0
     note: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kab_estimate": self.kab_estimate,
-            "confidence_halfwidth": self.confidence_halfwidth,
-            "threshold": self.threshold,
-            "verdict": self.verdict,
-            "pe_estimate": self.pe_estimate,
-            "mutual_info_ab": self.mutual_info_ab,
-            "mutual_info_ae": self.mutual_info_ae,
-            "sacrificed_count": self.sacrificed_count,
-            "note": self.note,
-        }
 
 
 def run_round(

@@ -16,13 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 NORM_TOL = 1e-12
+KEY_LIMIT = 1 << 64  # seeds and stream ids lie in [0, KEY_LIMIT)
 
 __all__ = [
     "NORM_TOL",
+    "KEY_LIMIT",
     "QutritState",
     "Projector",
     "RngStream",
-    "inner_product",
     "projector_from_state",
     "born_probability",
 ]
@@ -76,10 +77,10 @@ class Projector:
 class RngStream:
     """Counter-based random stream, reproducible across platforms.
 
-    Wraps numpy's Philox generator keyed by ``(seed, stream_id)``.  Distinct
-    stream ids give statistically independent streams; a simulation derives
-    one stream per round (stream_id = round index).  ``counter`` tracks the
-    number of uniform doubles drawn so far.
+    Wraps numpy's Philox generator keyed by ``(seed, stream_id)``, each an
+    integer in [0, 2^64).  Distinct stream ids give statistically independent
+    streams; a simulation derives one stream per round (stream_id = round
+    index).  ``counter`` tracks the number of uniform doubles drawn so far.
     """
 
     seed: int
@@ -88,7 +89,13 @@ class RngStream:
     _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        key = [self.seed & 0xFFFFFFFFFFFFFFFF, self.stream_id & 0xFFFFFFFFFFFFFFFF]
+        if not (0 <= self.seed < KEY_LIMIT and 0 <= self.stream_id < KEY_LIMIT):
+            raise ValueError(
+                f"seed {self.seed} and stream id {self.stream_id} must lie in [0, 2^64)"
+            )
+        # an explicit uint64 key: numpy would turn a list holding a value
+        # >= 2^63 into float64 and lose its low bits
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def uniform(self) -> float:
@@ -104,11 +111,6 @@ class RngStream:
         """m distinct indices sampled uniformly from range(n), sorted."""
         self.counter += n
         return np.sort(self._gen.permutation(n)[:m])
-
-
-def inner_product(a: QutritState, b: QutritState) -> complex:
-    """<a|b> with a's amplitudes conjugated."""
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def projector_from_state(v: QutritState) -> Projector:

@@ -91,6 +91,23 @@ def test_monogamy_custom_failure(tmp_path, capsys):
     assert "parts_chordal" in err
 
 
+def test_monogamy_custom_graph_size_caps(tmp_path, capsys):
+    # an edgeless graph in two parts passes every check but the size caps
+    caps = {21: "capped at 20 vertices, got 21", 33: "vertex count 33 outside [0, 32]"}
+    for n, message in caps.items():
+        doc = {
+            "n": n,
+            "labels": [f"v{v}" for v in range(n)],
+            "edges": [],
+            "parts": [list(range(n // 2)), list(range(n // 2, n))],
+        }
+        path = tmp_path / f"graph{n}.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "monogamy", "--graph", str(path))
+        assert code == 1
+        assert message in err, err
+
+
 # --- simulate ----------------------------------------------------------------
 
 
@@ -157,6 +174,12 @@ def test_simulate_requires_seed(capsys):
         main(["simulate", "--rounds", "100"])
     assert exc.value.code == 1  # a usage error, not 2 (Insecure)
     capsys.readouterr()
+
+
+def test_simulate_rejects_negative_seed(capsys):
+    code, _, err = run(capsys, "simulate", "--rounds", "100", "--seed", "-1")
+    assert code == 1
+    assert err.startswith("simulate: seed -1")
 
 
 def test_usage_error_exit_code(capsys):

@@ -7,13 +7,10 @@ import pytest
 from kcbs_qkd.graphs import (
     MIMIC,
     PAPER_ABSTRACT,
-    Assignment,
     ContextGraph,
     EdgeKind,
-    GraphTooLargeError,
     MonogamyCheckError,
     certificate_from_graph_document,
-    clique_cover_number,
     independence_number,
     is_chordal,
     joint_commutation_graph,
@@ -99,38 +96,6 @@ def test_alpha_random_cross_check():
         assert independence_number(g) == noncontextual_max(g)
 
 
-# --- clique cover ------------------------------------------------------------
-
-
-def test_pentagon_clique_cover():
-    assert clique_cover_number(PENTAGON) == 3
-
-
-def test_triangle_clique_cover():
-    assert clique_cover_number(graph(3, [(0, 1), (1, 2), (0, 2)])) == 1
-
-
-def test_joint_graph_clique_cover_reported():
-    # computed exactly; the idealized monogamy criterion compares it to
-    # n_tests * alpha = 4, and the computed value is reported with its mode
-    cover = clique_cover_number(joint_commutation_graph(PAPER_ABSTRACT))
-    assert cover == 3
-    assert cover <= 4
-
-
-def test_clique_cover_weak_duality():
-    rng = np.random.Generator(np.random.Philox(key=808))
-    for _ in range(50):
-        n = int(rng.integers(1, 11))
-        g = random_graph(rng, n)
-        assert clique_cover_number(g) >= independence_number(g, EdgeKind.COMPATIBLE)
-
-
-def test_clique_cover_size_cap():
-    with pytest.raises(GraphTooLargeError):
-        clique_cover_number(graph(17, []))
-
-
 # --- chordality ----------------------------------------------------------------
 
 
@@ -171,7 +136,7 @@ def test_mimic_mode_exclusive_degree():
     adj = g.adjacency(EdgeKind.EXCLUSIVE)
     for i in range(5):
         assert bin(adj[i]).count("1") == 4
-        assert g.edge_kind(i, 5 + i) is EdgeKind.COMPATIBLE
+        assert g.edges[frozenset((i, 5 + i))] is EdgeKind.COMPATIBLE
 
 
 def test_joint_graph_alpha():
@@ -183,16 +148,6 @@ def test_joint_graph_alpha():
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         joint_commutation_graph("bogus")
-
-
-# --- assignments --------------------------------------------------------------
-
-
-def test_assignment_exclusivity():
-    ok = Assignment(values=(1, 0, 1, 0, 0))
-    bad = Assignment(values=(1, 1, 0, 0, 0))
-    assert ok.respects_exclusivity(PENTAGON)
-    assert not bad.respects_exclusivity(PENTAGON)
 
 
 # --- monogamy certificate -----------------------------------------------------
@@ -219,7 +174,7 @@ def test_certificate_mimic_mode():
 
 def test_certificate_json_round_trip():
     cert = verify_monogamy_decomposition()
-    doc = json.loads(cert.to_json())
+    doc = json.loads(json.dumps(cert.to_json_dict()))
     assert set(doc) == {
         "joint_graph",
         "parts",
@@ -232,6 +187,19 @@ def test_certificate_json_round_trip():
     assert doc["bound"] == 0.8
     rebuilt = ContextGraph.from_json_dict(doc["joint_graph"])
     assert rebuilt.edges == joint_commutation_graph(PAPER_ABSTRACT).edges
+
+
+def test_certificate_built_once_and_immutable():
+    # the certificate is cached per process, so no caller may change it
+    cert = verify_monogamy_decomposition()
+    assert verify_monogamy_decomposition() is cert
+    with pytest.raises(TypeError):
+        cert.joint_graph.edges[frozenset((0, 2))] = EdgeKind.EXCLUSIVE
+    # a graph keeps its own copy of the edges it was given
+    edges = {frozenset((0, 1)): EdgeKind.EXCLUSIVE}
+    g = ContextGraph(n=2, labels=("a", "b"), edges=edges)
+    edges[frozenset((0, 1))] = EdgeKind.COMPATIBLE
+    assert g.edges[frozenset((0, 1))] is EdgeKind.EXCLUSIVE
 
 
 def test_custom_document_non_chordal_rejected():
@@ -253,4 +221,24 @@ def test_custom_document_bad_partition_rejected():
         "parts": [[0, 1], [1, 2]],
     }
     with pytest.raises(MonogamyCheckError):
+        certificate_from_graph_document(doc)
+
+
+def test_custom_document_mode_is_custom():
+    # a relabelled mimic graph must not pass as the paper-abstract certificate
+    doc = verify_monogamy_decomposition(mode=MIMIC).to_json_dict()
+    doc = {**doc["joint_graph"], "parts": doc["parts"], "mode": PAPER_ABSTRACT}
+    cert = certificate_from_graph_document(doc)
+    assert cert.mode == "custom"
+    assert cert.alpha == (3, 3)
+
+
+def test_custom_document_repeated_edge_rejected():
+    doc = {
+        "n": 2,
+        "labels": ["a", "b"],
+        "edges": [[0, 1, "exclusive"], [1, 0, "compatible"]],
+        "parts": [[0], [1]],
+    }
+    with pytest.raises(ValueError, match="more than once"):
         certificate_from_graph_document(doc)

@@ -6,20 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import APEX_CLICK, D2_OVERLAP
-from kcbs_qkd.graphs import EdgeKind
 from kcbs_qkd.kcbs import (
     KcbsBasis,
     bounds,
     derived_anticorr_values,
-    k_anticorr,
     ktilde,
-    orthogonality_graph,
     standard_basis,
     standard_vectors_unnormalized,
 )
-from kcbs_qkd.qutrit import QutritState
+from kcbs_qkd.qutrit import QutritState, born_probability
 
 APEX = QutritState([0.0, 0.0, 1.0])
+
+
+def k_anticorr(state, basis):
+    """Anti-correlation form: the commuting exclusive pair (P_i, P_{i+1}) gives
+    outcomes that differ with probability p_i + p_{i+1}."""
+    probs = [born_probability(state, p) for p in basis.projectors]
+    return sum(probs[i] + probs[(i + 1) % 5] for i in range(5)) / 5.0
 
 
 def test_pentagon_orthogonality(basis):
@@ -56,26 +60,6 @@ def test_projectors_follow_rays(basis):
     # bases compare by their rays
     assert KcbsBasis.from_vectors(v) == basis
     assert relabelled != basis
-
-
-def test_orthogonality_graph_pentagon(basis):
-    g = orthogonality_graph(basis, tol=1e-8)
-    expected = {frozenset(((i, (i + 1) % 5))) for i in range(5)}
-    assert set(g.edges) == expected
-    assert all(kind is EdgeKind.EXCLUSIVE for kind in g.edges.values())
-
-
-def test_orthogonality_graph_loose_tolerance(basis):
-    # 0.381966 > 1e-3 cap, so even the loosest legal tolerance keeps C5
-    g = orthogonality_graph(basis, tol=1e-3)
-    assert len(g.edges) == 5
-
-
-def test_orthogonality_graph_tol_range(basis):
-    with pytest.raises(ValueError):
-        orthogonality_graph(basis, tol=0.5)
-    with pytest.raises(ValueError):
-        orthogonality_graph(basis, tol=0.0)
 
 
 def test_ktilde_apex(basis):

@@ -11,7 +11,6 @@ from kcbs_qkd.qutrit import (
     QutritState,
     RngStream,
     born_probability,
-    inner_product,
     projector_from_state,
 )
 from reference import (
@@ -37,19 +36,19 @@ def test_zero_vector_rejected():
 
 def test_self_overlap_is_one(basis):
     v0 = basis.source_vectors[0]
-    assert inner_product(v0, v0) == pytest.approx(1.0 + 0.0j, abs=1e-12)
+    assert np.vdot(v0.amplitudes, v0.amplitudes) == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
 
 def test_neighbor_overlap_vanishes(basis):
     # cos(4pi/5) = -cos(pi/5) makes cyclic neighbors orthogonal
-    ip = inner_product(basis.source_vectors[0], basis.source_vectors[1])
+    ip = np.vdot(basis.source_vectors[0].amplitudes, basis.source_vectors[1].amplitudes)
     assert abs(ip) < 1e-12
 
 
 def test_distance_two_overlap(basis):
     from conftest import D2_OVERLAP
 
-    ip = inner_product(basis.source_vectors[1], basis.source_vectors[3])
+    ip = np.vdot(basis.source_vectors[1].amplitudes, basis.source_vectors[3].amplitudes)
     assert ip.real == pytest.approx(D2_OVERLAP, abs=1e-9)
     assert ip.imag == pytest.approx(0.0, abs=1e-12)
 
@@ -106,12 +105,12 @@ def test_measure_deterministic_branches(basis):
     rng = RngStream(1, 0)
     outcome, post = measure(basis.source_vectors[0], basis.projectors[0], rng)
     assert outcome == 1
-    assert abs(abs(inner_product(post, basis.source_vectors[0])) - 1.0) < 1e-12
+    assert abs(abs(np.vdot(post.amplitudes, basis.source_vectors[0].amplitudes)) - 1.0) < 1e-12
 
     outcome, post = measure(basis.source_vectors[0], basis.projectors[1], RngStream(1, 1))
     assert outcome == 0
     # I - P_1 acts as the identity on the orthogonal ray 0
-    assert abs(abs(inner_product(post, basis.source_vectors[0])) - 1.0) < 1e-12
+    assert abs(abs(np.vdot(post.amplitudes, basis.source_vectors[0].amplitudes)) - 1.0) < 1e-12
 
 
 def test_measure_reproducible(basis):
@@ -137,6 +136,18 @@ def test_rng_streams_identical_and_independent():
     assert RngStream(7, 3).uniform() != RngStream(7, 4).uniform()
 
 
+def test_rng_keys_above_two_to_the_63():
+    # a key holding a value >= 2^63 must keep its low bits
+    assert RngStream(2**63, 0).uniform() != RngStream(2**63 + 1, 0).uniform()
+    assert RngStream(2**64 - 1, 0).uniform() != RngStream(0, 0).uniform()
+
+
+@pytest.mark.parametrize("seed, stream_id", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+def test_rng_rejects_keys_outside_64_bits(seed, stream_id):
+    with pytest.raises(ValueError, match="2\\^64"):
+        RngStream(seed, stream_id)
+
+
 ISOTROPIC = TwoQutritState(np.eye(3).reshape(-1) / math.sqrt(3))
 
 
@@ -158,7 +169,7 @@ def test_entangled_collapse_steers_bob(basis, i):
     assert entangled_click_probability(ISOTROPIC, p) == pytest.approx(1 / 3, abs=1e-12)
     outcome, bob = entangled_collapse(ISOTROPIC, p, ForcedDraws(0.0))
     assert outcome == 1
-    assert abs(abs(inner_product(bob, basis.source_vectors[i])) - 1.0) < 1e-12
+    assert abs(abs(np.vdot(bob.amplitudes, basis.source_vectors[i].amplitudes)) - 1.0) < 1e-12
 
 
 def test_entangled_product_state():

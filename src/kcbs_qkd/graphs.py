@@ -111,13 +111,18 @@ class ContextGraph:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ContextGraph":
+        n, labels = doc["n"], doc["labels"]
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"n must be an integer, got {n!r}")
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise ValueError(f"labels must be a list of strings, got {labels!r}")
         edges: dict[frozenset[int], EdgeKind] = {}
         for u, v, kind in doc["edges"]:
             edge = frozenset((int(u), int(v)))
             if edge in edges:
                 raise ValueError(f"edge {sorted(edge)} listed more than once")
             edges[edge] = EdgeKind(kind)
-        return cls(n=int(doc["n"]), labels=tuple(doc["labels"]), edges=edges)
+        return cls(n=n, labels=tuple(labels), edges=edges)
 
 
 def independence_number(g: ContextGraph) -> int:
@@ -258,6 +263,9 @@ def _build_certificate(
     mode: str,
     expected_alpha: tuple[int, int] | None,
 ) -> MonogamyCertificate:
+    unknown = sorted({v for part in parts for v in part} - set(range(g.n)))
+    if unknown:
+        raise MonogamyCheckError("parts_vertices", f"vertices {unknown} not in 0..{g.n - 1}")
     seen: set[int] = set()
     for part in parts:
         overlap = seen.intersection(part)

@@ -9,6 +9,10 @@ key but kept in the transcript).
 
 Round r consumes only the random stream derived as (seed, stream_id = r), so
 sessions are reproducible bit for bit and any round can be replayed alone.
+``run_session`` draws ``_BLOCK`` rounds at a time from the array Philox4x64-10
+of ``qutrit.uniforms``, which reproduces ``RngStream`` bit for bit, and writes
+them straight into the transcript.  ``run_round`` is the scalar replay of one
+round through ``RngStream``, and the independent check of the session kernel.
 Outcome probabilities come from the exact channel of ``adversary.build_channel``,
 built once per config on first use.
 
@@ -23,16 +27,26 @@ import contextlib
 import csv
 import math
 import os
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .adversary import ABSENT, C3, FIXED, SIFT, Channel, EveStrategy, build_channel, estimate_pe, eve_guess
+from .adversary import (
+    ABSENT,
+    C3,
+    FIXED,
+    RANDOM,
+    SIFT,
+    Channel,
+    EveStrategy,
+    build_channel,
+    estimate_pe,
+    eve_guess,
+)
 from .kcbs import KcbsBasis
-from .qutrit import KEY_LIMIT, NORM_TOL, RngStream
+from .qutrit import KEY_LIMIT, NORM_TOL, RngStream, uniforms
 
 __all__ = [
     "PREPARE_MEASURE",
@@ -69,6 +83,11 @@ CSV_COLUMNS = (
     "eve_guess",
 )
 _CSV_CHUNK = 4096  # rounds turned into Python rows at a time
+# rounds drawn per pass of the session kernel: its working set is bounded by
+# this, not by the session length
+_BLOCK = 384
+# draws a round makes after Alice's setting, by Eve's kind: (k), e, j, Bob's outcome
+_LATER_DRAWS = {ABSENT: 2, FIXED: 3, RANDOM: 4}
 
 
 @dataclass(frozen=True)
@@ -101,12 +120,6 @@ class ProtocolConfig:
         """The exact channel of this basis and Eve, built on first use."""
         return build_channel(self.basis, self.eve.resend if self.eve.present else None)
 
-    @cached_property
-    def _rows(self) -> tuple[list, list | None]:
-        """``channel.overlap`` and ``channel.click`` as nested lists for the kernel."""
-        click = self.channel.click.tolist() if self.eve.present else None
-        return self.channel.overlap.tolist(), click
-
 
 class Round(NamedTuple):
     """What one round drew; Eve's setting and outcome are -1 without Eve."""
@@ -134,7 +147,8 @@ class Transcript:
     def sifted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Alice's bit, Bob's bit and Eve's outcome on the sifted rounds."""
         i, j, bob_outcome, _, eve_outcome, _ = self.columns
-        case = SIFT[i, j]
+        # one flat int16 index, not SIFT[i, j]: that casts both columns to intp
+        case = SIFT.ravel().take(5 * i + j)
         keep = case != C3
         return case[keep], bob_outcome[keep], eve_outcome[keep]
 
@@ -165,10 +179,10 @@ class SecurityReport:
 def run_round(
     cfg: ProtocolConfig, round_index: int, rng: RngStream | None = None
 ) -> Round:
-    """Execute one protocol round on its own derived random stream."""
+    """Replay one protocol round alone, on its own derived random stream."""
     if rng is None:
         rng = RngStream(cfg.seed, stream_id=round_index)
-    overlap, click = cfg._rows
+    overlap, click = cfg.channel.overlap, cfg.channel.click
     attempts = 1
     if cfg.mode == ENTANGLED:
         # Alice measures {P_i (x) I} on a fresh isotropic pair until she
@@ -187,26 +201,112 @@ def run_round(
     if eve.kind == ABSENT:
         k = e = -1
         j = rng.integer(5)
-        p_click = overlap[i][j]
+        p_click = overlap[i, j]
     else:
         k = eve.setting if eve.kind == FIXED else rng.integer(5)
-        # Eve's P_k clicks on ray i as Bob's would: overlap[i][k]
-        e = 1 if rng.uniform() < overlap[i][k] else 0
+        # Eve's P_k clicks on ray i as Bob's would: overlap[i, k]
+        e = 1 if rng.uniform() < overlap[i, k] else 0
         j = rng.integer(5)
-        p_click = click[i][k][e][j]
+        p_click = click[i, k, e, j]
 
     bob_outcome = 1 if rng.uniform() < p_click else 0
     return Round(i, j, bob_outcome, k, e, attempts)
 
 
 def run_session(cfg: ProtocolConfig) -> Transcript:
-    """Execute all rounds; output is bit-identical for a given config and seed."""
-    # int16 rows appended in place: a value that does not fit raises
-    rows = array("h")
-    for r in range(cfg.rounds):
-        rows.extend(run_round(cfg, r, RngStream(cfg.seed, stream_id=r)))
-    by_round = np.frombuffer(rows, dtype=np.int16).reshape(cfg.rounds, len(Round._fields))
-    return Transcript(config=cfg, columns=by_round.T.copy())
+    """Execute all rounds; output is bit-identical for a given config and seed.
+
+    Each block of rounds draws from the array Philox of ``qutrit.uniforms`` in
+    ``run_round``'s order and writes into the transcript's columns.
+    """
+    columns = np.empty((len(Round._fields), cfg.rounds), np.int16)
+    draw_block = _entangled_block if cfg.mode == ENTANGLED else _prepare_block
+    for start in range(0, cfg.rounds, _BLOCK):
+        stop = min(start + _BLOCK, cfg.rounds)
+        draw_block(cfg, np.arange(start, stop, dtype=np.uint64), columns[:, start:stop])
+    return Transcript(config=cfg, columns=columns)
+
+
+def _integer5(u: np.ndarray) -> np.ndarray:
+    """``RngStream.integer(5)`` of each uniform: min(int(5 u), 4)."""
+    return np.minimum(u * 5, 4).astype(np.intp)
+
+
+def _prepare_block(cfg: ProtocolConfig, ids: np.ndarray, out: np.ndarray) -> None:
+    # every round draws i, then the later draws, from the same positions
+    blocks = range(1, _LATER_DRAWS[cfg.eve.kind] // 4 + 2)
+    u = [row for b in blocks for row in uniforms(cfg.seed, ids, b)]
+    out[0] = i = _integer5(u[0])
+    _finish(cfg, i, u[1:], out, slice(None))
+    out[5] = 1
+
+
+def _entangled_block(cfg: ProtocolConfig, ids: np.ndarray, out: np.ndarray) -> None:
+    # pass a draws (i, u) of attempt a for the rounds still pending, all from
+    # positions 2a - 2 and 2a - 1; rounds whose u clicks take their later
+    # draws from the positions right after
+    later = _LATER_DRAWS[cfg.eve.kind]
+    pending = np.arange(len(ids))
+    # drawn[:, q] holds the uniforms of Philox block base + q of the pending rounds
+    base, drawn = 1, np.empty((4, 0, len(ids)))
+
+    def row(pos: int) -> np.ndarray:
+        """The pending rounds' draws at position ``pos`` of their streams."""
+        return drawn[pos % 4, pos // 4 + 1 - base]
+
+    attempt = 1
+    while pending.size:
+        pos = 2 * (attempt - 1)
+        last = (pos + 1 + later) // 4 + 1
+        if last >= base + drawn.shape[1]:
+            # as rounds finish, draw more blocks ahead per call, up to _BLOCK lanes
+            first = base + drawn.shape[1]
+            count = max(last + 1 - first, _BLOCK // pending.size)
+            drawn = np.concatenate([drawn, _blocks(cfg, ids[pending], first, count)], axis=1)
+        clicked = row(pos + 1) < 1.0 / 3.0
+        rounds = pending[clicked]
+        out[0, rounds] = i = _integer5(row(pos)[clicked])
+        _finish(cfg, i, [row(p)[clicked] for p in range(pos + 2, pos + 2 + later)], out, rounds)
+        out[5, rounds] = attempt
+        waiting = ~clicked
+        pending = pending[waiting]
+        keep = (pos + 2) // 4 + 1  # the block of the next attempt's first draw
+        drawn = drawn[:, keep - base:, waiting]
+        base = keep
+        attempt += 1
+
+
+def _blocks(cfg: ProtocolConfig, ids: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Uniforms of Philox blocks ``first`` .. ``first + count - 1`` of streams
+    ``ids`` in one call, as an array of shape (4, count, len(ids))."""
+    n = len(ids)
+    blocks = np.arange(first, first + count, dtype=np.uint64).repeat(n)
+    return uniforms(cfg.seed, np.resize(ids, count * n), blocks).reshape(4, count, n)
+
+
+def _finish(cfg: ProtocolConfig, i: np.ndarray, u: list, out: np.ndarray, rounds) -> None:
+    """Eve's and Bob's part of rounds ``rounds`` with Alice's settings ``i``,
+    from the uniforms ``u`` each round draws after i, as ``run_round`` does."""
+    overlap, click = cfg.channel.overlap, cfg.channel.click
+    eve = cfg.eve
+    if eve.kind == ABSENT:
+        k = e = -1
+        j = _integer5(u[0])
+        p_click = overlap[i, j]
+        u_bob = u[1]
+    else:
+        if eve.kind == FIXED:
+            k = eve.setting
+        else:
+            k, u = _integer5(u[0]), u[1:]
+        e = (u[0] < overlap[i, k]).view(np.int8)
+        j = _integer5(u[1])
+        p_click = click[i, k, e, j]
+        u_bob = u[2]
+    out[1, rounds] = j
+    out[2, rounds] = u_bob < p_click
+    out[3, rounds] = k
+    out[4, rounds] = e
 
 
 def _entropy_bits(p: float) -> float:

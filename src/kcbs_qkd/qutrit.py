@@ -1,12 +1,20 @@
 """Qutrit pure states, rank-1 projectors, Born probabilities and random streams.
 
 States are plain complex state vectors normalized at construction; projectors
-are validated 3x3 Hermitian idempotents of trace one.  All randomness flows
-through :class:`RngStream`, a thin wrapper around numpy's counter-based Philox
-generator keyed by ``(seed, stream_id)``, so any round of a larger simulation
-can be replayed in isolation.  Sampling a measurement and collapsing a state
-live in the tests' state-vector reference (``tests/reference.py``); the
-package samples from the exact channel of ``adversary.build_channel``.
+are validated 3x3 Hermitian idempotents of trace one.
+
+Randomness is counter-based Philox4x64-10 keyed by ``(seed, stream_id)``
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), so any
+round of a larger simulation can be replayed in isolation.  It comes in two
+forms that give the same numbers bit for bit.  :class:`RngStream` wraps
+numpy's Philox generator for one stream and draws one value at a time; the
+scalar replay of a round and the security test's subset use it.
+:func:`philox4x64` evaluates Philox blocks of a whole vector of streams with
+uint64 numpy arithmetic, and :func:`uniforms` turns them into the doubles
+``RngStream.uniform`` returns; the session kernel draws from it.  Sampling a
+measurement and collapsing a state live in the tests' state-vector reference
+(``tests/reference.py``); the package samples from the exact channel of
+``adversary.build_channel``.
 """
 
 from __future__ import annotations
@@ -24,6 +32,8 @@ __all__ = [
     "QutritState",
     "Projector",
     "RngStream",
+    "philox4x64",
+    "uniforms",
     "projector_from_state",
     "born_probability",
 ]
@@ -111,6 +121,98 @@ class RngStream:
         """m distinct indices sampled uniformly from range(n), sorted."""
         self.counter += n
         return np.sort(self._gen.permutation(n)[:m])
+
+
+_LANES = 384  # streams one pass of the array Philox evaluates; bounds its scratch
+_U32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+_S11 = np.uint64(11)
+# Philox4x64-10 round multipliers and key increments, one row for each of the
+# two multiplied words (0 and 2) of a block, repeated across the lanes
+_MUL = np.repeat(np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], np.uint64), _LANES, 1)
+_MUL_HI = _MUL >> _S32
+_MUL_LO = _MUL & _U32
+_BUMP = np.repeat(np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], np.uint64), _LANES, 1)
+for _table in (_MUL, _MUL_HI, _MUL_LO, _BUMP):
+    _table.setflags(write=False)
+del _table
+
+
+def philox4x64(seeds, stream_ids, blocks) -> np.ndarray:
+    """Block ``blocks`` (counter (block, 0, 0, 0)) of each stream's Philox4x64-10.
+
+    ``seeds``, ``stream_ids`` and ``blocks`` are scalars or 1-d arrays of one
+    length, which give one vector of (key, counter) pairs.  Column s of the (4, n)
+    uint64 result holds the four words that
+    ``np.random.Philox(key=[seeds[s], stream_ids[s]])`` hands out as its raw
+    outputs 4 (block - 1) to 4 block - 1: numpy counts blocks from 1.
+    """
+    return _philox(seeds, stream_ids, blocks, np.uint64)
+
+
+def uniforms(seeds, stream_ids, blocks) -> np.ndarray:
+    """The doubles of ``philox4x64`` as ``RngStream.uniform`` draws them:
+    (x >> 11) 2^-53 for each word x, so that row w of block b holds draw
+    4 (b - 1) + w of each stream."""
+    return _philox(seeds, stream_ids, blocks, np.float64)
+
+
+def _philox(seeds, stream_ids, blocks, dtype) -> np.ndarray:
+    keys = [np.asarray(x, np.uint64) for x in (seeds, stream_ids, blocks)]
+    lengths = {len(x) for x in keys if x.ndim} or {1}
+    if len(lengths) > 1 or any(x.ndim > 1 for x in keys):
+        raise ValueError("seeds, stream ids and blocks take scalars or 1-d arrays of one length")
+    (n,) = lengths
+    out = np.empty((4, n), dtype)
+    for lo in range(0, n, _LANES):
+        lanes = slice(lo, min(lo + _LANES, n))
+        _philox_lanes(*(x[lanes] if x.ndim else x for x in keys), out[:, lanes])
+    return out
+
+
+def _philox_lanes(seeds, stream_ids, blocks, out) -> None:
+    """Evaluate up to ``_LANES`` lanes into ``out``, all in preallocated scratch."""
+    m = out.shape[1]
+    mul, mul_hi, mul_lo, bump = (a[:, :m] for a in (_MUL, _MUL_HI, _MUL_LO, _BUMP))
+    key = np.empty((2, m), np.uint64)  # (k0, k1)
+    key[0], key[1] = seeds, stream_ids
+    even = np.zeros((2, m), np.uint64)  # words (c0, c2), the multiplied ones
+    even[0] = blocks
+    odd = np.zeros((2, m), np.uint64)  # words (c3, c1)
+    hi, t, u = (np.empty((2, m), np.uint64) for _ in range(3))
+    for r in range(10):
+        if r:
+            np.add(key, bump, out=key)
+        # hi, lo (in place of even) = the 128-bit products mul * even, from
+        # 32-bit halves a = ah 2^32 + al and mul = mh 2^32 + ml
+        np.bitwise_and(even, _U32, out=t)  # al
+        np.multiply(t, mul_lo, out=u)
+        np.right_shift(u, _S32, out=u)
+        np.multiply(t, mul_hi, out=t)
+        np.right_shift(even, _S32, out=hi)
+        np.multiply(hi, mul_lo, out=hi)
+        np.add(u, hi, out=u)  # ah ml + carry, below 2^64
+        np.bitwise_and(u, _U32, out=hi)
+        np.add(t, hi, out=t)  # al mh + low half of u
+        np.right_shift(even, _S32, out=hi)
+        np.multiply(hi, mul_hi, out=hi)  # ah mh
+        np.right_shift(u, _S32, out=u)
+        np.add(hi, u, out=hi)
+        np.right_shift(t, _S32, out=t)
+        np.add(hi, t, out=hi)
+        np.multiply(even, mul, out=even)  # lo
+        # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0)
+        np.bitwise_xor(hi, odd, out=hi)  # (hi0 ^ c3, hi1 ^ c1)
+        np.bitwise_xor(hi[1], key[0], out=odd[0])
+        np.bitwise_xor(hi[0], key[1], out=odd[1])
+        even, odd = odd, even
+    if out.dtype == np.float64:
+        even >>= _S11
+        odd >>= _S11
+        for row, word in zip(out, (even[0], odd[1], even[1], odd[0])):
+            np.multiply(word, 2.0**-53, out=row)
+    else:
+        out[0], out[1], out[2], out[3] = even[0], odd[1], even[1], odd[0]
 
 
 def projector_from_state(v: QutritState) -> Projector:

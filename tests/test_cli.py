@@ -108,6 +108,35 @@ def test_monogamy_custom_graph_size_caps(tmp_path, capsys):
         assert message in err, err
 
 
+def test_monogamy_custom_graph_types_rejected(tmp_path, capsys):
+    # labels must be a list of strings and n a true integer, not coerced
+    good = {"n": 3, "labels": ["a", "b", "c"], "edges": [], "parts": [[0, 1], [2]]}
+    bad = {
+        "labels": ({"labels": "abc"}, "labels must be a list of strings"),
+        "label_types": ({"labels": ["a", "b", 3]}, "labels must be a list of strings"),
+        "float_n": ({"n": 3.7}, "n must be an integer, got 3.7"),
+        "bool_n": (
+            {"n": True, "labels": ["a"], "parts": [[0], []]},
+            "n must be an integer, got True",
+        ),
+    }
+    for name, (change, message) in bad.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**good, **change}))
+        code, out, err = run(capsys, "monogamy", "--graph", str(path))
+        assert code == 1 and out == "", name
+        assert message in err, err
+
+
+def test_monogamy_custom_unknown_part_vertex(tmp_path, capsys):
+    doc = {"n": 3, "labels": ["a", "b", "c"], "edges": [], "parts": [[0, 1, 2], [7]]}
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "monogamy", "--graph", str(path))
+    assert code == 1
+    assert "parts_vertices: vertices [7] not in 0..2" in err, err
+
+
 # --- simulate ----------------------------------------------------------------
 
 

@@ -242,3 +242,11 @@ def test_custom_document_repeated_edge_rejected():
     }
     with pytest.raises(ValueError, match="more than once"):
         certificate_from_graph_document(doc)
+
+
+def test_custom_document_unknown_part_vertex_rejected():
+    base = {"n": 3, "labels": ["a", "b", "c"], "edges": [[0, 1, "exclusive"]]}
+    for parts, unknown in (([[0, 1, 2], [7]], "[7]"), ([[0, 1, 2], [-1]], "[-1]")):
+        with pytest.raises(MonogamyCheckError, match="parts_vertices") as info:
+            certificate_from_graph_document({**base, "parts": parts})
+        assert f"vertices {unknown} not in 0..2" in str(info.value)

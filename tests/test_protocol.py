@@ -1,5 +1,7 @@
 import csv
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from kcbs_qkd.protocol import (
     PREPARE_MEASURE,
     ProtocolConfig,
     Round,
+    _BLOCK,
     estimate_security,
     key_stats,
     mutual_information,
@@ -252,6 +255,36 @@ def test_run_round_matches_session(basis):
             t = run_session(cfg)
             for r in range(cfg.rounds):
                 assert run_round(cfg, r) == Round(*t.columns[:, r].tolist())
+    # a one-round session, and one of two full kernel blocks plus 7 rounds
+    for mode, kind, resend, rounds in itertools.product(
+        (PREPARE_MEASURE, ENTANGLED),
+        ("absent", "fixed", "random"),
+        ("collapsed", "eigenstate"),
+        (1, 2 * _BLOCK + 7),
+    ):
+        eve = EveStrategy(kind=kind, setting=1 if kind == "fixed" else None, resend=resend)
+        cfg = config(basis, rounds=rounds, seed=2**63 + 5, mode=mode, eve=eve)
+        t = run_session(cfg)
+        replay = [run_round(cfg, r) for r in range(rounds)]
+        assert replay == [Round(*c) for c in t.columns.T.tolist()], (mode, kind, resend, rounds)
+
+
+def test_session_working_set_bounded(basis):
+    # the kernel's own memory is bounded by its block size, not the session length
+    eve = EveStrategy(kind="random", resend="eigenstate")
+    run_session(config(basis, rounds=10, mode=ENTANGLED, eve=eve))
+    peaks = []
+    for rounds in (5_000, 50_000):
+        cfg = config(basis, rounds=rounds, seed=3, mode=ENTANGLED, eve=eve)
+        cfg.channel  # built outside the measurement
+        tracemalloc.start()
+        try:
+            t = run_session(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1] - t.columns.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 160 * 1024, peaks
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_transcript_holds_draws_only(basis):

@@ -11,7 +11,9 @@ from kcbs_qkd.qutrit import (
     QutritState,
     RngStream,
     born_probability,
+    philox4x64,
     projector_from_state,
+    uniforms,
 )
 from reference import (
     ForcedDraws,
@@ -140,6 +142,40 @@ def test_rng_keys_above_two_to_the_63():
     # a key holding a value >= 2^63 must keep its low bits
     assert RngStream(2**63, 0).uniform() != RngStream(2**63 + 1, 0).uniform()
     assert RngStream(2**64 - 1, 0).uniform() != RngStream(0, 0).uniform()
+
+
+PHILOX_KEYS = [(0, 0), (5, 7), (2**63 + 1, 3), (2**64 - 1, 2**64 - 1), (123456789, 999999)]
+
+
+def test_philox4x64_matches_numpy_philox():
+    # one vector of mixed seeds and stream ids, against numpy's generator per key
+    seeds = np.array([s for s, _ in PHILOX_KEYS], dtype=np.uint64)
+    ids = np.array([r for _, r in PHILOX_KEYS], dtype=np.uint64)
+    raw = {
+        key: np.random.Philox(key=np.array(key, dtype=np.uint64)).random_raw(12)
+        for key in PHILOX_KEYS
+    }
+    for block in (1, 2, 3):
+        words = philox4x64(seeds, ids, block)
+        assert words.dtype == np.uint64 and words.shape == (4, len(PHILOX_KEYS))
+        for col, key in enumerate(PHILOX_KEYS):
+            assert words[:, col].tolist() == raw[key][4 * (block - 1):4 * block].tolist()
+    # per-lane blocks, and more lanes than one pass evaluates
+    ids = np.arange(1000, dtype=np.uint64)
+    blocks = np.arange(1000) % 3 + 1
+    words = philox4x64(2**63 + 5, ids, blocks)
+    for col in (0, 1, 2, 383, 384, 999):
+        expected = np.random.Philox(key=np.array([2**63 + 5, col], dtype=np.uint64))
+        block = int(blocks[col])
+        assert words[:, col].tolist() == expected.random_raw(4 * block)[-4:].tolist()
+
+
+def test_uniforms_match_rng_stream():
+    ids = np.array([0, 3, 2**64 - 1], dtype=np.uint64)
+    drawn = np.concatenate([uniforms(2**63 + 5, ids, b) for b in (1, 2)])
+    for col, stream_id in enumerate(ids.tolist()):
+        rng = RngStream(2**63 + 5, stream_id)
+        assert drawn[:, col].tolist() == [rng.uniform() for _ in range(8)]
 
 
 @pytest.mark.parametrize("seed, stream_id", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])

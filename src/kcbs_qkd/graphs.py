@@ -52,6 +52,13 @@ class EdgeKind(enum.Enum):
     COMPATIBLE = "compatible"
 
 
+def _integer(what: str, value) -> int:
+    """``value`` if it is an int and not a bool: nothing is coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ContextGraph:
     """A simple graph with typed edges over measurement vertices."""
@@ -111,14 +118,12 @@ class ContextGraph:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ContextGraph":
-        n, labels = doc["n"], doc["labels"]
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ValueError(f"n must be an integer, got {n!r}")
+        n, labels = _integer("n", doc["n"]), doc["labels"]
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
             raise ValueError(f"labels must be a list of strings, got {labels!r}")
         edges: dict[frozenset[int], EdgeKind] = {}
         for u, v, kind in doc["edges"]:
-            edge = frozenset((int(u), int(v)))
+            edge = frozenset((_integer("edge vertex", u), _integer("edge vertex", v)))
             if edge in edges:
                 raise ValueError(f"edge {sorted(edge)} listed more than once")
             edges[edge] = EdgeKind(kind)
@@ -335,5 +340,5 @@ def certificate_from_graph_document(doc: dict) -> MonogamyCertificate:
     parts = doc.get("parts")
     if not isinstance(parts, list) or len(parts) != 2:
         raise ValueError("document must supply exactly two parts")
-    parts_t = (tuple(int(v) for v in parts[0]), tuple(int(v) for v in parts[1]))
+    parts_t = tuple(tuple(_integer("part vertex", v) for v in part) for part in parts)
     return _build_certificate(g, parts_t, CUSTOM, None)

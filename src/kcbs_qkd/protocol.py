@@ -9,16 +9,18 @@ key but kept in the transcript).
 
 Round r consumes only the random stream derived as (seed, stream_id = r), so
 sessions are reproducible bit for bit and any round can be replayed alone.
-``run_session`` draws ``_BLOCK`` rounds at a time from the array Philox4x64-10
-of ``qutrit.uniforms``, which reproduces ``RngStream`` bit for bit, and writes
-them straight into the transcript.  ``run_round`` is the scalar replay of one
-round through ``RngStream``, and the independent check of the session kernel.
-Outcome probabilities come from the exact channel of ``adversary.build_channel``,
-built once per config on first use.
+``run_session`` runs ``_BLOCK`` rounds at a time on the array Philox4x64-10 of
+``qutrit.uniforms``, which reproduces ``RngStream`` bit for bit.  An entangled
+round is a prepare-and-measure round that starts after Alice's attempts: the
+kernel finds each entangled round's attempt a from her click draws 1, 3, 5, ...,
+then reads rounds of both modes alike from her setting, draw s = 0 or 2 (a - 1).
+``run_round`` is the scalar replay of one round through ``RngStream``, and the
+independent check of the kernel.  Outcome probabilities come from the exact
+channel of ``adversary.build_channel``, built once per config on first use.
 
 A round is stored as what it drew, a ``Round``; a session's ``Transcript``
 holds these as the columns of one int16 array.  Sift case, bits and Eve's
-guess are derived from them through ``adversary.SIFT`` when needed.
+guess are derived from them through ``adversary.SIFT``, once per transcript.
 """
 
 from __future__ import annotations
@@ -132,25 +134,37 @@ class Round(NamedTuple):
     attempts: int  # entangled mode: Alice's draws until a positive click
 
 
-@dataclass
+@dataclass(frozen=True)
 class Transcript:
     """Column r of ``columns``, one owning int16 array of shape (6, rounds),
-    holds round r's ``Round``; its rows follow the ``Round`` fields."""
+    holds round r's ``Round``; its rows follow the ``Round`` fields.  It is
+    read-only, so the sifted view computed from it once stays current."""
 
     config: ProtocolConfig
     columns: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.columns.setflags(write=False)
 
     @property
     def total_attempts(self) -> int:
         return int(self.columns[5].sum())
 
     def sifted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Alice's bit, Bob's bit and Eve's outcome on the sifted rounds."""
+        """Alice's bit, Bob's bit and Eve's outcome on the sifted rounds, as
+        read-only arrays computed on the first call."""
+        return self._sifted
+
+    @cached_property
+    def _sifted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         i, j, bob_outcome, _, eve_outcome, _ = self.columns
         # one flat int16 index, not SIFT[i, j]: that casts both columns to intp
         case = SIFT.ravel().take(5 * i + j)
         keep = case != C3
-        return case[keep], bob_outcome[keep], eve_outcome[keep]
+        view = case[keep], bob_outcome[keep], eve_outcome[keep]
+        for column in view:
+            column.setflags(write=False)
+        return view
 
 
 @dataclass(frozen=True)
@@ -214,16 +228,11 @@ def run_round(
 
 
 def run_session(cfg: ProtocolConfig) -> Transcript:
-    """Execute all rounds; output is bit-identical for a given config and seed.
-
-    Each block of rounds draws from the array Philox of ``qutrit.uniforms`` in
-    ``run_round``'s order and writes into the transcript's columns.
-    """
+    """Execute all rounds; output is bit-identical for a given config and seed."""
     columns = np.empty((len(Round._fields), cfg.rounds), np.int16)
-    draw_block = _entangled_block if cfg.mode == ENTANGLED else _prepare_block
     for start in range(0, cfg.rounds, _BLOCK):
         stop = min(start + _BLOCK, cfg.rounds)
-        draw_block(cfg, np.arange(start, stop, dtype=np.uint64), columns[:, start:stop])
+        _block(cfg, np.arange(start, stop, dtype=np.uint64), columns[:, start:stop])
     return Transcript(config=cfg, columns=columns)
 
 
@@ -232,61 +241,48 @@ def _integer5(u: np.ndarray) -> np.ndarray:
     return np.minimum(u * 5, 4).astype(np.intp)
 
 
-def _prepare_block(cfg: ProtocolConfig, ids: np.ndarray, out: np.ndarray) -> None:
-    # every round draws i, then the later draws, from the same positions
-    blocks = range(1, _LATER_DRAWS[cfg.eve.kind] // 4 + 2)
-    u = [row for b in blocks for row in uniforms(cfg.seed, ids, b)]
-    out[0] = i = _integer5(u[0])
-    _finish(cfg, i, u[1:], out, slice(None))
-    out[5] = 1
-
-
-def _entangled_block(cfg: ProtocolConfig, ids: np.ndarray, out: np.ndarray) -> None:
-    # pass a draws (i, u) of attempt a for the rounds still pending, all from
-    # positions 2a - 2 and 2a - 1; rounds whose u clicks take their later
-    # draws from the positions right after
+def _block(cfg: ProtocolConfig, ids: np.ndarray, out: np.ndarray) -> None:
     later = _LATER_DRAWS[cfg.eve.kind]
-    pending = np.arange(len(ids))
-    # drawn[:, q] holds the uniforms of Philox block base + q of the pending rounds
-    base, drawn = 1, np.empty((4, 0, len(ids)))
+    if cfg.mode == ENTANGLED:
+        attempts = _attempts(cfg, ids)
+        s, n = 2 * (attempts - 1), len(ids)
+        # s % 4 is 0 or 2, so draws s .. s + 1 + later lie in s's Philox block
+        # and the next: row w of the window holds draw s - s % 4 + w
+        window = np.concatenate([uniforms(cfg.seed, ids, s // 4 + b) for b in (1, 2)])
+        rows = np.array([0, *range(2, 2 + later)])[:, None]
+        u = window.take((s % 4 + rows) * n + np.arange(n))
+    else:
+        # the same draws for every round: read them straight from blocks 1 (and 2)
+        attempts = 1
+        u = [row for b in range(1, later // 4 + 2) for row in uniforms(cfg.seed, ids, b)]
+    out[0] = i = _integer5(u[0])
+    _finish(cfg, i, u[1:], out)
+    out[5] = attempts
 
-    def row(pos: int) -> np.ndarray:
-        """The pending rounds' draws at position ``pos`` of their streams."""
-        return drawn[pos % 4, pos // 4 + 1 - base]
 
-    attempt = 1
+def _attempts(cfg: ProtocolConfig, ids: np.ndarray) -> np.ndarray:
+    """Entangled mode: the attempt at which each round's Alice clicks.  Rounds
+    still pending draw several Philox blocks per call, up to ``_BLOCK`` lanes."""
+    attempts = np.empty(len(ids), np.intp)
+    pending, first = np.arange(len(ids)), 1
     while pending.size:
-        pos = 2 * (attempt - 1)
-        last = (pos + 1 + later) // 4 + 1
-        if last >= base + drawn.shape[1]:
-            # as rounds finish, draw more blocks ahead per call, up to _BLOCK lanes
-            first = base + drawn.shape[1]
-            count = max(last + 1 - first, _BLOCK // pending.size)
-            drawn = np.concatenate([drawn, _blocks(cfg, ids[pending], first, count)], axis=1)
-        clicked = row(pos + 1) < 1.0 / 3.0
-        rounds = pending[clicked]
-        out[0, rounds] = i = _integer5(row(pos)[clicked])
-        _finish(cfg, i, [row(p)[clicked] for p in range(pos + 2, pos + 2 + later)], out, rounds)
-        out[5, rounds] = attempt
-        waiting = ~clicked
-        pending = pending[waiting]
-        keep = (pos + 2) // 4 + 1  # the block of the next attempt's first draw
-        drawn = drawn[:, keep - base:, waiting]
-        base = keep
-        attempt += 1
+        n = pending.size
+        count = max(1, _BLOCK // n)
+        blocks = np.arange(first, first + count, dtype=np.uint64).repeat(n)
+        drawn = uniforms(cfg.seed, np.resize(ids[pending], count * n), blocks)
+        drawn = drawn.reshape(4, count, n)
+        # attempt a clicks on draw 2a - 1: row 1 or 3 of block (a + 1) // 2, so
+        # clicks[f] is attempt 2 first - 1 + f of each pending round
+        clicks = (drawn[1::2] < 1.0 / 3.0).transpose(1, 0, 2).reshape(2 * count, n)
+        hit = clicks.any(axis=0)
+        attempts[pending[hit]] = 2 * first - 1 + clicks.argmax(axis=0)[hit]
+        pending, first = pending[~hit], first + count
+    return attempts
 
 
-def _blocks(cfg: ProtocolConfig, ids: np.ndarray, first: int, count: int) -> np.ndarray:
-    """Uniforms of Philox blocks ``first`` .. ``first + count - 1`` of streams
-    ``ids`` in one call, as an array of shape (4, count, len(ids))."""
-    n = len(ids)
-    blocks = np.arange(first, first + count, dtype=np.uint64).repeat(n)
-    return uniforms(cfg.seed, np.resize(ids, count * n), blocks).reshape(4, count, n)
-
-
-def _finish(cfg: ProtocolConfig, i: np.ndarray, u: list, out: np.ndarray, rounds) -> None:
-    """Eve's and Bob's part of rounds ``rounds`` with Alice's settings ``i``,
-    from the uniforms ``u`` each round draws after i, as ``run_round`` does."""
+def _finish(cfg: ProtocolConfig, i: np.ndarray, u, out: np.ndarray) -> None:
+    """Eve's and Bob's part of a block's rounds with Alice's settings ``i``,
+    from the rows of uniforms ``u`` each round draws after i, as ``run_round`` does."""
     overlap, click = cfg.channel.overlap, cfg.channel.click
     eve = cfg.eve
     if eve.kind == ABSENT:
@@ -303,10 +299,7 @@ def _finish(cfg: ProtocolConfig, i: np.ndarray, u: list, out: np.ndarray, rounds
         j = _integer5(u[1])
         p_click = click[i, k, e, j]
         u_bob = u[2]
-    out[1, rounds] = j
-    out[2, rounds] = u_bob < p_click
-    out[3, rounds] = k
-    out[4, rounds] = e
+    out[1], out[2], out[3], out[4] = j, u_bob < p_click, k, e
 
 
 def _entropy_bits(p: float) -> float:
@@ -447,3 +440,4 @@ def write_transcript_csv(t: Transcript, path: str) -> None:
                      case if sifted else "", bob_outcome if sifted else "",
                      k if eve else "", e if eve else "", eve_guess(e) if eve else ""]
                 )
+            del rows  # before the next chunk's rows are built

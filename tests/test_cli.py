@@ -109,9 +109,21 @@ def test_monogamy_custom_graph_size_caps(tmp_path, capsys):
 
 
 def test_monogamy_custom_graph_types_rejected(tmp_path, capsys):
-    # labels must be a list of strings and n a true integer, not coerced
+    # labels must be a list of strings, n and every vertex a true integer, not coerced
     good = {"n": 3, "labels": ["a", "b", "c"], "edges": [], "parts": [[0, 1], [2]]}
     bad = {
+        "float_edge": (
+            {"edges": [[0, 1.9, "exclusive"]]}, "edge vertex must be an integer, got 1.9"
+        ),
+        "bool_edge": (
+            {"edges": [[True, 2, "exclusive"]]}, "edge vertex must be an integer, got True"
+        ),
+        "string_edge": (
+            {"edges": [["2", 0, "compatible"]]}, "edge vertex must be an integer, got '2'"
+        ),
+        "float_part": ({"parts": [[0, 1.5], [2]]}, "part vertex must be an integer, got 1.5"),
+        "bool_part": ({"parts": [[0, 1], [True]]}, "part vertex must be an integer, got True"),
+        "string_part": ({"parts": [[0, 1], ["2"]]}, "part vertex must be an integer, got '2'"),
         "labels": ({"labels": "abc"}, "labels must be a list of strings"),
         "label_types": ({"labels": ["a", "b", 3]}, "labels must be a list of strings"),
         "float_n": ({"n": 3.7}, "n must be an integer, got 3.7"),

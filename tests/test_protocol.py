@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -267,15 +268,22 @@ def test_run_round_matches_session(basis):
         t = run_session(cfg)
         replay = [run_round(cfg, r) for r in range(rounds)]
         assert replay == [Round(*c) for c in t.columns.T.tolist()], (mode, kind, resend, rounds)
+        if mode == ENTANGLED and rounds > 1:
+            # rounds found after several passes of the attempt search, and rounds
+            # whose setting s = 2 (a - 1) sits in row 2, so that their later
+            # draws cross into the next Philox block
+            s = 2 * (t.columns[5] - 1)
+            assert t.columns[5].max() >= 10 and (s % 4 == 2).any(), (kind, resend)
 
 
-def test_session_working_set_bounded(basis):
+@pytest.mark.parametrize("mode", [PREPARE_MEASURE, ENTANGLED])
+def test_session_working_set_bounded(basis, mode):
     # the kernel's own memory is bounded by its block size, not the session length
     eve = EveStrategy(kind="random", resend="eigenstate")
-    run_session(config(basis, rounds=10, mode=ENTANGLED, eve=eve))
+    run_session(config(basis, rounds=10, mode=mode, eve=eve))
     peaks = []
     for rounds in (5_000, 50_000):
-        cfg = config(basis, rounds=rounds, seed=3, mode=ENTANGLED, eve=eve)
+        cfg = config(basis, rounds=rounds, seed=3, mode=mode, eve=eve)
         cfg.channel  # built outside the measurement
         tracemalloc.start()
         try:
@@ -285,6 +293,22 @@ def test_session_working_set_bounded(basis):
             tracemalloc.stop()
     assert max(peaks) <= 160 * 1024, peaks
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_sifted_view_computed_once(basis):
+    # key_stats, estimate_security and estimate_pe share one view, and the
+    # columns it is computed from cannot change under it
+    t = run_session(config(basis, rounds=2000, seed=9, eve=EveStrategy(kind="fixed", setting=1)))
+    view = t.sifted()
+    key_stats(t)
+    estimate_security(t, 0.5, RngStream(9, stream_id=2000))
+    assert all(a is b for a, b in zip(t.sifted(), view))
+    with pytest.raises(ValueError, match="read-only"):
+        t.columns[0, 0] = 4
+    with pytest.raises(ValueError, match="read-only"):
+        view[1][0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.columns = t.columns.copy()
 
 
 def test_transcript_holds_draws_only(basis):

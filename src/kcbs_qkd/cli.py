@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -205,8 +206,21 @@ def build_report(cfg: ProtocolConfig, transcript, stats, security) -> dict:
     return report
 
 
+def _check_outputs(out: str | None, transcript: str | None) -> None:
+    """Refuse an ``--out`` that the transcript would overwrite: its own path,
+    or the temporary file it is written through."""
+    if not (out and transcript):
+        return
+    out = os.path.realpath(out)
+    if out == os.path.realpath(transcript):
+        raise ValueError("--out and --transcript name the same file")
+    if out == os.path.realpath(f"{transcript}.tmp"):
+        raise ValueError(f"--out names the temporary file of --transcript {transcript}")
+
+
 def _cmd_simulate(args) -> int:
     try:
+        _check_outputs(args.out, args.transcript)
         eve = _parse_eve(args.eve, args.resend)
         mode = PREPARE_MEASURE if args.mode == "prepare" else ENTANGLED
         cfg = ProtocolConfig(
@@ -236,7 +250,7 @@ def _cmd_simulate(args) -> int:
     try:
         if args.out:
             with _atomic_writer(args.out) as fh:
-                fh.write(text + "\n")
+                fh.write((text + "\n").encode())
         path = args.transcript
         if args.transcript:
             write_transcript_csv(transcript, args.transcript)

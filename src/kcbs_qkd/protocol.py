@@ -21,16 +21,18 @@ channel of ``adversary.build_channel``, built once per config on first use.
 A round is stored as what it drew, a ``Round``; a session's ``Transcript``
 holds these as the columns of one int16 array.  Sift case, bits and Eve's
 guess are derived from them through ``adversary.SIFT``, once per transcript.
+``write_transcript_csv`` renders the CSV from a table of every line a round
+can have after its index.
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
+import itertools
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -84,7 +86,10 @@ CSV_COLUMNS = (
     "eve_outcome",
     "eve_guess",
 )
-_CSV_CHUNK = 4096  # rounds turned into Python rows at a time
+# rounds the transcript writer renders per pass, so that their indices share
+# all but the last three digits; its buffers are bounded by this, not by the
+# session length
+_CSV_CHUNK = 1000
 # rounds drawn per pass of the session kernel: its working set is bounded by
 # this, not by the session length
 _BLOCK = 384
@@ -244,13 +249,17 @@ def _integer5(u: np.ndarray) -> np.ndarray:
 def _block(cfg: ProtocolConfig, ids: np.ndarray, out: np.ndarray) -> None:
     later = _LATER_DRAWS[cfg.eve.kind]
     if cfg.mode == ENTANGLED:
-        attempts = _attempts(cfg, ids)
-        s, n = 2 * (attempts - 1), len(ids)
-        # s % 4 is 0 or 2, so draws s .. s + 1 + later lie in s's Philox block
-        # and the next: row w of the window holds draw s - s % 4 + w
-        window = np.concatenate([uniforms(cfg.seed, ids, s // 4 + b) for b in (1, 2)])
-        rows = np.array([0, *range(2, 2 + later)])[:, None]
-        u = window.take((s % 4 + rows) * n + np.arange(n))
+        attempts, clicked = _attempts(cfg, ids)
+        s = 2 * (attempts - 1)
+        # s % 4 is 0 or 2, so draws s .. s + 1 + later lie in s's Philox block,
+        # the one Alice clicked in, and the next: row w of the window holds
+        # draw s - s % 4 + w
+        window = (*clicked, *uniforms(cfg.seed, ids, s // 4 + 2))
+        shifted = s % 4 == 2
+        u = np.empty((1 + later, len(ids)))
+        for row, w in zip(u, (0, *range(2, 2 + later))):
+            row[:] = window[w]
+            np.copyto(row, window[w + 2], where=shifted)
     else:
         # the same draws for every round: read them straight from blocks 1 (and 2)
         attempts = 1
@@ -260,10 +269,12 @@ def _block(cfg: ProtocolConfig, ids: np.ndarray, out: np.ndarray) -> None:
     out[5] = attempts
 
 
-def _attempts(cfg: ProtocolConfig, ids: np.ndarray) -> np.ndarray:
-    """Entangled mode: the attempt at which each round's Alice clicks.  Rounds
-    still pending draw several Philox blocks per call, up to ``_BLOCK`` lanes."""
+def _attempts(cfg: ProtocolConfig, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entangled mode: the attempt at which each round's Alice clicks, and the
+    Philox block of each round that holds that click.  Rounds still pending
+    draw several blocks per call, up to ``_BLOCK`` lanes."""
     attempts = np.empty(len(ids), np.intp)
+    clicked = np.empty((4, len(ids)))
     pending, first = np.arange(len(ids)), 1
     while pending.size:
         n = pending.size
@@ -275,9 +286,12 @@ def _attempts(cfg: ProtocolConfig, ids: np.ndarray) -> np.ndarray:
         # clicks[f] is attempt 2 first - 1 + f of each pending round
         clicks = (drawn[1::2] < 1.0 / 3.0).transpose(1, 0, 2).reshape(2 * count, n)
         hit = clicks.any(axis=0)
-        attempts[pending[hit]] = 2 * first - 1 + clicks.argmax(axis=0)[hit]
+        f = clicks.argmax(axis=0)[hit]
+        attempts[pending[hit]] = 2 * first - 1 + f
+        clicked[:, pending[hit]] = drawn[:, f // 2, hit]
         pending, first = pending[~hit], first + count
-    return attempts
+        del drawn  # before the next pass draws
+    return attempts, clicked
 
 
 def _finish(cfg: ProtocolConfig, i: np.ndarray, u, out: np.ndarray) -> None:
@@ -412,10 +426,10 @@ def estimate_security(
 
 @contextlib.contextmanager
 def _atomic_writer(path: str):
-    """A text file that replaces ``path`` once written; removed on failure."""
+    """A binary file that replaces ``path`` once written; removed on failure."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", newline="") as fh:
+        with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -423,21 +437,56 @@ def _atomic_writer(path: str):
             os.remove(tmp)
 
 
-def write_transcript_csv(t: Transcript, path: str) -> None:
-    """One row per round; unset bits render as empty fields."""
+@cache
+def _csv_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The pieces of a transcript line, NUL-padded to one width per table.
+
+    ``digits[0, r]`` (uint8) is an index r below 1000 and ``digits[1, r]`` the
+    last three digits of a larger index.  ``tails`` (bytes) holds every line a
+    round can have after its index, as ``csv.writer`` writes it, at row
+    ((5 i + j) 2 + bob_outcome) 18 + 3 (k + 1) + e + 1, where Eve's setting k
+    and outcome e are -1 without Eve.
+    """
     names = ("C1", "C2", "C3")
-    sift = SIFT.tolist()
+    tails = []
+    for i, j, bob_outcome, k, e in itertools.product(
+        range(5), range(5), range(2), range(-1, 5), range(-1, 2)
+    ):
+        if (k < 0) != (e < 0):  # no round draws only one of Eve's two values
+            tails.append("")
+            continue
+        case = int(SIFT[i, j])  # on a sifted round also Alice's bit
+        sifted, eve = case != C3, e >= 0
+        fields = [i, j, names[case], bob_outcome,
+                  case if sifted else "", bob_outcome if sifted else "",
+                  k if eve else "", e if eve else "", eve_guess(e) if eve else ""]
+        tails.append("".join(f",{field}" for field in fields) + "\r\n")
+    digits = np.array(
+        [[str(r).rjust(3, "\0") for r in range(1000)], [f"{r:03}" for r in range(1000)]],
+        dtype=np.bytes_,
+    ).view(np.uint8).reshape(2, 1000, 3)
+    tables = digits, np.array(tails, dtype=np.bytes_)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def write_transcript_csv(t: Transcript, path: str) -> None:
+    """One CSV line per round, CRLF-terminated; unset bits render as empty
+    fields.  Each chunk of rounds is rendered in one buffer from its index
+    digits and its rows of line tails, and written without the NUL pad."""
+    digits, tails = _csv_tables()
+    rounds = t.columns.shape[1]
+    # the indices of chunk c are c followed by three digits
+    prefix = len(str((rounds - 1) // _CSV_CHUNK))
+    buffer = np.empty((min(rounds, _CSV_CHUNK), prefix + 3 + tails.itemsize), np.uint8)
     with _atomic_writer(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for start in range(0, t.columns.shape[1], _CSV_CHUNK):
-            rows = t.columns[:, start:start + _CSV_CHUNK].T.tolist()
-            for index, (i, j, bob_outcome, k, e, _) in enumerate(rows, start):
-                case = sift[i][j]  # on a sifted round also Alice's bit
-                sifted, eve = case != C3, e >= 0
-                writer.writerow(
-                    [index, i, j, names[case], bob_outcome,
-                     case if sifted else "", bob_outcome if sifted else "",
-                     k if eve else "", e if eve else "", eve_guess(e) if eve else ""]
-                )
-            del rows  # before the next chunk's rows are built
+        fh.write((",".join(CSV_COLUMNS) + "\r\n").encode())
+        for c, start in enumerate(range(0, rounds, _CSV_CHUNK)):
+            i, j, bob_outcome, k, e, _ = t.columns[:, start:start + _CSV_CHUNK]
+            lines = buffer[:len(i)]
+            lines[:, :prefix] = np.frombuffer(f"{c or ''}".encode().ljust(prefix, b"\0"), np.uint8)
+            lines[:, prefix:prefix + 3] = digits[min(c, 1), :len(i)]
+            tail = tails.take(((i * 5 + j) * 2 + bob_outcome) * 18 + k * 3 + e + 4)
+            lines[:, prefix + 3:] = tail.view(np.uint8).reshape(len(i), tails.itemsize)
+            fh.write(lines[lines != 0])

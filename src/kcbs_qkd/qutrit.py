@@ -124,16 +124,17 @@ class RngStream:
 
 
 _LANES = 384  # streams one pass of the array Philox evaluates; bounds its scratch
-_U32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
-_S11 = np.uint64(11)
+# 0-d arrays, not numpy scalars: a ufunc takes an array operand faster
+_U32 = np.array(0xFFFFFFFF, np.uint64)
+_S32 = np.array(32, np.uint64)
+_S11 = np.array(11, np.uint64)
 # Philox4x64-10 round multipliers and key increments, one row for each of the
 # two multiplied words (0 and 2) of a block, repeated across the lanes
 _MUL = np.repeat(np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], np.uint64), _LANES, 1)
 _MUL_HI = _MUL >> _S32
 _MUL_LO = _MUL & _U32
 _BUMP = np.repeat(np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], np.uint64), _LANES, 1)
-for _table in (_MUL, _MUL_HI, _MUL_LO, _BUMP):
+for _table in (_U32, _S32, _S11, _MUL, _MUL_HI, _MUL_LO, _BUMP):
     _table.setflags(write=False)
 del _table
 
@@ -179,7 +180,11 @@ def _philox_lanes(seeds, stream_ids, blocks, out) -> None:
     even = np.zeros((2, m), np.uint64)  # words (c0, c2), the multiplied ones
     even[0] = blocks
     odd = np.zeros((2, m), np.uint64)  # words (c3, c1)
-    hi, t, u = (np.empty((2, m), np.uint64) for _ in range(3))
+    hi = np.empty((2, m), np.uint64)
+    # t and u, the partial products, live in out's memory until out is
+    # written, when out is contiguous (a call of at most _LANES streams)
+    scratch = out.view(np.uint64) if out.flags.c_contiguous else np.empty((4, m), np.uint64)
+    t, u = scratch[:2], scratch[2:]
     for r in range(10):
         if r:
             np.add(key, bump, out=key)
@@ -203,8 +208,7 @@ def _philox_lanes(seeds, stream_ids, blocks, out) -> None:
         np.multiply(even, mul, out=even)  # lo
         # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0)
         np.bitwise_xor(hi, odd, out=hi)  # (hi0 ^ c3, hi1 ^ c1)
-        np.bitwise_xor(hi[1], key[0], out=odd[0])
-        np.bitwise_xor(hi[0], key[1], out=odd[1])
+        np.bitwise_xor(hi[::-1], key, out=odd)
         even, odd = odd, even
     if out.dtype == np.float64:
         even >>= _S11

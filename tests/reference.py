@@ -5,17 +5,21 @@ The package computes every probability of a round from the exact channel of
 independently, one sampled state vector at a time: a two-outcome projective
 measurement that collapses the state, Eve's intercept-resend, and Alice's
 measurement on one half of an entangled pair.  The tests hold the channel,
-the oracle and the session kernel to it.
+the oracle and the session kernel to it.  It also keeps the transcript CSV
+written row by row through ``csv.writer``, which the package's columnar
+writer must match byte for byte.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from kcbs_qkd.adversary import FIXED, RESEND_EIGENSTATE, EveStrategy
+from kcbs_qkd.adversary import C3, FIXED, RESEND_EIGENSTATE, SIFT, EveStrategy, eve_guess
 from kcbs_qkd.kcbs import KcbsBasis
+from kcbs_qkd.protocol import CSV_COLUMNS, Transcript
 from kcbs_qkd.qutrit import Projector, QutritState, RngStream, born_probability
 
 
@@ -105,3 +109,21 @@ def intercept(
     if outcome == 1 and strategy.resend == RESEND_EIGENSTATE:
         resent = basis.source_vectors[k]
     return resent, k, outcome
+
+
+def write_transcript_csv_rows(t: Transcript, path: str) -> None:
+    """The transcript CSV, one ``csv.writer`` row per round; unset bits
+    render as empty fields."""
+    names = ("C1", "C2", "C3")
+    sift = SIFT.tolist()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for index, (i, j, bob_outcome, k, e, _) in enumerate(t.columns.T.tolist()):
+            case = sift[i][j]  # on a sifted round also Alice's bit
+            sifted, eve = case != C3, e >= 0
+            writer.writerow(
+                [index, i, j, names[case], bob_outcome,
+                 case if sifted else "", bob_outcome if sifted else "",
+                 k if eve else "", e if eve else "", eve_guess(e) if eve else ""]
+            )

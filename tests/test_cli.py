@@ -291,6 +291,38 @@ def test_simulate_transcript_write_error(tmp_path, capsys):
     check_unwritable(tmp_path, capsys, "--transcript")
 
 
+def test_simulate_rejects_out_equal_to_transcript(tmp_path, capsys):
+    # the CSV would replace the report
+    path = tmp_path / "p"
+    code, out, err = run(
+        capsys, "simulate", "--rounds", "2000", "--seed", "3",
+        "--out", str(path), "--transcript", str(tmp_path / "." / "p"),
+    )
+    assert code == 1 and out == ""
+    assert err == "simulate: --out and --transcript name the same file\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_simulate_rejects_out_on_transcript_temporary(tmp_path, capsys):
+    # the CSV is written through <transcript>.tmp, which would replace the report
+    path = tmp_path / "p"
+    code, out, err = run(
+        capsys, "simulate", "--rounds", "2000", "--seed", "3",
+        "--transcript", str(path), "--out", f"{path}.tmp",
+    )
+    assert code == 1 and out == ""
+    assert err == f"simulate: --out names the temporary file of --transcript {path}\n"
+    assert not list(tmp_path.iterdir())
+    # the other way round, the report's temporary file is gone before the CSV is written
+    code, _, _ = run(
+        capsys, "simulate", "--rounds", "2000", "--seed", "3",
+        "--out", str(path), "--transcript", f"{path}.tmp",
+    )
+    assert code != 1
+    assert json.loads(path.read_text())["config"]["rounds"] == 2000
+    assert Path(f"{path}.tmp").read_text().startswith("index,")
+
+
 def test_simulate_builds_channel_once(capsys, monkeypatch):
     # the report's oracle reads the channel that the session sampled from
     from kcbs_qkd import adversary, protocol

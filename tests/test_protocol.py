@@ -16,6 +16,7 @@ from kcbs_qkd.protocol import (
     ProtocolConfig,
     Round,
     _BLOCK,
+    _CSV_CHUNK,
     estimate_security,
     key_stats,
     mutual_information,
@@ -24,7 +25,7 @@ from kcbs_qkd.protocol import (
     write_transcript_csv,
 )
 from kcbs_qkd.qutrit import RngStream, born_probability
-from reference import TwoQutritState, entangled_collapse
+from reference import TwoQutritState, entangled_collapse, write_transcript_csv_rows
 
 NO_EVE = EveStrategy()
 
@@ -247,6 +248,37 @@ def test_transcript_csv(tmp_path, basis):
         else:
             assert row[5] in ("0", "1") and row[6] in ("0", "1")
         assert row[7] == "1"  # Eve's fixed setting
+
+
+@pytest.mark.parametrize("mode", [PREPARE_MEASURE, ENTANGLED])
+@pytest.mark.parametrize("kind", ["absent", "fixed", "random"])
+def test_transcript_csv_matches_row_writer(tmp_path, basis, mode, kind):
+    # byte for byte the csv.writer rows, around every chunk edge and across
+    # the index's growth from four to five digits
+    eve = EveStrategy(kind=kind, setting=1 if kind == "fixed" else None)
+    sizes = (1, 9, 10, 11, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1, 2 * _CSV_CHUNK + 7, 10_001)
+    for rounds in sizes:
+        t = run_session(config(basis, rounds=rounds, seed=rounds, mode=mode, eve=eve))
+        write_transcript_csv(t, str(tmp_path / "columnar.csv"))
+        write_transcript_csv_rows(t, str(tmp_path / "rows.csv"))
+        expected = (tmp_path / "rows.csv").read_bytes()
+        assert (tmp_path / "columnar.csv").read_bytes() == expected, rounds
+        assert expected.count(b"\r\n") == rounds + 1
+
+
+@pytest.mark.parametrize("rounds", [20_000, 200_000])
+def test_transcript_csv_working_set_bounded(tmp_path, basis, rounds):
+    # the writer's memory is bounded by its chunk, not the session length
+    eve = EveStrategy(kind="random")
+    write_transcript_csv(run_session(config(basis, rounds=1, eve=eve)), str(tmp_path / "t.csv"))
+    t = run_session(config(basis, rounds=rounds, seed=6, eve=eve))
+    tracemalloc.start()
+    try:
+        write_transcript_csv(t, str(tmp_path / "t.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 160 * 1024, peak
 
 
 def test_run_round_matches_session(basis):

@@ -176,6 +176,9 @@ def test_uniforms_match_rng_stream():
     for col, stream_id in enumerate(ids.tolist()):
         rng = RngStream(2**63 + 5, stream_id)
         assert drawn[:, col].tolist() == [rng.uniform() for _ in range(8)]
+    # more streams than one pass evaluates, written into out a slice at a time
+    ids = np.arange(1000, dtype=np.uint64)
+    assert np.array_equal(uniforms(7, ids, 2), (philox4x64(7, ids, 2) >> 11) * 2.0**-53)
 
 
 @pytest.mark.parametrize("seed, stream_id", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])

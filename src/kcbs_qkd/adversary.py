@@ -8,16 +8,19 @@ her setting probably matched Alice's preparation (Alice writes 0 only when
 settings match), no click means Alice most likely wrote 1.
 
 ``build_channel`` builds the exact intercept-resend channel of a pentagon basis
-once, from explicit density matrices.  The session sampler draws from it and
-``attack_expectation``, the exact oracle that validates every Monte-Carlo
-estimate, contracts it.  The session statistics and the oracle share the sift
-rule ``SIFT``.  The tests hold the channel to an independent state-vector
-model of the same measurements, kept with them in ``tests/reference.py``.
+from explicit density matrices, once per (rays, resend policy) and process.
+The session sampler draws from it and ``attack_expectation``, the exact oracle
+that validates every Monte-Carlo estimate, contracts it, once per (strategy,
+channel) value.  Both results are read-only and shared by every caller.  The
+session statistics and the oracle share the sift rule ``SIFT``.  The tests
+hold the channel to an independent state-vector model of the same
+measurements, kept with them in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -108,14 +111,22 @@ class Channel:
 
 def build_channel(basis: KcbsBasis, resend: str | None) -> Channel:
     """The intercept-resend channel of a basis under one resend policy, or
-    the undisturbed channel (``overlap`` alone) when ``resend`` is None."""
-    rays = [s.amplitudes for s in basis.source_vectors]
+    the undisturbed channel (``overlap`` alone) when ``resend`` is None.
+    Built once per value of the rays and ``resend``; its arrays are read-only."""
+    return _channel(b"".join(s.amplitudes.tobytes() for s in basis.source_vectors), resend)
+
+
+# bounded, as a process may build channels of any number of bases
+@lru_cache(maxsize=32)
+def _channel(ray_bytes: bytes, resend: str | None) -> Channel:
+    rays = np.frombuffer(ray_bytes, np.complex128).reshape(5, 3)
     overlap = np.array(
         [[float(abs(np.vdot(rays[i], rays[j])) ** 2) for j in range(5)] for i in range(5)]
     )
+    overlap.setflags(write=False)
     if resend is None:
         return Channel(resend=None, overlap=overlap, branch=None, click=None)
-    proj = [p.matrix for p in basis.projectors]
+    proj = [np.outer(ray, ray.conj()) for ray in rays]  # as ``KcbsBasis.projectors``
     stacked = np.stack(proj)
     identity = np.eye(3, dtype=np.complex128)
     branch = np.zeros((5, 5, 2))
@@ -133,6 +144,8 @@ def build_channel(basis: KcbsBasis, resend: str | None) -> Channel:
                     rho_out = m @ rho @ m / p_branch
                 branch[i, k, e] = p_branch
                 click[i, k, e] = np.trace(stacked @ rho_out, axis1=1, axis2=2).real
+    branch.setflags(write=False)
+    click.setflags(write=False)
     return Channel(resend=resend, overlap=overlap, branch=branch, click=click)
 
 
@@ -173,19 +186,29 @@ def attack_expectation(strategy: EveStrategy, channel: Channel) -> AttackExpecta
     policy, over Eve's settings k and outcomes e (click first) for every
     Alice ray i and Bob setting j.  Sums keep the order k, then e, per cell
     and row-major order across cells, so every value is reproducible to the
-    last bit.
+    last bit.  Computed once per value of the strategy and of the channel
+    arrays it reads; the result is immutable.
     """
     if not strategy.present:
         raise ValueError("attack_expectation requires a present eavesdropper")
     if channel.resend != strategy.resend:
         raise ValueError(f"channel built for resend policy {channel.resend!r}")
+    return _contract(strategy, channel.branch.tobytes(), channel.click.tobytes())
+
+
+@lru_cache(maxsize=32)
+def _contract(
+    strategy: EveStrategy, branch_bytes: bytes, click_bytes: bytes
+) -> AttackExpectation:
+    branch = np.frombuffer(branch_bytes).reshape(5, 5, 2)
+    click = np.frombuffer(click_bytes).reshape(5, 5, 2, 5)
     if strategy.kind == FIXED:
         settings, w_k = [strategy.setting], 1.0
     else:
         settings, w_k = list(range(5)), 0.2
     outcomes = (1, 0)  # Eve's outcome e, click first, on the e axis below
-    weight = w_k * channel.branch[:, settings, ::-1]  # [i, k, e]
-    p_click = channel.click[:, settings, ::-1]  # [i, k, e, j]
+    weight = w_k * branch[:, settings, ::-1]  # [i, k, e]
+    p_click = click[:, settings, ::-1]  # [i, k, e, j]
     p_anti = np.where(SIFT[:, None, None, :] == 0, p_click, 1.0 - p_click)
     anticorr = np.zeros((5, 5))
     guess_ok = np.zeros((5, 5))

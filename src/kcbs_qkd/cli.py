@@ -9,11 +9,13 @@ usage error exits 1 too, so that 2 always means Insecure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
 import os
 import sys
+from functools import cache
 
 from . import __version__
 from .adversary import (
@@ -246,23 +248,25 @@ def _cmd_simulate(args) -> int:
         return 1
     report = build_report(cfg, transcript, stats, security)
     text = report_json(report)
-    path = args.out
+    path = args.transcript
     try:
-        if args.out:
-            with _atomic_writer(args.out) as fh:
-                fh.write((text + "\n").encode())
-        path = args.transcript
-        if args.transcript:
-            write_transcript_csv(transcript, args.transcript)
+        # both files are written before either replaces its path, and the
+        # report replaces its path first: with --transcript P.tmp --out P, the
+        # report is written through P.tmp
+        with contextlib.ExitStack() as outputs:
+            if args.transcript:
+                write_transcript_csv(transcript, outputs.enter_context(_atomic_writer(path)))
+            if args.out:
+                path = args.out
+                outputs.enter_context(_atomic_writer(path)).write((text + "\n").encode())
     except OSError as exc:
         print(f"simulate: cannot write {path}: {exc.strerror}", file=sys.stderr)
         return 1
     if args.json:
         print(text)
     else:
-        rounded = round_floats(report)
-        ks = rounded["key_stats"]
-        sec = rounded["security"]
+        ks = round_floats(report["key_stats"])
+        sec = round_floats(report["security"])
         print(f"rounds {cfg.rounds}")
         print(f"sift_rate {ks['sift_rate']}")
         print(f"p0 {ks['p0']}")
@@ -289,7 +293,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged, so every call of ``main`` reuses it."""
     parser = _Parser(
         prog="kcbs-qkd",
         description="Contextuality-based qutrit QKD simulator and analysis toolkit",

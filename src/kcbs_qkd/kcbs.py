@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -86,8 +87,11 @@ class KcbsBasis:
         )
 
 
+@cache
 def standard_basis() -> KcbsBasis:
-    """The pentagon basis built from the standard explicit rays."""
+    """The pentagon basis built from the standard explicit rays.  Built once
+    per process; its rays and projectors are read-only, so every caller
+    shares it."""
     return KcbsBasis.from_vectors(standard_vectors_unnormalized())
 
 

@@ -28,6 +28,7 @@ can have after its index.
 from __future__ import annotations
 
 import contextlib
+import errno
 import itertools
 import math
 import os
@@ -426,7 +427,11 @@ def estimate_security(
 
 @contextlib.contextmanager
 def _atomic_writer(path: str):
-    """A binary file that replaces ``path`` once written; removed on failure."""
+    """A binary file that replaces ``path`` once written; removed on failure.
+    Entering fails, before anything is written, where ``path`` is a directory
+    that the file could not replace."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -471,22 +476,26 @@ def _csv_tables() -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def write_transcript_csv(t: Transcript, path: str) -> None:
+def write_transcript_csv(t: Transcript, out) -> None:
     """One CSV line per round, CRLF-terminated; unset bits render as empty
-    fields.  Each chunk of rounds is rendered in one buffer from its index
+    fields.  ``out`` is a path, replaced once the CSV is written, or a binary
+    file.  Each chunk of rounds is rendered in one buffer from its index
     digits and its rows of line tails, and written without the NUL pad."""
+    if isinstance(out, (str, os.PathLike)):
+        with _atomic_writer(out) as fh:
+            write_transcript_csv(t, fh)
+        return
     digits, tails = _csv_tables()
     rounds = t.columns.shape[1]
     # the indices of chunk c are c followed by three digits
     prefix = len(str((rounds - 1) // _CSV_CHUNK))
     buffer = np.empty((min(rounds, _CSV_CHUNK), prefix + 3 + tails.itemsize), np.uint8)
-    with _atomic_writer(path) as fh:
-        fh.write((",".join(CSV_COLUMNS) + "\r\n").encode())
-        for c, start in enumerate(range(0, rounds, _CSV_CHUNK)):
-            i, j, bob_outcome, k, e, _ = t.columns[:, start:start + _CSV_CHUNK]
-            lines = buffer[:len(i)]
-            lines[:, :prefix] = np.frombuffer(f"{c or ''}".encode().ljust(prefix, b"\0"), np.uint8)
-            lines[:, prefix:prefix + 3] = digits[min(c, 1), :len(i)]
-            tail = tails.take(((i * 5 + j) * 2 + bob_outcome) * 18 + k * 3 + e + 4)
-            lines[:, prefix + 3:] = tail.view(np.uint8).reshape(len(i), tails.itemsize)
-            fh.write(lines[lines != 0])
+    out.write((",".join(CSV_COLUMNS) + "\r\n").encode())
+    for c, start in enumerate(range(0, rounds, _CSV_CHUNK)):
+        i, j, bob_outcome, k, e, _ = t.columns[:, start:start + _CSV_CHUNK]
+        lines = buffer[:len(i)]
+        lines[:, :prefix] = np.frombuffer(f"{c or ''}".encode().ljust(prefix, b"\0"), np.uint8)
+        lines[:, prefix:prefix + 3] = digits[min(c, 1), :len(i)]
+        tail = tails.take(((i * 5 + j) * 2 + bob_outcome) * 18 + k * 3 + e + 4)
+        lines[:, prefix + 3:] = tail.view(np.uint8).reshape(len(i), tails.itemsize)
+        out.write(lines[lines != 0])

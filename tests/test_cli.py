@@ -323,6 +323,65 @@ def test_simulate_rejects_out_on_transcript_temporary(tmp_path, capsys):
     assert Path(f"{path}.tmp").read_text().startswith("index,")
 
 
+def test_simulate_failed_write_leaves_outputs_untouched(tmp_path, capsys):
+    # an exit code that means error comes with no output that looks finished:
+    # neither path is created, and an existing file at either is kept
+    report, csv_path = tmp_path / "r.json", tmp_path / "t.csv"
+    missing = tmp_path / "missing"
+    for out, transcript in (
+        (report, missing / "x.csv"),
+        (missing / "r.json", csv_path),
+        (report, tmp_path),
+        (tmp_path, csv_path),
+    ):
+        code, _, err = run(
+            capsys, "simulate", "--rounds", "2000", "--seed", "3",
+            "--out", str(out), "--transcript", str(transcript),
+        )
+        assert code == 1
+        assert err.startswith("simulate: cannot write")
+        assert not report.exists() and not csv_path.exists()
+    report.write_text("old report")
+    csv_path.write_text("old transcript")
+    for out, transcript in ((report, missing / "x.csv"), (missing / "r.json", csv_path)):
+        code, _, _ = run(
+            capsys, "simulate", "--rounds", "2000", "--seed", "3",
+            "--out", str(out), "--transcript", str(transcript),
+        )
+        assert code == 1
+    assert report.read_text() == "old report" and csv_path.read_text() == "old transcript"
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_simulate_calls_each_traced_global_once(capsys, monkeypatch):
+    # the per-process caches live in the callees: every call of simulate still
+    # calls each of these cli globals once, as the benchmark's tracer assumes
+    import kcbs_qkd.cli as cli
+
+    names = (
+        "standard_basis",
+        "build_report",
+        "verify_monogamy_decomposition",
+        "attack_expectation",
+        "report_json",
+    )
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    for _ in range(2):
+        run(capsys, "simulate", "--rounds", "300", "--seed", "4", "--eve", "fixed:1")
+        assert calls == dict.fromkeys(names, 1)
+        calls.update(dict.fromkeys(names, 0))
+
+
 def test_simulate_builds_channel_once(capsys, monkeypatch):
     # the report's oracle reads the channel that the session sampled from
     from kcbs_qkd import adversary, protocol

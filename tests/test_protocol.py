@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_transcript
-from kcbs_qkd.adversary import SIFT, EveStrategy, build_channel
-from kcbs_qkd.kcbs import KcbsBasis, standard_vectors_unnormalized
+from kcbs_qkd import adversary
+from kcbs_qkd.adversary import SIFT, EveStrategy, attack_expectation, build_channel
+from kcbs_qkd.kcbs import KcbsBasis, standard_basis, standard_vectors_unnormalized
 from kcbs_qkd.protocol import (
     ENTANGLED,
     PREPARE_MEASURE,
@@ -98,8 +99,9 @@ def test_session_determinism(basis):
 
 
 def test_channel_built_per_config():
-    # each config must read the channel of its own basis, also when a fresh
-    # basis takes over the memory (and so the id) of a freed one
+    # each config must read the channel and oracle of its own basis, also
+    # when a fresh basis takes over the memory (and so the id) of a freed one;
+    # "fresh" is built and contracted past the per-process caches
     vectors = standard_vectors_unnormalized()
     eve = EveStrategy(kind="fixed", setting=1)
     for n in range(300):
@@ -107,10 +109,25 @@ def test_channel_built_per_config():
         fresh_basis = KcbsBasis.from_vectors([vectors[i] for i in order])
         cfg = config(fresh_basis, rounds=1, eve=eve)
         run_round(cfg, 0)
-        fresh = build_channel(fresh_basis, eve.resend)
+        rays = b"".join(s.amplitudes.tobytes() for s in fresh_basis.source_vectors)
+        fresh = adversary._channel.__wrapped__(rays, eve.resend)
         assert np.array_equal(cfg.channel.overlap, fresh.overlap)
         assert np.array_equal(cfg.channel.branch, fresh.branch)
         assert np.array_equal(cfg.channel.click, fresh.click)
+        expected = adversary._contract.__wrapped__(
+            eve, fresh.branch.tobytes(), fresh.click.tobytes()
+        )
+        assert attack_expectation(eve, cfg.channel) == expected
+    # what the caches share is read-only
+    for array in (cfg.channel.overlap, cfg.channel.branch, cfg.channel.click):
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0.5
+    shared = standard_basis()
+    for array in [s.amplitudes for s in shared.source_vectors] + [
+        p.matrix for p in shared.projectors
+    ]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0.5
 
 
 def test_entangled_mode_requires_real_basis(basis, complex_basis):

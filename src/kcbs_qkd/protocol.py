@@ -11,9 +11,12 @@ Round r consumes only the random stream derived as (seed, stream_id = r), so
 sessions are reproducible bit for bit and any round can be replayed alone.
 ``run_session`` runs ``_BLOCK`` rounds at a time on the array Philox4x64-10 of
 ``qutrit.uniforms``, which reproduces ``RngStream`` bit for bit.  An entangled
-round is a prepare-and-measure round that starts after Alice's attempts: the
-kernel finds each entangled round's attempt a from her click draws 1, 3, 5, ...,
-then reads rounds of both modes alike from her setting, draw s = 0 or 2 (a - 1).
+round is a prepare-and-measure round that starts after Alice's attempts.
+Entangled rounds run in one pool of up to ``_BLOCK`` rounds in flight: each
+pass draws the next Philox block of every round in it, keeps the block in
+which Alice clicks, at attempt a (draws 1, 3, 5, ...), and finishes a round in
+the pass that draws the block after that one.  Rounds of both modes are read
+alike from her setting, draw s = 0 or 2 (a - 1).
 ``run_round`` is the scalar replay of one round through ``RngStream``, and the
 independent check of the kernel.  Outcome probabilities come from the exact
 channel of ``adversary.build_channel``, built once per config on first use.
@@ -91,8 +94,8 @@ CSV_COLUMNS = (
 # all but the last three digits; its buffers are bounded by this, not by the
 # session length
 _CSV_CHUNK = 1000
-# rounds drawn per pass of the session kernel: its working set is bounded by
-# this, not by the session length
+# rounds drawn per pass of the session kernel, in entangled mode the rounds in
+# flight: its working set is bounded by this, not by the session length
 _BLOCK = 384
 # draws a round makes after Alice's setting, by Eve's kind: (k), e, j, Bob's outcome
 _LATER_DRAWS = {ABSENT: 2, FIXED: 3, RANDOM: 4}
@@ -236,9 +239,17 @@ def run_round(
 def run_session(cfg: ProtocolConfig) -> Transcript:
     """Execute all rounds; output is bit-identical for a given config and seed."""
     columns = np.empty((len(Round._fields), cfg.rounds), np.int16)
+    if cfg.mode == ENTANGLED:
+        _run_entangled(cfg, columns)
+        return Transcript(config=cfg, columns=columns)
+    later = _LATER_DRAWS[cfg.eve.kind]
     for start in range(0, cfg.rounds, _BLOCK):
-        stop = min(start + _BLOCK, cfg.rounds)
-        _block(cfg, np.arange(start, stop, dtype=np.uint64), columns[:, start:stop])
+        out = columns[:, start:start + _BLOCK]
+        ids = np.arange(start, start + out.shape[1], dtype=np.uint64)
+        # the same draws for every round: read them straight from blocks 1 (and 2)
+        u = [row for b in range(1, later // 4 + 2) for row in uniforms(cfg.seed, ids, b)]
+        _finish(cfg, u, out)
+        out[5] = 1
     return Transcript(config=cfg, columns=columns)
 
 
@@ -247,58 +258,63 @@ def _integer5(u: np.ndarray) -> np.ndarray:
     return np.minimum(u * 5, 4).astype(np.intp)
 
 
-def _block(cfg: ProtocolConfig, ids: np.ndarray, out: np.ndarray) -> None:
-    later = _LATER_DRAWS[cfg.eve.kind]
-    if cfg.mode == ENTANGLED:
-        attempts, clicked = _attempts(cfg, ids)
-        s = 2 * (attempts - 1)
-        # s % 4 is 0 or 2, so draws s .. s + 1 + later lie in s's Philox block,
-        # the one Alice clicked in, and the next: row w of the window holds
-        # draw s - s % 4 + w
-        window = (*clicked, *uniforms(cfg.seed, ids, s // 4 + 2))
-        shifted = s % 4 == 2
-        u = np.empty((1 + later, len(ids)))
-        for row, w in zip(u, (0, *range(2, 2 + later))):
-            row[:] = window[w]
-            np.copyto(row, window[w + 2], where=shifted)
-    else:
-        # the same draws for every round: read them straight from blocks 1 (and 2)
-        attempts = 1
-        u = [row for b in range(1, later // 4 + 2) for row in uniforms(cfg.seed, ids, b)]
-    out[0] = i = _integer5(u[0])
-    _finish(cfg, i, u[1:], out)
-    out[5] = attempts
+def _run_entangled(cfg: ProtocolConfig, columns: np.ndarray) -> None:
+    """Fill ``columns`` with entangled rounds from one pool of up to ``_BLOCK``
+    rounds in flight, topped up with the next round ids in order.
+
+    Each pass draws the next Philox block of every round in flight in one call.
+    Attempt a clicks on draw 2a - 1, row 1 or 3 of block (a + 1) // 2, and its
+    setting s = 2 (a - 1) is row 0 or 2 of that block, which the pool keeps.
+    s % 4 is 0 or 2, so the round's later draws lie in the kept block and the
+    next: the round is finished in the pass that draws it.  The pool is then
+    compacted in place, clicked rounds first."""
+    rounds = columns.shape[1]
+    ids = np.empty(_BLOCK, np.uint64)
+    block = np.empty(_BLOCK, np.uint64)  # the block each lane draws next
+    kept = np.empty((4, _BLOCK))  # the block Alice clicked in
+    # lanes [0, clicked) draw the block after their click; [clicked, n) search
+    clicked = n = top = 0
+    while n or top < rounds:
+        fresh = min(_BLOCK - n, rounds - top)
+        ids[n:n + fresh] = np.arange(top, top + fresh, dtype=np.uint64)
+        block[n:n + fresh] = 1
+        n, top = n + fresh, top + fresh
+        drawn = uniforms(cfg.seed, ids[:n], block[:n])
+        if clicked:
+            _finish_clicked(cfg, kept[:, :clicked], drawn[:, :clicked],
+                            block[:clicked], columns, ids[:clicked])
+        search = drawn[:, clicked:n]
+        hit = (search[1] < 1.0 / 3.0) | (search[3] < 1.0 / 3.0)
+        order = np.concatenate((np.flatnonzero(hit), np.flatnonzero(~hit))) + clicked
+        clicked, n = np.count_nonzero(hit), n - clicked
+        kept[:, :clicked] = drawn[:, order[:clicked]]
+        ids[:n] = ids[order]
+        block[:n] = block[order] + 1
+        del drawn, search, order  # before the next pass draws
 
 
-def _attempts(cfg: ProtocolConfig, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entangled mode: the attempt at which each round's Alice clicks, and the
-    Philox block of each round that holds that click.  Rounds still pending
-    draw several blocks per call, up to ``_BLOCK`` lanes."""
-    attempts = np.empty(len(ids), np.intp)
-    clicked = np.empty((4, len(ids)))
-    pending, first = np.arange(len(ids)), 1
-    while pending.size:
-        n = pending.size
-        count = max(1, _BLOCK // n)
-        blocks = np.arange(first, first + count, dtype=np.uint64).repeat(n)
-        drawn = uniforms(cfg.seed, np.resize(ids[pending], count * n), blocks)
-        drawn = drawn.reshape(4, count, n)
-        # attempt a clicks on draw 2a - 1: row 1 or 3 of block (a + 1) // 2, so
-        # clicks[f] is attempt 2 first - 1 + f of each pending round
-        clicks = (drawn[1::2] < 1.0 / 3.0).transpose(1, 0, 2).reshape(2 * count, n)
-        hit = clicks.any(axis=0)
-        f = clicks.argmax(axis=0)[hit]
-        attempts[pending[hit]] = 2 * first - 1 + f
-        clicked[:, pending[hit]] = drawn[:, f // 2, hit]
-        pending, first = pending[~hit], first + count
-        del drawn  # before the next pass draws
-    return attempts, clicked
+def _finish_clicked(cfg, kept, drawn, block, columns, ids) -> None:
+    """Write the rounds whose Alice clicked in ``kept`` to ``columns[:, ids]``;
+    ``drawn`` is the Philox block after it, and ``block`` that block's number."""
+    # a click on row 1 is attempt a = 2 (block - 1) - 1, with s = 2 (a - 1) in
+    # row 0; one on row 3 is attempt a + 1, with s in row 2.  Row w of the
+    # window holds draw s - s % 4 + w.
+    odd = kept[1] < 1.0 / 3.0
+    window = (*kept, *drawn)
+    u = [np.where(odd, window[w], window[w + 2])
+         for w in (0, *range(2, 2 + _LATER_DRAWS[cfg.eve.kind]))]
+    out = np.empty((len(Round._fields), len(ids)), np.int16)
+    _finish(cfg, u, out)
+    out[5] = 2 * (block - 1) - odd
+    columns[:, ids] = out
 
 
-def _finish(cfg: ProtocolConfig, i: np.ndarray, u, out: np.ndarray) -> None:
-    """Eve's and Bob's part of a block's rounds with Alice's settings ``i``,
-    from the rows of uniforms ``u`` each round draws after i, as ``run_round`` does."""
+def _finish(cfg: ProtocolConfig, u, out: np.ndarray) -> None:
+    """Rows 0-4 of ``out`` for rounds that draw the rows of uniforms ``u`` from
+    Alice's setting on, as ``run_round`` does."""
     overlap, click = cfg.channel.overlap, cfg.channel.click
+    out[0] = i = _integer5(u[0])
+    u = u[1:]
     eve = cfg.eve
     if eve.kind == ABSENT:
         k = e = -1
@@ -352,7 +368,7 @@ def mutual_information(x_bits, y_bits) -> float:
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 100:
         raise ValueError("need at least 100 samples for a mutual-information estimate")
-    if not (np.isin(x, (0, 1)).all() and np.isin(y, (0, 1)).all()):
+    if not (((x == 0) | (x == 1)).all() and ((y == 0) | (y == 1)).all()):
         raise ValueError("mutual information takes sequences of bits 0 and 1")
     n = len(x)
     joint = np.bincount(2 * x + y, minlength=4).reshape(2, 2).tolist()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_transcript
-from kcbs_qkd import adversary
+from kcbs_qkd import adversary, protocol
 from kcbs_qkd.adversary import SIFT, EveStrategy, attack_expectation, build_channel
 from kcbs_qkd.kcbs import KcbsBasis, standard_basis, standard_vectors_unnormalized
 from kcbs_qkd.protocol import (
@@ -238,6 +238,10 @@ def test_mutual_information_identities():
         mutual_information([0] * 50 + [1] * 50, [2] * 50 + [0] * 50)
     with pytest.raises(ValueError, match="bits"):
         mutual_information([2] * 50 + [0] * 50, [0] * 50 + [1] * 50)
+    with pytest.raises(ValueError, match="bits"):
+        mutual_information([0.5] * 50 + [0] * 50, [0] * 50 + [1] * 50)
+    with pytest.raises(ValueError, match="bits"):
+        mutual_information([0] * 50 + [1] * 50, [-1] * 50 + [0] * 50)
 
 
 def test_mutual_information_matches_shannon_on_ideal_run(basis):
@@ -305,12 +309,13 @@ def test_run_round_matches_session(basis):
             t = run_session(cfg)
             for r in range(cfg.rounds):
                 assert run_round(cfg, r) == Round(*t.columns[:, r].tolist())
-    # a one-round session, and one of two full kernel blocks plus 7 rounds
+    # a one-round session, sessions around one full kernel block, and one of
+    # two full kernel blocks plus 7 rounds
     for mode, kind, resend, rounds in itertools.product(
         (PREPARE_MEASURE, ENTANGLED),
         ("absent", "fixed", "random"),
         ("collapsed", "eigenstate"),
-        (1, 2 * _BLOCK + 7),
+        (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7),
     ):
         eve = EveStrategy(kind=kind, setting=1 if kind == "fixed" else None, resend=resend)
         cfg = config(basis, rounds=rounds, seed=2**63 + 5, mode=mode, eve=eve)
@@ -318,11 +323,26 @@ def test_run_round_matches_session(basis):
         replay = [run_round(cfg, r) for r in range(rounds)]
         assert replay == [Round(*c) for c in t.columns.T.tolist()], (mode, kind, resend, rounds)
         if mode == ENTANGLED and rounds > 1:
-            # rounds found after several passes of the attempt search, and rounds
-            # whose setting s = 2 (a - 1) sits in row 2, so that their later
-            # draws cross into the next Philox block
+            # rounds that stay in the pool for several passes of the attempt
+            # search, and rounds whose setting s = 2 (a - 1) sits in row 2, so
+            # that their later draws cross into the next Philox block
             s = 2 * (t.columns[5] - 1)
             assert t.columns[5].max() >= 10 and (s % 4 == 2).any(), (kind, resend)
+
+
+@pytest.mark.parametrize(
+    "eve",
+    [NO_EVE, EveStrategy(kind="fixed", setting=2, resend="eigenstate"), EveStrategy(kind="random")],
+    ids=["absent", "fixed", "random"],
+)
+def test_entangled_session_independent_of_pool_width(basis, monkeypatch, eve):
+    # the pool's width sets which rounds share a Philox pass, never what a
+    # round draws: every width gives the same transcript
+    cfg = config(basis, rounds=3001, seed=11, mode=ENTANGLED, eve=eve)
+    expected = run_session(cfg).columns
+    for width in (1, 7, 100):
+        monkeypatch.setattr(protocol, "_BLOCK", width)
+        assert np.array_equal(run_session(cfg).columns, expected), width
 
 
 @pytest.mark.parametrize("mode", [PREPARE_MEASURE, ENTANGLED])
@@ -342,6 +362,10 @@ def test_session_working_set_bounded(basis, mode):
             tracemalloc.stop()
     assert max(peaks) <= 160 * 1024, peaks
     assert peaks[1] <= 1.1 * peaks[0], peaks
+    if mode == ENTANGLED:
+        # this is the session of sweep_short's memory measurement, whose peak
+        # is nearly all this working set and the columns
+        assert max(peaks) <= 80 * 1024, peaks
 
 
 def test_sifted_view_computed_once(basis):

@@ -162,10 +162,13 @@ def _parse_eve(eve: str, resend: str | None) -> EveStrategy:
         raise ValueError(f"unknown resend policy {resend_policy!r}")
     if eve == "random":
         return EveStrategy(kind=RANDOM, resend=resend_policy)
-    if eve.startswith("fixed:"):
-        k = int(eve.split(":", 1)[1])
-        return EveStrategy(kind=FIXED, setting=k, resend=resend_policy)
-    raise ValueError(f"unknown eavesdropper spec {eve!r} (absent|fixed:K|random)")
+    # the spelled-out specs only: int() would also take "fixed: 1" and other digits
+    for k in range(5):
+        if eve == f"fixed:{k}":
+            return EveStrategy(kind=FIXED, setting=k, resend=resend_policy)
+    raise ValueError(
+        f"unknown eavesdropper spec {eve!r}: use absent, fixed:0 to fixed:4, or random"
+    )
 
 
 def build_report(cfg: ProtocolConfig, transcript, stats, security) -> dict:
@@ -315,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--rounds", type=int, required=True)
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--mode", choices=["prepare", "entangled"], default="prepare")
-    p_sim.add_argument("--eve", default="absent", help="absent | fixed:K | random")
+    p_sim.add_argument("--eve", default="absent", help="absent | fixed:K (K = 0..4) | random")
     p_sim.add_argument("--resend", default=None, help="collapsed | eigenstate")
     p_sim.add_argument("--sacrifice", type=float, default=0.1)
     p_sim.add_argument("--out", help="write the JSON report to this path")

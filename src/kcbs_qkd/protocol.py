@@ -9,10 +9,14 @@ key but kept in the transcript).
 
 Round r consumes only the random stream derived as (seed, stream_id = r), so
 sessions are reproducible bit for bit and any round can be replayed alone.
-``run_session`` runs ``_BLOCK`` rounds at a time on the array Philox4x64-10 of
-``qutrit.uniforms``, which reproduces ``RngStream`` bit for bit.  An entangled
+``run_session`` runs rounds in passes of the array Philox4x64-10 of
+``qutrit.uniforms``, which reproduces ``RngStream`` bit for bit.
+Prepare-and-measure rounds run ``qutrit._LANES`` = 1536 at a time, each pass
+one Philox call per block its rounds read; a second block (random Eve) is drawn
+only once the first one's draws are stored in the transcript.  An entangled
 round is a prepare-and-measure round that starts after Alice's attempts.
-Entangled rounds run in one pool of up to ``_BLOCK`` rounds in flight: each
+Entangled rounds run in one pool of up to ``_BLOCK`` = 384 rounds in flight,
+narrower because its working set is most of a short session's memory: each
 pass draws the next Philox block of every round in it, keeps the block in
 which Alice clicks, at attempt a (draws 1, 3, 5, ...), and finishes a round in
 the pass that draws the block after that one.  Rounds of both modes are read
@@ -54,7 +58,7 @@ from .adversary import (
     eve_guess,
 )
 from .kcbs import KcbsBasis
-from .qutrit import KEY_LIMIT, NORM_TOL, RngStream, uniforms
+from .qutrit import _LANES, KEY_LIMIT, NORM_TOL, RngStream, uniforms
 
 __all__ = [
     "PREPARE_MEASURE",
@@ -94,8 +98,9 @@ CSV_COLUMNS = (
 # all but the last three digits; its buffers are bounded by this, not by the
 # session length
 _CSV_CHUNK = 1000
-# rounds drawn per pass of the session kernel, in entangled mode the rounds in
-# flight: its working set is bounded by this, not by the session length
+# entangled rounds in flight: the pool's working set (about 140 bytes a round)
+# is bounded by this, not by the session length.  Prepare-and-measure passes
+# are qutrit._LANES rounds wide.
 _BLOCK = 384
 # draws a round makes after Alice's setting, by Eve's kind: (k), e, j, Bob's outcome
 _LATER_DRAWS = {ABSENT: 2, FIXED: 3, RANDOM: 4}
@@ -242,20 +247,31 @@ def run_session(cfg: ProtocolConfig) -> Transcript:
     if cfg.mode == ENTANGLED:
         _run_entangled(cfg, columns)
         return Transcript(config=cfg, columns=columns)
-    later = _LATER_DRAWS[cfg.eve.kind]
-    for start in range(0, cfg.rounds, _BLOCK):
-        out = columns[:, start:start + _BLOCK]
-        ids = np.arange(start, start + out.shape[1], dtype=np.uint64)
-        # the same draws for every round: read them straight from blocks 1 (and 2)
-        u = [row for b in range(1, later // 4 + 2) for row in uniforms(cfg.seed, ids, b)]
-        _finish(cfg, u, out)
+    # every round reads the same draws: rows 0-3 of block 1, row 0 of block 2
+    blocks = _LATER_DRAWS[cfg.eve.kind] // 4 + 1
+    ids = np.arange(min(_LANES, cfg.rounds), dtype=np.uint64)
+    for start in range(0, cfg.rounds, _LANES):
+        out = columns[:, start:start + _LANES]
+        lanes = ids[:out.shape[1]]
+        _finish(cfg, _rows(cfg.seed, lanes, blocks), out)
         out[5] = 1
+        ids += len(ids)
     return Transcript(config=cfg, columns=columns)
 
 
-def _integer5(u: np.ndarray) -> np.ndarray:
-    """``RngStream.integer(5)`` of each uniform: min(int(5 u), 4)."""
-    return np.minimum(u * 5, 4).astype(np.intp)
+def _rows(seed: int, ids: np.ndarray, blocks: int):
+    """The rows of Philox blocks 1 to ``blocks`` of streams ``ids``, one at a
+    time; a block is drawn only once every row of the one before is read."""
+    for b in range(1, blocks + 1):
+        yield from uniforms(seed, ids, b)
+
+
+def _integer5(u: np.ndarray, out: np.ndarray) -> None:
+    """``RngStream.integer(5)`` of each uniform, min(int(5 u), 4), into the
+    int16 ``out``; ``u`` is overwritten."""
+    np.multiply(u, 5, out=u)
+    np.minimum(u, 4, out=u)
+    out[...] = u  # truncates, as int() does for u >= 0
 
 
 def _run_entangled(cfg: ProtocolConfig, columns: np.ndarray) -> None:
@@ -301,8 +317,8 @@ def _finish_clicked(cfg, kept, drawn, block, columns, ids) -> None:
     # window holds draw s - s % 4 + w.
     odd = kept[1] < 1.0 / 3.0
     window = (*kept, *drawn)
-    u = [np.where(odd, window[w], window[w + 2])
-         for w in (0, *range(2, 2 + _LATER_DRAWS[cfg.eve.kind]))]
+    u = (np.where(odd, window[w], window[w + 2])
+         for w in (0, *range(2, 2 + _LATER_DRAWS[cfg.eve.kind])))
     out = np.empty((len(Round._fields), len(ids)), np.int16)
     _finish(cfg, u, out)
     out[5] = 2 * (block - 1) - odd
@@ -310,27 +326,31 @@ def _finish_clicked(cfg, kept, drawn, block, columns, ids) -> None:
 
 
 def _finish(cfg: ProtocolConfig, u, out: np.ndarray) -> None:
-    """Rows 0-4 of ``out`` for rounds that draw the rows of uniforms ``u`` from
-    Alice's setting on, as ``run_round`` does."""
-    overlap, click = cfg.channel.overlap, cfg.channel.click
-    out[0] = i = _integer5(u[0])
-    u = u[1:]
+    """Rows 0-4 of ``out`` for rounds whose uniforms, from Alice's setting on,
+    the iterator ``u`` yields one row at a time, as ``run_round`` draws them.
+
+    Each row is read once and overwritten; what a round drew so far is kept
+    in ``out`` alone, so that the next row may be drawn when it is asked for.
+    Outcome probabilities are looked up by flat int16 index."""
+    overlap = cfg.channel.overlap.ravel()
+    i, j, bob_outcome, k, e = out[:5]
+    _integer5(next(u), i)
     eve = cfg.eve
     if eve.kind == ABSENT:
-        k = e = -1
-        j = _integer5(u[0])
-        p_click = overlap[i, j]
-        u_bob = u[1]
+        k[...] = e[...] = -1
+        _integer5(next(u), j)
+        p_click, cell = overlap, i * 5 + j
     else:
         if eve.kind == FIXED:
-            k = eve.setting
+            k[...] = eve.setting
         else:
-            k, u = _integer5(u[0]), u[1:]
-        e = (u[0] < overlap[i, k]).view(np.int8)
-        j = _integer5(u[1])
-        p_click = click[i, k, e, j]
-        u_bob = u[2]
-    out[1], out[2], out[3], out[4] = j, u_bob < p_click, k, e
+            _integer5(next(u), k)
+        # Eve's P_k clicks on ray i as Bob's would: overlap[i, k]
+        np.less(next(u), overlap.take(i * 5 + k), out=e)
+        _integer5(next(u), j)
+        p_click, cell = cfg.channel.click.ravel(), ((i * 5 + k) * 2 + e) * 5 + j
+    # Bob's draw before his click probabilities: it may start a block
+    np.less(next(u), p_click.take(cell), out=bob_outcome)
 
 
 def _entropy_bits(p: float) -> float:

@@ -11,7 +11,12 @@ numpy's Philox generator for one stream and draws one value at a time; the
 scalar replay of a round and the security test's subset use it.
 :func:`philox4x64` evaluates Philox blocks of a whole vector of streams with
 uint64 numpy arithmetic, and :func:`uniforms` turns them into the doubles
-``RngStream.uniform`` returns; the session kernel draws from it.  Sampling a
+``RngStream.uniform`` returns; the session kernel draws from it.  The array
+Philox evaluates up to ``_LANES`` = 1536 streams per pass, because its cost
+per pass is mostly the ~200 ufunc calls of its ten rounds: at 1536 lanes a
+lane costs less than half what it does at 384.  A pass holds about 82 bytes a lane: its
+(4, m) result, in which the partial products live until it is written, and
+three (2, m) word arrays.  Sampling a
 measurement and collapsing a state live in the tests' state-vector reference
 (``tests/reference.py``); the package samples from the exact channel of
 ``adversary.build_channel``.
@@ -123,20 +128,38 @@ class RngStream:
         return np.sort(self._gen.permutation(n)[:m])
 
 
-_LANES = 384  # streams one pass of the array Philox evaluates; bounds its scratch
+# streams one pass of the array Philox evaluates, and prepare-and-measure
+# rounds per pass of the session kernel: bounds their scratch
+_LANES = 1536
 # 0-d arrays, not numpy scalars: a ufunc takes an array operand faster
 _U32 = np.array(0xFFFFFFFF, np.uint64)
 _S32 = np.array(32, np.uint64)
 _S11 = np.array(11, np.uint64)
-# Philox4x64-10 round multipliers and key increments, one row for each of the
-# two multiplied words (0 and 2) of a block, repeated across the lanes
-_MUL = np.repeat(np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], np.uint64), _LANES, 1)
+# Philox4x64-10 round multipliers of the two multiplied words (0 and 2) of a
+# block, stored flat as _LANES copies of each: see _lane_tables
+_MUL = np.repeat(np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64), _LANES)
 _MUL_HI = _MUL >> _S32
 _MUL_LO = _MUL & _U32
-_BUMP = np.repeat(np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], np.uint64), _LANES, 1)
-for _table in (_U32, _S32, _S11, _MUL, _MUL_HI, _MUL_LO, _BUMP):
+# round r is keyed by (k0 + r B0, k1 + r B1) mod 2^64: the steps r B0, and
+# r B1 as 0-d arrays
+_K0_STEPS = np.array([r * 0x9E3779B97F4A7C15 % KEY_LIMIT for r in range(10)], np.uint64)
+_K1_STEPS = [np.array(r * 0xBB67AE8584CAA73B % KEY_LIMIT, np.uint64) for r in range(10)]
+for _table in (_U32, _S32, _S11, _MUL, _MUL_HI, _MUL_LO, _K0_STEPS, *_K1_STEPS):
     _table.setflags(write=False)
 del _table
+
+
+def _lane_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The multipliers of ``m`` lanes, as (2, m) views of the flat tables.
+
+    Rows 0 and 1 are the last m copies of the first multiplier and the first m
+    of the second, so each view is C-contiguous for every m up to _LANES: the
+    ufuncs run about 30% slower on a table sliced [:, :m] from shape
+    (2, _LANES) or broadcast from shape (2, 1).
+    """
+    half = len(_MUL) // 2
+    lanes = slice(half - m, half + m)
+    return _MUL[lanes].reshape(2, m), _MUL_HI[lanes].reshape(2, m), _MUL_LO[lanes].reshape(2, m)
 
 
 def philox4x64(seeds, stream_ids, blocks) -> np.ndarray:
@@ -167,16 +190,18 @@ def _philox(seeds, stream_ids, blocks, dtype) -> np.ndarray:
     out = np.empty((4, n), dtype)
     for lo in range(0, n, _LANES):
         lanes = slice(lo, min(lo + _LANES, n))
-        _philox_lanes(*(x[lanes] if x.ndim else x for x in keys), out[:, lanes])
+        _philox_lanes(*[x[lanes] if x.ndim else x for x in keys], out[:, lanes])
     return out
 
 
 def _philox_lanes(seeds, stream_ids, blocks, out) -> None:
-    """Evaluate up to ``_LANES`` lanes into ``out``, all in preallocated scratch."""
+    """Evaluate up to ``_LANES`` lanes into ``out``.
+
+    Its scratch is 48 bytes a lane beside ``out``: three (2, m) word arrays.
+    A shared seed's key word stays 0-d, and the stream ids' is formed each
+    round in the partial products' scratch."""
     m = out.shape[1]
-    mul, mul_hi, mul_lo, bump = (a[:, :m] for a in (_MUL, _MUL_HI, _MUL_LO, _BUMP))
-    key = np.empty((2, m), np.uint64)  # (k0, k1)
-    key[0], key[1] = seeds, stream_ids
+    mul, mul_hi, mul_lo = _lane_tables(m)
     even = np.zeros((2, m), np.uint64)  # words (c0, c2), the multiplied ones
     even[0] = blocks
     odd = np.zeros((2, m), np.uint64)  # words (c3, c1)
@@ -185,9 +210,13 @@ def _philox_lanes(seeds, stream_ids, blocks, out) -> None:
     # written, when out is contiguous (a call of at most _LANES streams)
     scratch = out.view(np.uint64) if out.flags.c_contiguous else np.empty((4, m), np.uint64)
     t, u = scratch[:2], scratch[2:]
-    for r in range(10):
-        if r:
-            np.add(key, bump, out=key)
+    hi0, hi1 = hi
+    t0 = t[0]
+    even_rows, odd_rows = tuple(even), tuple(odd)
+    # k0 of each round: 0-d views for a shared seed, which a ufunc takes
+    # about twice as fast as a (1,) array
+    k0 = np.add.outer(_K0_STEPS, seeds)
+    for r, step1 in enumerate(_K1_STEPS):
         # hi, lo (in place of even) = the 128-bit products mul * even, from
         # 32-bit halves a = ah 2^32 + al and mul = mh 2^32 + ml
         np.bitwise_and(even, _U32, out=t)  # al
@@ -206,15 +235,19 @@ def _philox_lanes(seeds, stream_ids, blocks, out) -> None:
         np.right_shift(t, _S32, out=t)
         np.add(hi, t, out=hi)
         np.multiply(even, mul, out=even)  # lo
-        # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0)
+        # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0), a row
+        # at a time: a ufunc on a view with its rows swapped copies it
         np.bitwise_xor(hi, odd, out=hi)  # (hi0 ^ c3, hi1 ^ c1)
-        np.bitwise_xor(hi[::-1], key, out=odd)
-        even, odd = odd, even
+        np.bitwise_xor(hi1, k0[r, ...], out=odd_rows[0])
+        np.add(stream_ids, step1, out=t0)  # k1
+        np.bitwise_xor(hi0, t0, out=odd_rows[1])
+        even, odd, even_rows, odd_rows = odd, even, odd_rows, even_rows
     if out.dtype == np.float64:
         even >>= _S11
         odd >>= _S11
         for row, word in zip(out, (even[0], odd[1], even[1], odd[0])):
-            np.multiply(word, 2.0**-53, out=row)
+            row[...] = word  # a cast in place: np.multiply would buffer it
+        out *= 2.0**-53
     else:
         out[0], out[1], out[2], out[3] = even[0], odd[1], even[1], odd[0]
 

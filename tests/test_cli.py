@@ -206,8 +206,13 @@ def test_simulate_rejects_resend_without_eve(tmp_path, capsys):
 
 
 def test_simulate_rejects_bad_eve_spec(capsys):
-    code, _, err = run(capsys, "simulate", "--rounds", "100", "--seed", "1", "--eve", "quantum")
-    assert code == 1
+    # only absent, fixed:0 to fixed:4 and random, and the error names them
+    for spec in ("quantum", "fixed:", "fixed:x", "fixed: 1", "fixed:\u0661", "fixed:5", "fixed:-1", "fixed:01"):
+        code, out, err = run(capsys, "simulate", "--rounds", "100", "--seed", "1", "--eve", spec)
+        assert code == 1 and out == "", spec
+        assert err == (
+            f"simulate: unknown eavesdropper spec {spec!r}: use absent, fixed:0 to fixed:4, or random\n"
+        )
 
 
 def test_simulate_requires_seed(capsys):

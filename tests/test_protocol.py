@@ -25,7 +25,7 @@ from kcbs_qkd.protocol import (
     run_session,
     write_transcript_csv,
 )
-from kcbs_qkd.qutrit import RngStream, born_probability
+from kcbs_qkd.qutrit import _LANES, RngStream, born_probability
 from reference import TwoQutritState, entangled_collapse, write_transcript_csv_rows
 
 NO_EVE = EveStrategy()
@@ -302,6 +302,10 @@ def test_transcript_csv_working_set_bounded(tmp_path, basis, rounds):
     assert peak <= 160 * 1024, peak
 
 
+KINDS = ("absent", "fixed", "random")
+RESENDS = ("collapsed", "eigenstate")
+
+
 def test_run_round_matches_session(basis):
     for mode in (PREPARE_MEASURE, ENTANGLED):
         for eve in (NO_EVE, EveStrategy(kind="fixed", setting=1), EveStrategy(kind="random")):
@@ -309,13 +313,14 @@ def test_run_round_matches_session(basis):
             t = run_session(cfg)
             for r in range(cfg.rounds):
                 assert run_round(cfg, r) == Round(*t.columns[:, r].tolist())
-    # a one-round session, sessions around one full kernel block, and one of
-    # two full kernel blocks plus 7 rounds
-    for mode, kind, resend, rounds in itertools.product(
-        (PREPARE_MEASURE, ENTANGLED),
-        ("absent", "fixed", "random"),
-        ("collapsed", "eigenstate"),
-        (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7),
+    # a one-round session, sessions around one full entangled pool and around
+    # one prepare-and-measure pass, and ones of two full pools or passes plus 7
+    # rounds; the pass width matters to prepare-and-measure only
+    pool = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7)
+    passes = (_LANES - 1, _LANES, _LANES + 1, 2 * _LANES + 7)
+    for mode, kind, resend, rounds in itertools.chain(
+        itertools.product((PREPARE_MEASURE, ENTANGLED), KINDS, RESENDS, pool),
+        itertools.product((PREPARE_MEASURE,), KINDS, RESENDS, passes),
     ):
         eve = EveStrategy(kind=kind, setting=1 if kind == "fixed" else None, resend=resend)
         cfg = config(basis, rounds=rounds, seed=2**63 + 5, mode=mode, eve=eve)
@@ -342,6 +347,21 @@ def test_entangled_session_independent_of_pool_width(basis, monkeypatch, eve):
     expected = run_session(cfg).columns
     for width in (1, 7, 100):
         monkeypatch.setattr(protocol, "_BLOCK", width)
+        assert np.array_equal(run_session(cfg).columns, expected), width
+
+
+@pytest.mark.parametrize(
+    "eve",
+    [NO_EVE, EveStrategy(kind="fixed", setting=2, resend="eigenstate"), EveStrategy(kind="random")],
+    ids=["absent", "fixed", "random"],
+)
+def test_prepare_session_independent_of_pass_width(basis, monkeypatch, eve):
+    # the same for prepare-and-measure passes: random Eve's rounds read a
+    # second Philox block, drawn only after the first one's rows are read
+    cfg = config(basis, rounds=3001, seed=11, eve=eve)
+    expected = run_session(cfg).columns
+    for width in (1, 7, 100):
+        monkeypatch.setattr(protocol, "_LANES", width)
         assert np.array_equal(run_session(cfg).columns, expected), width
 
 

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import APEX_CLICK
+from kcbs_qkd import qutrit
 from kcbs_qkd.qutrit import (
+    _LANES,
     Projector,
     QutritState,
     RngStream,
@@ -160,14 +162,19 @@ def test_philox4x64_matches_numpy_philox():
         assert words.dtype == np.uint64 and words.shape == (4, len(PHILOX_KEYS))
         for col, key in enumerate(PHILOX_KEYS):
             assert words[:, col].tolist() == raw[key][4 * (block - 1):4 * block].tolist()
-    # per-lane blocks, and more lanes than one pass evaluates
-    ids = np.arange(1000, dtype=np.uint64)
-    blocks = np.arange(1000) % 3 + 1
-    words = philox4x64(2**63 + 5, ids, blocks)
-    for col in (0, 1, 2, 383, 384, 999):
-        expected = np.random.Philox(key=np.array([2**63 + 5, col], dtype=np.uint64))
-        block = int(blocks[col])
-        assert words[:, col].tolist() == expected.random_raw(4 * block)[-4:].tolist()
+    # per-lane blocks, and more lanes than one pass evaluates, with one shared
+    # seed and with a seed per lane
+    n = 2 * _LANES + 4
+    ids = np.arange(n, dtype=np.uint64)
+    blocks = np.arange(n) % 3 + 1
+    per_lane = 2**63 + 5 + 7919 * ids
+    for seeds in (2**63 + 5, per_lane):
+        words = philox4x64(seeds, ids, blocks)
+        for col in (0, 1, 2, _LANES - 1, _LANES, 2 * _LANES - 1, 2 * _LANES, n - 1):
+            seed = int(np.broadcast_to(seeds, n)[col])
+            expected = np.random.Philox(key=np.array([seed, col], dtype=np.uint64))
+            block = int(blocks[col])
+            assert words[:, col].tolist() == expected.random_raw(4 * block)[-4:].tolist(), col
 
 
 def test_uniforms_match_rng_stream():
@@ -177,8 +184,37 @@ def test_uniforms_match_rng_stream():
         rng = RngStream(2**63 + 5, stream_id)
         assert drawn[:, col].tolist() == [rng.uniform() for _ in range(8)]
     # more streams than one pass evaluates, written into out a slice at a time
-    ids = np.arange(1000, dtype=np.uint64)
-    assert np.array_equal(uniforms(7, ids, 2), (philox4x64(7, ids, 2) >> 11) * 2.0**-53)
+    ids = np.arange(2 * _LANES + 4, dtype=np.uint64)
+    per_lane = 7 + 3 * ids
+    for seeds in (7, per_lane):
+        assert np.array_equal(uniforms(seeds, ids, 2), (philox4x64(seeds, ids, 2) >> 11) * 2.0**-53)
+    drawn = uniforms(per_lane, ids, 1)
+    for col in (_LANES - 1, _LANES, 2 * _LANES + 3):
+        rng = RngStream(int(per_lane[col]), col)
+        assert drawn[:, col].tolist() == [rng.uniform() for _ in range(4)], col
+
+
+def test_philox_multipliers_contiguous(monkeypatch):
+    # the ufuncs run about 30% slower on a multiplier table sliced [:, :m] out
+    # of a wider one or broadcast from shape (2, 1): every pass gets C-contiguous
+    # (2, m) views, whatever its width m
+    received = []
+
+    def spy(m):
+        tables = lane_tables(m)
+        received.append(tables)
+        return tables
+
+    lane_tables = qutrit._lane_tables
+    monkeypatch.setattr(qutrit, "_lane_tables", spy)
+    for m in (1, 383, 384, _LANES):
+        uniforms(5, np.arange(m, dtype=np.uint64), 1)
+        mul, mul_hi, mul_lo = received.pop()
+        assert not received
+        for table in (mul, mul_hi, mul_lo):
+            assert table.shape == (2, m) and table.flags.c_contiguous, m
+        assert (mul == np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], np.uint64)).all()
+        assert (mul_hi == mul >> np.uint64(32)).all() and (mul_lo == mul & np.uint64(0xFFFFFFFF)).all()
 
 
 @pytest.mark.parametrize("seed, stream_id", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])

@@ -72,8 +72,9 @@ class EveStrategy:
         if self.kind not in (ABSENT, FIXED, RANDOM):
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.kind == FIXED:
-            if self.setting is None or not 0 <= self.setting <= 4:
-                raise ValueError("fixed strategy requires a setting in 0..4")
+            setting = self.setting
+            if not isinstance(setting, int) or isinstance(setting, bool) or not 0 <= setting <= 4:
+                raise ValueError("fixed strategy requires an int setting in 0..4")
         elif self.setting is not None:
             raise ValueError(f"strategy {self.kind!r} takes no fixed setting")
         if self.kind != ABSENT and self.resend not in (

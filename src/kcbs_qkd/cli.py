@@ -17,6 +17,8 @@ import os
 import sys
 from functools import cache
 
+import numpy as np
+
 from . import __version__
 from .adversary import (
     ABSENT,
@@ -38,7 +40,6 @@ from .kcbs import (
     KcbsBasis,
     bounds,
     derived_anticorr_values,
-    ktilde,
     standard_basis,
 )
 from .protocol import (
@@ -51,7 +52,7 @@ from .protocol import (
     run_session,
     write_transcript_csv,
 )
-from .qutrit import QutritState, RngStream
+from .qutrit import RngStream
 
 __all__ = ["main", "build_report", "round_floats", "report_json"]
 
@@ -80,12 +81,16 @@ def _load_basis(path: str | None) -> KcbsBasis:
         return standard_basis()
     with open(path) as fh:
         doc = json.load(fh)
-    vectors = []
-    for entry in doc:
-        vectors.append(
-            [complex(c[0], c[1]) if isinstance(c, list) else complex(c) for c in entry]
-        )
-    return KcbsBasis.from_vectors(vectors)
+    return KcbsBasis.from_vectors([[_amplitude(c) for c in entry] for entry in doc])
+
+
+def _amplitude(c) -> complex:
+    """A basis file's amplitude: a number, or a [re, im] pair of numbers."""
+    parts = c if isinstance(c, list) and len(c) == 2 else [c]
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+               for x in parts):
+        raise ValueError(f"amplitude {c!r} is not a number or a [re, im] pair of numbers")
+    return complex(*parts)
 
 
 # --- verify ----------------------------------------------------------------
@@ -98,7 +103,10 @@ def _cmd_verify(args) -> int:
         print(f"verify: invalid basis: {exc}", file=sys.stderr)
         return 1
     neighbor = max(basis.pair_overlap(i, (i + 1) % 5) for i in range(5))
-    ktilde_max = ktilde(QutritState([0.0, 0.0, 1.0]), basis)
+    # ktilde is <psi|P|psi> for the mean projector P: its maximum over states
+    # is P's largest eigenvalue, whatever the pentagon's orientation
+    mean = sum(p.matrix for p in basis.projectors) / 5
+    ktilde_max = float(np.linalg.eigvalsh(mean)[-1])
     constants = bounds()
     ok = (
         neighbor <= 1e-10

@@ -81,10 +81,9 @@ class KcbsBasis:
         return cls(source_vectors=tuple(QutritState(v) for v in vectors))
 
     def pair_overlap(self, i: int, j: int) -> float:
-        """Tr(P_i P_j), a real number in [0, 1]."""
-        return float(
-            np.trace(self.projectors[i].matrix @ self.projectors[j].matrix).real
-        )
+        """Tr(P_i P_j) = |<v_i|v_j>|^2, a real number in [0, 1]."""
+        a, b = self.source_vectors[i].amplitudes, self.source_vectors[j].amplitudes
+        return float(abs(np.vdot(a, b)) ** 2)
 
 
 @cache

@@ -118,6 +118,10 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.mode not in (PREPARE_MEASURE, ENTANGLED):
             raise ValueError(f"unknown mode {self.mode!r}")
+        for name in ("rounds", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, not {value!r}")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if not 0 <= self.seed < KEY_LIMIT:

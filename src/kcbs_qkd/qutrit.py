@@ -9,17 +9,15 @@ round of a larger simulation can be replayed in isolation.  It comes in two
 forms that give the same numbers bit for bit.  :class:`RngStream` wraps
 numpy's Philox generator for one stream and draws one value at a time; the
 scalar replay of a round and the security test's subset use it.
-:func:`philox4x64` evaluates Philox blocks of a whole vector of streams with
-uint64 numpy arithmetic, and :func:`uniforms` turns them into the doubles
-``RngStream.uniform`` returns; the session kernel draws from it.  The array
-Philox evaluates up to ``_LANES`` = 1536 streams per pass, because its cost
-per pass is mostly the ~200 ufunc calls of its ten rounds: at 1536 lanes a
-lane costs less than half what it does at 384.  A pass holds about 82 bytes a lane: its
-(4, m) result, in which the partial products live until it is written, and
-three (2, m) word arrays.  Sampling a
-measurement and collapsing a state live in the tests' state-vector reference
-(``tests/reference.py``); the package samples from the exact channel of
-``adversary.build_channel``.
+:func:`uniforms` evaluates one Philox block of up to ``_LANES`` = 1536 streams
+of one seed with uint64 numpy arithmetic, as the doubles ``RngStream.uniform``
+returns; the session kernel draws from it.  A call costs mostly the ~200
+ufunc calls of Philox's ten rounds: at 1536 lanes a lane costs less than half
+what it does at 384.  A call holds about 82 bytes a lane: its (4, m) result,
+in which the partial products live until it is written, and three (2, m)
+word arrays.  Sampling a measurement and collapsing a state live in the
+tests' state-vector reference (``tests/reference.py``); the package samples
+from the exact channel of ``adversary.build_channel``.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ __all__ = [
     "QutritState",
     "Projector",
     "RngStream",
-    "philox4x64",
     "uniforms",
     "projector_from_state",
     "born_probability",
@@ -88,6 +85,11 @@ class Projector:
         object.__setattr__(self, "matrix", m)
 
 
+def _is_key(x) -> bool:
+    """Whether ``x`` is a Philox key word: an int, not a bool, in [0, 2^64)."""
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < KEY_LIMIT
+
+
 @dataclass
 class RngStream:
     """Counter-based random stream, reproducible across platforms.
@@ -104,9 +106,9 @@ class RngStream:
     _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (0 <= self.seed < KEY_LIMIT and 0 <= self.stream_id < KEY_LIMIT):
+        if not (_is_key(self.seed) and _is_key(self.stream_id)):
             raise ValueError(
-                f"seed {self.seed} and stream id {self.stream_id} must lie in [0, 2^64)"
+                f"seed {self.seed!r} and stream id {self.stream_id!r} must be ints in [0, 2^64)"
             )
         # an explicit uint64 key: numpy would turn a list holding a value
         # >= 2^63 into float64 and lose its low bits
@@ -128,8 +130,8 @@ class RngStream:
         return np.sort(self._gen.permutation(n)[:m])
 
 
-# streams one pass of the array Philox evaluates, and prepare-and-measure
-# rounds per pass of the session kernel: bounds their scratch
+# streams one uniforms call takes at most, and prepare-and-measure rounds per
+# pass of the session kernel: bounds their scratch
 _LANES = 1536
 # 0-d arrays, not numpy scalars: a ufunc takes an array operand faster
 _U32 = np.array(0xFFFFFFFF, np.uint64)
@@ -162,60 +164,38 @@ def _lane_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _MUL[lanes].reshape(2, m), _MUL_HI[lanes].reshape(2, m), _MUL_LO[lanes].reshape(2, m)
 
 
-def philox4x64(seeds, stream_ids, blocks) -> np.ndarray:
-    """Block ``blocks`` (counter (block, 0, 0, 0)) of each stream's Philox4x64-10.
+def uniforms(seed: int, stream_ids: np.ndarray, blocks) -> np.ndarray:
+    """Philox4x64-10 block ``blocks`` (counter (block, 0, 0, 0)) of each
+    stream (seed, stream_ids[s]), as the doubles ``RngStream.uniform`` draws:
+    (x >> 11) 2^-53 of each word x.  Row w of column s of the (4, m) result
+    is draw 4 (b - 1) + w of stream s, since numpy counts blocks from 1.
 
-    ``seeds``, ``stream_ids`` and ``blocks`` are scalars or 1-d arrays of one
-    length, which give one vector of (key, counter) pairs.  Column s of the (4, n)
-    uint64 result holds the four words that
-    ``np.random.Philox(key=[seeds[s], stream_ids[s]])`` hands out as its raw
-    outputs 4 (block - 1) to 4 block - 1: numpy counts blocks from 1.
-    """
-    return _philox(seeds, stream_ids, blocks, np.uint64)
-
-
-def uniforms(seeds, stream_ids, blocks) -> np.ndarray:
-    """The doubles of ``philox4x64`` as ``RngStream.uniform`` draws them:
-    (x >> 11) 2^-53 for each word x, so that row w of block b holds draw
-    4 (b - 1) + w of each stream."""
-    return _philox(seeds, stream_ids, blocks, np.float64)
-
-
-def _philox(seeds, stream_ids, blocks, dtype) -> np.ndarray:
-    keys = [np.asarray(x, np.uint64) for x in (seeds, stream_ids, blocks)]
-    lengths = {len(x) for x in keys if x.ndim} or {1}
-    if len(lengths) > 1 or any(x.ndim > 1 for x in keys):
-        raise ValueError("seeds, stream ids and blocks take scalars or 1-d arrays of one length")
-    (n,) = lengths
-    out = np.empty((4, n), dtype)
-    for lo in range(0, n, _LANES):
-        lanes = slice(lo, min(lo + _LANES, n))
-        _philox_lanes(*[x[lanes] if x.ndim else x for x in keys], out[:, lanes])
-    return out
-
-
-def _philox_lanes(seeds, stream_ids, blocks, out) -> None:
-    """Evaluate up to ``_LANES`` lanes into ``out``.
-
-    Its scratch is 48 bytes a lane beside ``out``: three (2, m) word arrays.
-    A shared seed's key word stays 0-d, and the stream ids' is formed each
-    round in the partial products' scratch."""
-    m = out.shape[1]
+    ``seed`` is an int in [0, 2^64), ``stream_ids`` a 1-d uint64 array of at
+    most ``_LANES`` ids, and ``blocks`` one int or a uint64 array of a block
+    per id.  The scratch is 48 bytes a lane beside the result: three (2, m)
+    word arrays.  The seed's key word stays 0-d, and the stream ids' is
+    formed each round in the partial products' scratch, which lives in the
+    result's memory until the result is written."""
+    if not _is_key(seed):
+        raise ValueError(f"seed {seed!r} is not an int in [0, 2^64)")
+    if not (isinstance(stream_ids, np.ndarray) and stream_ids.dtype == np.uint64
+            and stream_ids.ndim == 1 and len(stream_ids) <= _LANES):
+        raise ValueError(f"stream ids must be a 1-d uint64 array of at most {_LANES} ids")
+    m = len(stream_ids)
     mul, mul_hi, mul_lo = _lane_tables(m)
     even = np.zeros((2, m), np.uint64)  # words (c0, c2), the multiplied ones
     even[0] = blocks
     odd = np.zeros((2, m), np.uint64)  # words (c3, c1)
     hi = np.empty((2, m), np.uint64)
-    # t and u, the partial products, live in out's memory until out is
-    # written, when out is contiguous (a call of at most _LANES streams)
-    scratch = out.view(np.uint64) if out.flags.c_contiguous else np.empty((4, m), np.uint64)
+    out = np.empty((4, m))
+    scratch = out.view(np.uint64)
     t, u = scratch[:2], scratch[2:]
     hi0, hi1 = hi
     t0 = t[0]
     even_rows, odd_rows = tuple(even), tuple(odd)
-    # k0 of each round: 0-d views for a shared seed, which a ufunc takes
-    # about twice as fast as a (1,) array
-    k0 = np.add.outer(_K0_STEPS, seeds)
+    # k0 of each round as a 0-d view, which a ufunc takes about twice as
+    # fast as a (1,) array
+    k0 = _K0_STEPS + seed
     for r, step1 in enumerate(_K1_STEPS):
         # hi, lo (in place of even) = the 128-bit products mul * even, from
         # 32-bit halves a = ah 2^32 + al and mul = mh 2^32 + ml
@@ -242,14 +222,12 @@ def _philox_lanes(seeds, stream_ids, blocks, out) -> None:
         np.add(stream_ids, step1, out=t0)  # k1
         np.bitwise_xor(hi0, t0, out=odd_rows[1])
         even, odd, even_rows, odd_rows = odd, even, odd_rows, even_rows
-    if out.dtype == np.float64:
-        even >>= _S11
-        odd >>= _S11
-        for row, word in zip(out, (even[0], odd[1], even[1], odd[0])):
-            row[...] = word  # a cast in place: np.multiply would buffer it
-        out *= 2.0**-53
-    else:
-        out[0], out[1], out[2], out[3] = even[0], odd[1], even[1], odd[0]
+    even >>= _S11
+    odd >>= _S11
+    for row, word in zip(out, (even[0], odd[1], even[1], odd[0])):
+        row[...] = word  # a cast in place: np.multiply would buffer it
+    out *= 2.0**-53
+    return out
 
 
 def projector_from_state(v: QutritState) -> Projector:

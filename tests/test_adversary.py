@@ -47,6 +47,11 @@ def test_strategy_validation():
         EveStrategy(kind="random", setting=2)
     with pytest.raises(ValueError):
         EveStrategy(kind="fixed", setting=1, resend="teleport")
+    # a setting that is not an int: run_session would truncate 2.5 to 2,
+    # while run_round and attack_expectation fail on it
+    for setting in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="int setting"):
+            EveStrategy(kind="fixed", setting=setting)
     assert not EveStrategy().present
 
 

@@ -5,9 +5,11 @@ import re
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from kcbs_qkd.cli import _build_parser, main, report_json, round_floats
+from kcbs_qkd.kcbs import standard_basis
 
 
 def run(capsys, *argv):
@@ -40,12 +42,51 @@ def test_verify_json(capsys):
     assert doc["ok"] is True
 
 
+def _standard_rows():
+    return [v.amplitudes.real.tolist() for v in standard_basis().source_vectors]
+
+
+def test_verify_rotated_basis(tmp_path, capsys):
+    # the witness maximum does not depend on the pentagon's orientation: the
+    # standard rays turned by a real orthogonal or a complex unitary matrix
+    rng = np.random.default_rng(5)
+    orthogonal, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    unitary, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    rays = np.array(_standard_rows())
+    documents = {
+        "real": (rays @ orthogonal.T).tolist(),
+        "complex": [[[c.real, c.imag] for c in ray] for ray in rays @ unitary.T],
+    }
+    for name, doc in documents.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--json", "--basis", str(path))
+        assert code == 0, (name, err)
+        block = json.loads(out)
+        assert block["ok"] is True
+        assert block["ktilde_max"] == pytest.approx(math.sqrt(5) / 5, abs=1e-9), name
+        assert 0.0 <= block["pentagon_max_neighbor_overlap"] <= 1e-10, name
+
+
 def test_verify_corrupt_basis(tmp_path, capsys):
+    rows = _standard_rows()
+    x = rows[0][0]
+    documents = [
+        [[1, 0, 0]] * 5,
+        # amplitudes are numbers or [re, im] pairs of numbers, never coerced
+        [[str(c) for c in row] for row in rows],
+        [[bool(c) if c in (0.0, 1.0) else c for c in row] for row in rows],
+        [[[x, 0, 99], *rows[0][1:]], *rows[1:]],
+        [[[x], *rows[0][1:]], *rows[1:]],
+        [[[x, "0"], *rows[0][1:]], *rows[1:]],
+        [[None, *rows[0][1:]], *rows[1:]],
+    ]
     bad = tmp_path / "basis.json"
-    bad.write_text(json.dumps([[1, 0, 0]] * 5))
-    code, _, err = run(capsys, "verify", "--basis", str(bad))
-    assert code == 1
-    assert "invalid basis" in err
+    for doc in documents:
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", "--basis", str(bad))
+        assert code == 1, doc
+        assert "verify: invalid basis: " in err, doc
 
 
 def test_verify_unreadable_basis(tmp_path, capsys):

@@ -18,10 +18,24 @@ def test_all_names_resolve(module):
     assert not missing, f"{module}.__all__ lists missing names {missing}"
 
 
+PACKAGE = Path(kcbs_qkd.__file__).parent
+
+
+def _read_names(trees) -> set[str]:
+    """Every name the trees load, bare or as an attribute."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
 def test_private_names_are_read():
     # a top-level private name that nothing in the package reads is dead code
-    package = Path(kcbs_qkd.__file__).parent
-    trees = {p.name: ast.parse(p.read_text()) for p in package.glob("*.py")}
+    trees = {p.name: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
     defined = {}
     for module, tree in trees.items():
         for node in tree.body:
@@ -34,12 +48,20 @@ def test_private_names_are_read():
                 continue
             private = (n for n in names if n.startswith("_") and not n.startswith("__"))
             defined.update((name, module) for name in private)
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    read = _read_names(trees.values())
     unread = sorted(f"{module}: {name}" for name, module in defined.items() if name not in read)
     assert not unread, f"private names never read in the package: {unread}"
+
+
+def test_public_names_are_read():
+    # a module's public name that neither the package nor the benchmark reads,
+    # and that the package does not re-export, is API only the tests reach
+    files = [*PACKAGE.glob("*.py"), *(Path(__file__).parents[1] / "perfbench").glob("*.py")]
+    read = _read_names(ast.parse(p.read_text()) for p in files)
+    unread = sorted(
+        f"{module}.{name}"
+        for module in MODULES[1:]
+        for name in importlib.import_module(module).__all__
+        if name not in read and name not in kcbs_qkd.__all__
+    )
+    assert not unread, f"public names read only outside the package and benchmark: {unread}"

@@ -52,6 +52,10 @@ def test_config_validation(basis):
             mode="teleport", basis=basis, rounds=1, sacrifice_fraction=0.1,
             eve=NO_EVE, seed=0,
         )
+    # ints only: seed 2.5 would run as seed 2
+    for field, value in itertools.product(("rounds", "seed"), (2.5, 2.0, True)):
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            config(basis, **{field: value})
 
 
 def test_round_cases_no_eve(basis):

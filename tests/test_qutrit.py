@@ -13,7 +13,6 @@ from kcbs_qkd.qutrit import (
     QutritState,
     RngStream,
     born_probability,
-    philox4x64,
     projector_from_state,
     uniforms,
 )
@@ -149,32 +148,23 @@ def test_rng_keys_above_two_to_the_63():
 PHILOX_KEYS = [(0, 0), (5, 7), (2**63 + 1, 3), (2**64 - 1, 2**64 - 1), (123456789, 999999)]
 
 
-def test_philox4x64_matches_numpy_philox():
-    # one vector of mixed seeds and stream ids, against numpy's generator per key
-    seeds = np.array([s for s, _ in PHILOX_KEYS], dtype=np.uint64)
-    ids = np.array([r for _, r in PHILOX_KEYS], dtype=np.uint64)
-    raw = {
-        key: np.random.Philox(key=np.array(key, dtype=np.uint64)).random_raw(12)
-        for key in PHILOX_KEYS
-    }
-    for block in (1, 2, 3):
-        words = philox4x64(seeds, ids, block)
-        assert words.dtype == np.uint64 and words.shape == (4, len(PHILOX_KEYS))
-        for col, key in enumerate(PHILOX_KEYS):
-            assert words[:, col].tolist() == raw[key][4 * (block - 1):4 * block].tolist()
-    # per-lane blocks, and more lanes than one pass evaluates, with one shared
-    # seed and with a seed per lane
-    n = 2 * _LANES + 4
-    ids = np.arange(n, dtype=np.uint64)
-    blocks = np.arange(n) % 3 + 1
-    per_lane = 2**63 + 5 + 7919 * ids
-    for seeds in (2**63 + 5, per_lane):
-        words = philox4x64(seeds, ids, blocks)
-        for col in (0, 1, 2, _LANES - 1, _LANES, 2 * _LANES - 1, 2 * _LANES, n - 1):
-            seed = int(np.broadcast_to(seeds, n)[col])
-            expected = np.random.Philox(key=np.array([seed, col], dtype=np.uint64))
-            block = int(blocks[col])
-            assert words[:, col].tolist() == expected.random_raw(4 * block)[-4:].tolist(), col
+def test_uniforms_match_numpy_philox():
+    # one key per call, against numpy's generator: draw w of block b is raw
+    # output 4 (b - 1) + w, as RngStream.uniform turns it into a double
+    for seed, stream_id in PHILOX_KEYS:
+        raw = np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64)).random_raw(12)
+        for block in (1, 2, 3):
+            drawn = uniforms(seed, np.array([stream_id], dtype=np.uint64), block)
+            expected = (raw[4 * (block - 1):4 * block] >> 11) * 2.0**-53
+            assert drawn.shape == (4, 1) and drawn[:, 0].tolist() == expected.tolist()
+    # a block per lane, over as many lanes as one call takes
+    ids = np.arange(_LANES, dtype=np.uint64)
+    blocks = ids % np.uint64(3) + np.uint64(1)
+    drawn = uniforms(2**63 + 5, ids, blocks)
+    for col in (0, 1, 2, _LANES - 1):
+        raw = np.random.Philox(key=np.array([2**63 + 5, col], dtype=np.uint64))
+        expected = (raw.random_raw(4 * int(blocks[col]))[-4:] >> 11) * 2.0**-53
+        assert drawn[:, col].tolist() == expected.tolist(), col
 
 
 def test_uniforms_match_rng_stream():
@@ -183,15 +173,30 @@ def test_uniforms_match_rng_stream():
     for col, stream_id in enumerate(ids.tolist()):
         rng = RngStream(2**63 + 5, stream_id)
         assert drawn[:, col].tolist() == [rng.uniform() for _ in range(8)]
-    # more streams than one pass evaluates, written into out a slice at a time
-    ids = np.arange(2 * _LANES + 4, dtype=np.uint64)
-    per_lane = 7 + 3 * ids
-    for seeds in (7, per_lane):
-        assert np.array_equal(uniforms(seeds, ids, 2), (philox4x64(seeds, ids, 2) >> 11) * 2.0**-53)
-    drawn = uniforms(per_lane, ids, 1)
-    for col in (_LANES - 1, _LANES, 2 * _LANES + 3):
-        rng = RngStream(int(per_lane[col]), col)
-        assert drawn[:, col].tolist() == [rng.uniform() for _ in range(4)], col
+
+
+@pytest.mark.parametrize(
+    "seed, ids",
+    [
+        (np.array([-1]), np.array([0], np.uint64)),
+        (-1, np.array([0], np.uint64)),
+        (2**64, np.array([0], np.uint64)),
+        (2.0, np.array([0], np.uint64)),
+        (True, np.array([0], np.uint64)),
+        (1, np.array([0.7])),
+        (1, np.array([-1])),
+        (1, np.array([[0]], np.uint64)),
+        (1, [0]),
+        (1, np.arange(_LANES + 1, dtype=np.uint64)),
+    ],
+    ids=["seed-array", "seed-negative", "seed-2^64", "seed-float", "seed-bool",
+         "ids-float", "ids-int64", "ids-2d", "ids-list", "ids-too-many"],
+)
+def test_uniforms_rejects_bad_keys(seed, ids):
+    # a key is never coerced: an int64 -1 would be drawn as 2^64 - 1 and a
+    # float id 0.7 as stream 0
+    with pytest.raises(ValueError, match="seed|stream ids"):
+        uniforms(seed, ids, 1)
 
 
 def test_philox_multipliers_contiguous(monkeypatch):
@@ -217,8 +222,12 @@ def test_philox_multipliers_contiguous(monkeypatch):
         assert (mul_hi == mul >> np.uint64(32)).all() and (mul_lo == mul & np.uint64(0xFFFFFFFF)).all()
 
 
-@pytest.mark.parametrize("seed, stream_id", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+@pytest.mark.parametrize(
+    "seed, stream_id",
+    [(-1, 0), (2**64, 0), (0, -1), (0, 2**64), (2.5, 0), (0, 0.7), (True, 0)],
+)
 def test_rng_rejects_keys_outside_64_bits(seed, stream_id):
+    # a key is an int in [0, 2^64): a float seed 2.5 would be drawn as seed 2
     with pytest.raises(ValueError, match="2\\^64"):
         RngStream(seed, stream_id)
 

@@ -22,13 +22,7 @@ from .protocol import (
     run_round,
     run_session,
 )
-from .qutrit import (
-    Projector,
-    QutritState,
-    RngStream,
-    born_probability,
-    projector_from_state,
-)
+from .qutrit import RngStream
 
 __all__ = [
     "__version__",
@@ -54,9 +48,5 @@ __all__ = [
     "key_stats",
     "run_round",
     "run_session",
-    "Projector",
-    "QutritState",
     "RngStream",
-    "born_probability",
-    "projector_from_state",
 ]

@@ -3,12 +3,14 @@
 Eve sits on the quantum channel, measures each in-flight state with one of
 the pentagon projectors (a fixed setting or a fresh uniform one per round)
 and forwards a substitute state.  Her guess of Alice's key bit is the
-maximum-likelihood rule given the protocol's post-processing: a click means
-her setting probably matched Alice's preparation (Alice writes 0 only when
-settings match), no click means Alice most likely wrote 1.
+published rule: a click reads as a match of her setting with Alice's
+preparation (Alice writes 0 only when settings match), so she guesses 0, and
+no click as 1.  It is not her best guess: it wins less often than always
+guessing 1 (ROADMAP item 1).
 
 ``build_channel`` builds the exact intercept-resend channel of a pentagon basis
-from explicit density matrices, once per (rays, resend policy) and process.
+from explicit density matrices of the basis's projectors, once per (basis
+value, resend policy) and process.
 The session sampler draws from it and ``attack_expectation``, the exact oracle
 that validates every Monte-Carlo estimate, contracts it, once per (strategy,
 channel) value.  Both results are read-only and shared by every caller.  The
@@ -89,7 +91,8 @@ class EveStrategy:
 
 
 def eve_guess(outcome: int) -> int:
-    """Guess 0 on a click (settings likely matched), 1 otherwise."""
+    """The published guess: 0 on a click, 1 otherwise.  It ignores Bob's
+    announced setting and wins less often than a constant 1 (ROADMAP item 1)."""
     return 1 - outcome
 
 
@@ -110,49 +113,40 @@ class Channel:
     click: np.ndarray | None
 
 
+# bounded, as a process may build channels of any number of bases
+@lru_cache(maxsize=32)
 def build_channel(basis: KcbsBasis, resend: str | None) -> Channel:
     """The intercept-resend channel of a basis under one resend policy, or
     the undisturbed channel (``overlap`` alone) when ``resend`` is None.
-    Built once per value of the rays and ``resend``; its arrays are read-only."""
-    return _channel(b"".join(s.amplitudes.tobytes() for s in basis.source_vectors), resend)
-
-
-# bounded, as a process may build channels of any number of bases
-@lru_cache(maxsize=32)
-def _channel(ray_bytes: bytes, resend: str | None) -> Channel:
-    rays = np.frombuffer(ray_bytes, np.complex128).reshape(5, 3)
-    overlap = np.array(
-        [[float(abs(np.vdot(rays[i], rays[j])) ** 2) for j in range(5)] for i in range(5)]
-    )
-    overlap.setflags(write=False)
+    Built once per value of the basis (the bytes of its rays) and ``resend``;
+    its arrays are read-only."""
     if resend is None:
-        return Channel(resend=None, overlap=overlap, branch=None, click=None)
-    proj = [np.outer(ray, ray.conj()) for ray in rays]  # as ``KcbsBasis.projectors``
-    stacked = np.stack(proj)
+        return Channel(resend=None, overlap=basis.overlap, branch=None, click=None)
+    proj = basis.projectors
     identity = np.eye(3, dtype=np.complex128)
     branch = np.zeros((5, 5, 2))
     click = np.zeros((5, 5, 2, 5))
     for i in range(5):
-        rho = np.outer(rays[i], rays[i].conj())
+        rho = proj[i]
         for k in range(5):
             for e, m in ((1, proj[k]), (0, identity - proj[k])):
                 p_branch = float(np.trace(m @ rho).real)
                 if p_branch < 1e-15:
                     continue  # branch never sampled
                 if e == 1 and resend == RESEND_EIGENSTATE:
-                    rho_out = np.outer(rays[k], rays[k].conj())
+                    rho_out = proj[k]
                 else:
                     rho_out = m @ rho @ m / p_branch
                 branch[i, k, e] = p_branch
-                click[i, k, e] = np.trace(stacked @ rho_out, axis1=1, axis2=2).real
+                click[i, k, e] = np.trace(proj @ rho_out, axis1=1, axis2=2).real
     branch.setflags(write=False)
     click.setflags(write=False)
-    return Channel(resend=resend, overlap=overlap, branch=branch, click=click)
+    return Channel(resend=resend, overlap=basis.overlap, branch=branch, click=click)
 
 
 def estimate_pe(transcript) -> float:
     """Fraction of sifted rounds where Eve's guess matches Alice's key bit."""
-    alice, _, eve_outcome = transcript.sifted()
+    alice, _, eve_outcome = transcript.sifted
     if (eve_outcome < 0).any():
         raise ValueError("transcript has sifted rounds without Eve records")
     if len(alice) == 0:

@@ -81,7 +81,7 @@ def _load_basis(path: str | None) -> KcbsBasis:
         return standard_basis()
     with open(path) as fh:
         doc = json.load(fh)
-    return KcbsBasis.from_vectors([[_amplitude(c) for c in entry] for entry in doc])
+    return KcbsBasis([[_amplitude(c) for c in entry] for entry in doc])
 
 
 def _amplitude(c) -> complex:
@@ -102,10 +102,10 @@ def _cmd_verify(args) -> int:
     except Exception as exc:  # corrupt file or failed pentagon invariants
         print(f"verify: invalid basis: {exc}", file=sys.stderr)
         return 1
-    neighbor = max(basis.pair_overlap(i, (i + 1) % 5) for i in range(5))
+    neighbor = float(max(basis.overlap[i, (i + 1) % 5] for i in range(5)))
     # ktilde is <psi|P|psi> for the mean projector P: its maximum over states
     # is P's largest eigenvalue, whatever the pentagon's orientation
-    mean = sum(p.matrix for p in basis.projectors) / 5
+    mean = sum(basis.projectors) / 5
     ktilde_max = float(np.linalg.eigvalsh(mean)[-1])
     constants = bounds()
     ok = (

@@ -2,8 +2,11 @@
 
 The default basis is the standard explicit choice of five real qutrit rays
 whose cyclic neighbors are orthogonal (the pentagon orthogonality structure).
-The projector form (average probability of a click over the five settings) is
-evaluated as ``ktilde``.  Constant bounds for it and for the anti-correlation
+A ``KcbsBasis`` is the package's one model of it: the normalised rays and the
+projectors and overlaps derived from them, as read-only arrays that the exact
+channel of ``adversary.build_channel`` and ``verify`` read.  The projector
+form (average probability of a click over the five settings) of a state,
+given by its amplitudes, is evaluated as ``ktilde``.  Constant bounds for it and for the anti-correlation
 form over the five commuting neighbor pairs are exposed as a record, together
 with the independently derived values where the two forms' published
 constants disagree with the exclusivity identity (see
@@ -13,14 +16,13 @@ constants disagree with the exclusivity identity (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cache
 
 import numpy as np
 
-from .qutrit import Projector, QutritState, born_probability, projector_from_state
-
 __all__ = [
+    "NORM_TOL",
     "KcbsBasis",
     "KcbsBounds",
     "standard_vectors_unnormalized",
@@ -30,6 +32,7 @@ __all__ = [
     "derived_anticorr_values",
 ]
 
+NORM_TOL = 1e-12  # rays of a smaller norm are rejected
 NEIGHBOR_TOL = 1e-10
 NON_NEIGHBOR_MIN = 1e-6
 
@@ -46,57 +49,82 @@ def standard_vectors_unnormalized() -> list[np.ndarray]:
     ]
 
 
-@dataclass(frozen=True)
+def _ray(vector) -> np.ndarray:
+    """``vector`` as a normalised complex 3-vector: three finite amplitudes of
+    norm at least ``NORM_TOL``, divided by that norm."""
+    amp = np.asarray(vector, dtype=np.complex128).reshape(-1)
+    if amp.shape != (3,):
+        raise ValueError(f"expected 3 amplitudes, got shape {amp.shape}")
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norm = np.linalg.norm(amp)
+    if not math.isfinite(norm):  # also where an amplitude is NaN or infinite
+        raise ValueError(f"amplitudes {amp} or their norm are not finite")
+    if norm < NORM_TOL:
+        raise ValueError("cannot normalize a (near-)zero amplitude vector")
+    return amp / norm
+
+
+@dataclass(frozen=True, eq=False)
 class KcbsBasis:
     """Five rank-1 projectors forming a pentagon of orthogonality relations.
 
-    The projectors are derived from the rays, so the two cannot disagree.
-    Construction validates the pentagon: cyclic neighbors orthogonal within
-    1e-10, non-neighbors genuinely non-orthogonal (overlap above 1e-6).
+    ``KcbsBasis(vectors)`` normalises five 3-vectors into ``rays`` (5, 3) and
+    derives from them, once, ``projectors`` (5, 3, 3), P_i = |v_i><v_i|, and
+    ``overlap`` (5, 5), Tr(P_i P_j) = |<v_i|v_j>|^2, so the three cannot
+    disagree; all are read-only.  Construction validates the pentagon: cyclic
+    neighbors orthogonal within 1e-10, non-neighbors genuinely non-orthogonal
+    (overlap above 1e-6).  Bases compare and hash by the bytes of their rays.
     """
 
-    source_vectors: tuple[QutritState, ...]
-    projectors: tuple[Projector, ...] = field(init=False, compare=False)
+    vectors: InitVar
+    rays: np.ndarray = field(init=False)
+    projectors: np.ndarray = field(init=False, repr=False)
+    overlap: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if len(self.source_vectors) != 5:
+    def __post_init__(self, vectors) -> None:
+        rays = [_ray(v) for v in vectors]
+        if len(rays) != 5:
             raise ValueError("a pentagon basis needs exactly five vectors")
-        object.__setattr__(
-            self, "projectors", tuple(projector_from_state(s) for s in self.source_vectors)
-        )
+        overlap = [[float(abs(np.vdot(a, b)) ** 2) for b in rays] for a in rays]
         for i in range(5):
-            overlap = self.pair_overlap(i, (i + 1) % 5)
-            if overlap > NEIGHBOR_TOL:
+            if overlap[i][(i + 1) % 5] > NEIGHBOR_TOL:
                 raise ValueError(
-                    f"vectors {i} and {(i + 1) % 5} not orthogonal (Tr={overlap:.3e})"
+                    f"vectors {i} and {(i + 1) % 5} not orthogonal "
+                    f"(Tr={overlap[i][(i + 1) % 5]:.3e})"
                 )
-            far = self.pair_overlap(i, (i + 2) % 5)
-            if far <= NON_NEIGHBOR_MIN:
+            if overlap[i][(i + 2) % 5] <= NON_NEIGHBOR_MIN:
                 raise ValueError(
                     f"vectors {i} and {(i + 2) % 5} unexpectedly orthogonal"
                 )
+        arrays = {
+            "rays": np.array(rays),
+            "projectors": np.array([np.outer(v, v.conj()) for v in rays]),
+            "overlap": np.array(overlap),
+        }
+        for name, array in arrays.items():
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
-    @classmethod
-    def from_vectors(cls, vectors) -> "KcbsBasis":
-        return cls(source_vectors=tuple(QutritState(v) for v in vectors))
+    def __eq__(self, other) -> bool:
+        return isinstance(other, KcbsBasis) and self.rays.tobytes() == other.rays.tobytes()
 
-    def pair_overlap(self, i: int, j: int) -> float:
-        """Tr(P_i P_j) = |<v_i|v_j>|^2, a real number in [0, 1]."""
-        a, b = self.source_vectors[i].amplitudes, self.source_vectors[j].amplitudes
-        return float(abs(np.vdot(a, b)) ** 2)
+    def __hash__(self) -> int:
+        return hash(self.rays.tobytes())
 
 
 @cache
 def standard_basis() -> KcbsBasis:
     """The pentagon basis built from the standard explicit rays.  Built once
-    per process; its rays and projectors are read-only, so every caller
-    shares it."""
-    return KcbsBasis.from_vectors(standard_vectors_unnormalized())
+    per process; its arrays are read-only, so every caller shares it."""
+    return KcbsBasis(standard_vectors_unnormalized())
 
 
-def ktilde(state: QutritState, basis: KcbsBasis) -> float:
-    """Projector-form functional: the mean click probability over the pentagon."""
-    return sum(born_probability(state, p) for p in basis.projectors) / 5.0
+def ktilde(amplitudes, basis: KcbsBasis) -> float:
+    """Projector-form functional of the pure state with these amplitudes
+    (normalised as the basis's rays are): the mean click probability
+    |<v_i|psi>|^2 over the pentagon."""
+    psi = _ray(amplitudes)
+    return float(np.mean(abs(basis.rays.conj() @ psi) ** 2))
 
 
 @dataclass(frozen=True)

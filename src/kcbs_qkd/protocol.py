@@ -57,8 +57,8 @@ from .adversary import (
     estimate_pe,
     eve_guess,
 )
-from .kcbs import KcbsBasis
-from .qutrit import _LANES, KEY_LIMIT, NORM_TOL, RngStream, uniforms
+from .kcbs import NORM_TOL, KcbsBasis
+from .qutrit import _LANES, KEY_LIMIT, RngStream, uniforms
 
 __all__ = [
     "PREPARE_MEASURE",
@@ -128,11 +128,10 @@ class ProtocolConfig:
             raise ValueError(f"seed {self.seed} outside [0, 2^64)")
         if not 0.0 <= self.sacrifice_fraction <= 0.5:
             raise ValueError("sacrifice_fraction must lie in [0, 0.5]")
-        if self.mode == ENTANGLED and any(
-            np.max(np.abs(p.matrix.imag)) > NORM_TOL for p in self.basis.projectors
-        ):
+        if self.mode == ENTANGLED and np.max(np.abs(self.basis.projectors.imag)) > NORM_TOL:
             # the entangled kernel assumes Bob holds ray i, which holds for
-            # the isotropic pair only when the rays are real
+            # the isotropic pair only when the rays are real; read from the
+            # projectors, a real pentagon times a global phase is real
             raise ValueError("entangled mode requires a real pentagon basis")
 
     @cached_property
@@ -168,13 +167,10 @@ class Transcript:
     def total_attempts(self) -> int:
         return int(self.columns[5].sum())
 
+    @cached_property
     def sifted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Alice's bit, Bob's bit and Eve's outcome on the sifted rounds, as
-        read-only arrays computed on the first call."""
-        return self._sifted
-
-    @cached_property
-    def _sifted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        read-only arrays computed on the first read."""
         i, j, bob_outcome, _, eve_outcome, _ = self.columns
         # one flat int16 index, not SIFT[i, j]: that casts both columns to intp
         case = SIFT.ravel().take(5 * i + j)
@@ -365,7 +361,7 @@ def _entropy_bits(p: float) -> float:
 
 def key_stats(t: Transcript) -> KeyStats:
     """Sift-rate, bit frequencies, entropy and key rate over sifted rounds."""
-    alice, bob, _ = t.sifted()
+    alice, bob, _ = t.sifted
     n = len(alice)
     if not n:
         raise ValueError("no sifted rounds: cannot compute key statistics")
@@ -420,7 +416,7 @@ def estimate_security(
     """
     if not 0.0 <= sacrifice_fraction <= 1.0:
         raise ValueError("sacrifice_fraction must lie in [0, 1]")
-    alice, bob, eve_outcome = t.sifted()
+    alice, bob, eve_outcome = t.sifted
     if not len(alice):
         raise ValueError("no sifted rounds: cannot run a security test")
     m = int(round(sacrifice_fraction * len(alice)))

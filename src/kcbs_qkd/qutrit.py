@@ -1,7 +1,4 @@
-"""Qutrit pure states, rank-1 projectors, Born probabilities and random streams.
-
-States are plain complex state vectors normalized at construction; projectors
-are validated 3x3 Hermitian idempotents of trace one.
+"""Counter-based random streams for replayable qutrit rounds.
 
 Randomness is counter-based Philox4x64-10 keyed by ``(seed, stream_id)``
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), so any
@@ -15,9 +12,10 @@ returns; the session kernel draws from it.  A call costs mostly the ~200
 ufunc calls of Philox's ten rounds: at 1536 lanes a lane costs less than half
 what it does at 384.  A call holds about 82 bytes a lane: its (4, m) result,
 in which the partial products live until it is written, and three (2, m)
-word arrays.  Sampling a measurement and collapsing a state live in the
-tests' state-vector reference (``tests/reference.py``); the package samples
-from the exact channel of ``adversary.build_channel``.
+word arrays.  The pentagon's rays, projectors and overlaps are the arrays of
+``kcbs.KcbsBasis``; the package samples from the exact channel of
+``adversary.build_channel``, and the tests' state-vector reference
+(``tests/reference.py``) samples measurements and collapses states.
 """
 
 from __future__ import annotations
@@ -26,63 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-NORM_TOL = 1e-12
 KEY_LIMIT = 1 << 64  # seeds and stream ids lie in [0, KEY_LIMIT)
 
-__all__ = [
-    "NORM_TOL",
-    "KEY_LIMIT",
-    "QutritState",
-    "Projector",
-    "RngStream",
-    "uniforms",
-    "projector_from_state",
-    "born_probability",
-]
-
-
-@dataclass(frozen=True)
-class QutritState:
-    """A normalized pure state of a three-level system."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
-        if amp.shape != (3,):
-            raise ValueError(f"expected 3 amplitudes, got shape {amp.shape}")
-        norm = np.linalg.norm(amp)
-        if norm < NORM_TOL:
-            raise ValueError("cannot normalize a (near-)zero amplitude vector")
-        amp = amp / norm
-        amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QutritState) and np.array_equal(
-            self.amplitudes, other.amplitudes
-        )
-
-
-@dataclass(frozen=True)
-class Projector:
-    """A rank-1 orthogonal projector on the qutrit Hilbert space."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.shape != (3, 3):
-            raise ValueError(f"projector matrix must be 3x3, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > NORM_TOL:
-            raise ValueError("projector matrix is not Hermitian")
-        if np.max(np.abs(m @ m - m)) > NORM_TOL:
-            raise ValueError("projector matrix is not idempotent")
-        if abs(np.trace(m).real - 1.0) > NORM_TOL:
-            raise ValueError("projector is not rank 1 (trace != 1)")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+__all__ = ["KEY_LIMIT", "RngStream", "uniforms"]
 
 
 def _is_key(x) -> bool:
@@ -229,13 +173,3 @@ def uniforms(seed: int, stream_ids: np.ndarray, blocks) -> np.ndarray:
     out *= 2.0**-53
     return out
 
-
-def projector_from_state(v: QutritState) -> Projector:
-    """The rank-1 projector |v><v|."""
-    return Projector(np.outer(v.amplitudes, v.amplitudes.conj()))
-
-
-def born_probability(state: QutritState, p: Projector) -> float:
-    """<state|P|state>, clamped to [0, 1]."""
-    value = np.vdot(state.amplitudes, p.matrix @ state.amplitudes)
-    return float(min(max(value.real, 0.0), 1.0))

@@ -17,7 +17,7 @@ def basis():
 def complex_basis(basis):
     """The standard pentagon under the unitary diag(1, 1, i): complex rays."""
     u = np.diag([1.0, 1.0, 1j])
-    return KcbsBasis.from_vectors([u @ v.amplitudes for v in basis.source_vectors])
+    return KcbsBasis([u @ v for v in basis.rays])
 
 
 # Closed-form pentagon constants, evaluated independently of the package:

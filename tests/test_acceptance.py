@@ -26,7 +26,7 @@ from kcbs_qkd.protocol import (
     key_stats,
     run_session,
 )
-from kcbs_qkd.qutrit import QutritState, RngStream
+from kcbs_qkd.qutrit import RngStream
 
 NO_EVE = EveStrategy()
 
@@ -50,9 +50,8 @@ def config(basis, **kw):
 
 
 def test_criterion_1_kcbs_value(basis):
-    state = QutritState([0.0, 0.0, 1.0])
     start = time.perf_counter()
-    value = ktilde(state, basis)
+    value = ktilde([0.0, 0.0, 1.0], basis)
     elapsed = time.perf_counter() - start
     ok = abs(value - 0.4472135955) <= 1e-9 and value > 0.4 and elapsed < 1e-3
     report(
@@ -63,16 +62,8 @@ def test_criterion_1_kcbs_value(basis):
 
 
 def test_criterion_2_pentagon(basis):
-    neighbor = max(
-        abs(np.vdot(basis.source_vectors[i].amplitudes,
-                    basis.source_vectors[(i + 1) % 5].amplitudes))
-        for i in range(5)
-    )
-    d2 = [
-        abs(np.vdot(basis.source_vectors[i].amplitudes,
-                    basis.source_vectors[(i + 2) % 5].amplitudes))
-        for i in range(5)
-    ]
+    neighbor = max(abs(np.vdot(basis.rays[i], basis.rays[(i + 1) % 5])) for i in range(5))
+    d2 = [abs(np.vdot(basis.rays[i], basis.rays[(i + 2) % 5])) for i in range(5)]
     ok = neighbor <= 1e-10 and all(abs(x - 0.618034) <= 1e-6 for x in d2)
     report(
         "criterion 2 (pentagon)",
@@ -151,7 +142,7 @@ def test_criterion_6_adversary_oracle(basis):
     oracle = attack_expectation(eve, build_channel(basis, eve.resend))
     start = time.perf_counter()
     t = run_session(config(basis, rounds=1_000_000, seed=7, eve=eve))
-    alice, bob, _ = t.sifted()
+    alice, bob, _ = t.sifted
     n = len(alice)
     kab = np.count_nonzero(alice != bob) / n
     pe = estimate_pe(t)

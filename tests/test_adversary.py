@@ -16,8 +16,8 @@ from kcbs_qkd.adversary import (
 )
 from kcbs_qkd.kcbs import standard_basis
 from kcbs_qkd.protocol import PREPARE_MEASURE, ProtocolConfig, run_session
-from kcbs_qkd.qutrit import RngStream, born_probability
-from reference import ForcedDraws, intercept
+from kcbs_qkd.qutrit import RngStream
+from reference import ForcedDraws, born, intercept, projector
 
 GOLDEN_ORACLE = pathlib.Path(__file__).parent / "golden" / "oracle.json"
 
@@ -61,24 +61,24 @@ def test_eve_guess_rule():
 
 
 def test_intercept_eigenstate_click(basis):
-    resent, k, outcome = intercept(FIXED_1, basis.source_vectors[1], basis, RngStream(3, 0))
+    resent, k, outcome = intercept(FIXED_1, basis.rays[1], basis, RngStream(3, 0))
     assert (k, outcome, eve_guess(outcome)) == (1, 1, 0)
-    assert abs(abs(np.vdot(resent.amplitudes, basis.source_vectors[1].amplitudes)) - 1) < 1e-12
+    assert abs(abs(np.vdot(resent, basis.rays[1])) - 1) < 1e-12
 
 
 def test_intercept_orthogonal_passthrough(basis):
     # ray 0 is orthogonal to projector 1: no click, state passes unchanged
     for r in range(20):
-        resent, _, outcome = intercept(FIXED_1, basis.source_vectors[0], basis, RngStream(4, r))
+        resent, _, outcome = intercept(FIXED_1, basis.rays[0], basis, RngStream(4, r))
         assert outcome == 0
         assert eve_guess(outcome) == 1
-        assert abs(abs(np.vdot(resent.amplitudes, basis.source_vectors[0].amplitudes)) - 1) < 1e-12
+        assert abs(abs(np.vdot(resent, basis.rays[0])) - 1) < 1e-12
 
 
 def test_intercept_click_rate_distance_two(basis):
     n = 20_000
     clicks = sum(
-        intercept(FIXED_1, basis.source_vectors[3], basis, RngStream(6, r))[2]
+        intercept(FIXED_1, basis.rays[3], basis, RngStream(6, r))[2]
         for r in range(n)
     )
     assert clicks / n == pytest.approx(Q, abs=4 * math.sqrt(Q * (1 - Q) / n))
@@ -86,25 +86,25 @@ def test_intercept_click_rate_distance_two(basis):
 
 def test_intercept_requires_eve(basis):
     with pytest.raises(ValueError):
-        intercept(EveStrategy(), basis.source_vectors[0], basis, RngStream(0, 0))
+        intercept(EveStrategy(), basis.rays[0], basis, RngStream(0, 0))
 
 
 @pytest.mark.parametrize("resend", ["collapsed", "eigenstate"])
 @pytest.mark.parametrize("which", ["basis", "complex_basis"])
 def test_channel_matches_state_vector_reference(request, which, resend):
     # every channel entry against Born probabilities of the states that the
-    # state-vector intercept() forwards; draw 0.0 forces a click, 1.0 none
+    # state-vector intercept() forwards; draw 0.0 forces a click, 1.0 none.
+    # The reference forms its projectors from the rays itself.
     pentagon = request.getfixturevalue(which)
     ch = build_channel(pentagon, resend)
     assert ch.overlap.shape == (5, 5) and ch.branch.shape == (5, 5, 2)
     assert ch.click.shape == (5, 5, 2, 5)
-    for i, ray in enumerate(pentagon.source_vectors):
+    proj = [projector(ray) for ray in pentagon.rays]
+    for i, ray in enumerate(pentagon.rays):
         for j in range(5):
-            assert ch.overlap[i, j] == pytest.approx(
-                born_probability(ray, pentagon.projectors[j]), abs=1e-12
-            )
+            assert ch.overlap[i, j] == pytest.approx(born(ray, proj[j]), abs=1e-12)
         for k in range(5):
-            p_click = born_probability(ray, pentagon.projectors[k])
+            p_click = born(ray, proj[k])
             strategy = EveStrategy(kind="fixed", setting=k, resend=resend)
             for e, p_e, draw in ((1, p_click, 0.0), (0, 1.0 - p_click, 1.0)):
                 if p_e < 1e-15:  # a branch never sampled
@@ -116,7 +116,7 @@ def test_channel_matches_state_vector_reference(request, which, resend):
                 assert outcome == e
                 for j in range(5):
                     assert ch.click[i, k, e, j] == pytest.approx(
-                        born_probability(resent, pentagon.projectors[j]), abs=1e-12
+                        born(resent, proj[j]), abs=1e-12
                     )
 
 
@@ -162,7 +162,7 @@ def test_oracle_dihedral_symmetry(basis):
     base = oracle(FIXED_1, basis)
     vectors = standard_vectors_unnormalized()
     for sigma in [lambda i: (i + 1) % 5, lambda i: (-i) % 5, lambda i: (3 - i) % 5]:
-        permuted = KcbsBasis.from_vectors([vectors[sigma(i)] for i in range(5)])
+        permuted = KcbsBasis([vectors[sigma(i)] for i in range(5)])
         k_new = next(i for i in range(5) if sigma(i) == 1)
         exp = oracle(EveStrategy(kind="fixed", setting=k_new), permuted)
         assert exp.kab_expected == pytest.approx(base.kab_expected, abs=1e-12)
@@ -227,7 +227,7 @@ def test_estimate_pe_requires_eve_records(basis):
 def test_constant_guess_baseline(basis):
     # guessing a constant 1 against the ideal run succeeds 2/3 of the time
     transcript = _session(basis, EveStrategy(), 50_000, 5)
-    alice, _, _ = transcript.sifted()
+    alice, _, _ = transcript.sifted
     p = np.count_nonzero(alice == 1) / len(alice)
     assert p == pytest.approx(2 / 3, abs=3 * math.sqrt((2 / 3) * (1 / 3) / len(alice)))
 
@@ -244,7 +244,7 @@ def test_monte_carlo_matches_oracle(basis, eve):
     rounds = 100_000
     transcript = _session(basis, eve, rounds, seed=2718)
     exp = oracle(eve, basis)
-    alice, bob, _ = transcript.sifted()
+    alice, bob, _ = transcript.sifted
     n = len(alice)
     kab = np.count_nonzero(alice != bob) / n
     assert kab == pytest.approx(

@@ -43,7 +43,7 @@ def test_verify_json(capsys):
 
 
 def _standard_rows():
-    return [v.amplitudes.real.tolist() for v in standard_basis().source_vectors]
+    return standard_basis().rays.real.tolist()
 
 
 def test_verify_rotated_basis(tmp_path, capsys):

@@ -65,3 +65,31 @@ def test_public_names_are_read():
         if name not in read and name not in kcbs_qkd.__all__
     )
     assert not unread, f"public names read only outside the package and benchmark: {unread}"
+
+
+# what tests/reference.py may take from the package: sift and strategy
+# constants, the basis (for its rays), the random streams and the transcript
+# types; nothing that computes a probability or a state, so that the tests'
+# reference stays independent of the model it checks
+REFERENCE_IMPORTS = {
+    "kcbs_qkd.adversary": {"C3", "SIFT", "ABSENT", "FIXED", "RANDOM",
+                           "RESEND_COLLAPSED", "RESEND_EIGENSTATE", "EveStrategy"},
+    "kcbs_qkd.kcbs": {"KcbsBasis"},
+    "kcbs_qkd.qutrit": {"RngStream"},
+    "kcbs_qkd.protocol": {"Round", "Transcript"},
+}
+
+
+def test_reference_imports_no_model():
+    tree = ast.parse((Path(__file__).parent / "reference.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("kcbs_qkd"):
+            imported += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [(alias.name, "*") for alias in node.names
+                         if alias.name.startswith("kcbs_qkd")]
+    assert imported, "the reference reads the basis's rays and the random streams"
+    banned = [f"{module}.{name}" for module, name in imported
+              if name not in REFERENCE_IMPORTS.get(module, ())]
+    assert not banned, f"tests/reference.py imports {banned} from the package"

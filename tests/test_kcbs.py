@@ -14,52 +14,75 @@ from kcbs_qkd.kcbs import (
     standard_basis,
     standard_vectors_unnormalized,
 )
-from kcbs_qkd.qutrit import QutritState, born_probability
+from reference import born, projector, state
 
-APEX = QutritState([0.0, 0.0, 1.0])
+APEX = [0.0, 0.0, 1.0]
 
 
-def k_anticorr(state, basis):
+def k_anticorr(amplitudes, basis):
     """Anti-correlation form: the commuting exclusive pair (P_i, P_{i+1}) gives
     outcomes that differ with probability p_i + p_{i+1}."""
-    probs = [born_probability(state, p) for p in basis.projectors]
+    probs = [born(state(amplitudes), projector(ray)) for ray in basis.rays]
     return sum(probs[i] + probs[(i + 1) % 5] for i in range(5)) / 5.0
 
 
 def test_pentagon_orthogonality(basis):
-    assert max(basis.pair_overlap(i, (i + 1) % 5) for i in range(5)) <= 1e-10
+    assert max(basis.overlap[i, (i + 1) % 5] for i in range(5)) <= 1e-10
 
 
 def test_distance_two_trace(basis):
     for i in range(5):
-        assert basis.pair_overlap(i, (i + 2) % 5) == pytest.approx(
-            D2_OVERLAP**2, abs=1e-9
-        )
+        assert basis.overlap[i, (i + 2) % 5] == pytest.approx(D2_OVERLAP**2, abs=1e-9)
+    # overlap[i, j] = Tr(P_i P_j), from the projectors too
+    traces = np.einsum("iab,jba->ij", basis.projectors, basis.projectors).real
+    assert np.allclose(basis.overlap, traces, rtol=0, atol=1e-12)
 
 
 def test_projector_traces(basis):
     for p in basis.projectors:
-        assert np.trace(p.matrix).real == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(p).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_degenerate_basis_rejected():
     v = standard_vectors_unnormalized()
-    with pytest.raises(ValueError):
-        KcbsBasis.from_vectors([v[0]] * 5)
+    with pytest.raises(ValueError, match="not orthogonal"):
+        KcbsBasis([v[0]] * 5)
+    with pytest.raises(ValueError, match="unexpectedly orthogonal"):
+        KcbsBasis(np.eye(3)[[0, 1, 0, 1, 2]])
+    # exactly five rays of exactly three amplitudes each
+    for vectors in ([v[0][:2], *v[1:]], [[*v[0], 0.0], *v[1:]], v[:4], v * 2):
+        with pytest.raises(ValueError, match="3 amplitudes|five vectors"):
+            KcbsBasis(vectors)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan),
+                                 1e200],
+                         ids=["nan", "inf", "-inf", "nan-imag", "norm-inf"])
+def test_non_finite_rays_rejected(bad):
+    # a NaN compares False with every pentagon check, and 1e200 overflows the
+    # norm: the basis must refuse both rather than run on NaN overlaps
+    vectors = standard_vectors_unnormalized()
+    with pytest.raises(ValueError, match="not finite"):
+        KcbsBasis([[bad, 0.0, bad], *vectors[1:]])
 
 
 def test_projectors_follow_rays(basis):
     # a basis holds its rays only: projectors that disagree with them (here
     # those of a relabelled pentagon) cannot be passed in
     v = standard_vectors_unnormalized()
-    relabelled = KcbsBasis.from_vectors([v[(i + 1) % 5] for i in range(5)])
+    relabelled = KcbsBasis([v[(i + 1) % 5] for i in range(5)])
     with pytest.raises(TypeError):
-        KcbsBasis(source_vectors=basis.source_vectors, projectors=relabelled.projectors)
-    for ray, p in zip(basis.source_vectors, basis.projectors):
-        assert np.array_equal(p.matrix, np.outer(ray.amplitudes, ray.amplitudes.conj()))
-    # bases compare by their rays
-    assert KcbsBasis.from_vectors(v) == basis
+        KcbsBasis(v, projectors=relabelled.projectors)
+    for ray, p in zip(basis.rays, basis.projectors):
+        assert np.array_equal(p, np.outer(ray, ray.conj()))
+    # the arrays are derived once and refuse writes
+    for array in (basis.rays, basis.projectors, basis.overlap):
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0.5
+    # bases compare and hash by their rays
+    assert KcbsBasis(v) == basis and hash(KcbsBasis(v)) == hash(basis)
     assert relabelled != basis
+    assert basis != basis.rays
 
 
 def test_ktilde_apex(basis):
@@ -70,7 +93,7 @@ def test_ktilde_apex(basis):
 def test_ktilde_ray_state(basis):
     # P = (1, 0, t^2, t^2, 0) with t the distance-2 overlap
     expected = (1 + 2 * D2_OVERLAP**2) / 5
-    assert ktilde(basis.source_vectors[0], basis) == pytest.approx(expected, abs=1e-9)
+    assert ktilde(basis.rays[0], basis) == pytest.approx(expected, abs=1e-9)
     assert expected == pytest.approx(0.352786, abs=1e-6)
 
 
@@ -89,8 +112,7 @@ def test_anticorr_is_twice_projector_form(raw):
     if np.linalg.norm(amp) < 1e-3:
         return
     basis = standard_basis()
-    state = QutritState(amp)
-    assert k_anticorr(state, basis) == pytest.approx(2 * ktilde(state, basis), abs=1e-12)
+    assert k_anticorr(amp, basis) == pytest.approx(2 * ktilde(amp, basis), abs=1e-12)
 
 
 def test_ktilde_supremum_random_states(basis):
@@ -99,17 +121,18 @@ def test_ktilde_supremum_random_states(basis):
     best = 0.0
     for _ in range(10_000):
         amp = rng.normal(size=3) + 1j * rng.normal(size=3)
-        best = max(best, ktilde(QutritState(amp), basis))
+        best = max(best, ktilde(amp, basis))
     assert best <= qmax + 1e-9
     # the supremum is approached near the apex state
-    assert ktilde(QutritState([0.01, 0.01, 1.0]), basis) > qmax - 1e-3
+    assert ktilde([0.01, 0.01, 1.0], basis) > qmax - 1e-3
+    # ktilde normalises the amplitudes: a scaled state is the same state
+    assert ktilde([0.0, 0.0, 7.0], basis) == pytest.approx(qmax, abs=1e-12)
 
 
 def test_maximally_mixed_anchor(basis):
     # averaging over any orthonormal basis gives the maximally mixed behavior:
     # mean ktilde = (1/3) * (1/5) * sum Tr(P_i) = 1/3
-    states = [QutritState(e) for e in np.eye(3)]
-    mean = sum(ktilde(s, basis) for s in states) / 3
+    mean = sum(ktilde(e, basis) for e in np.eye(3)) / 3
     assert mean == pytest.approx(1 / 3, abs=1e-12)
 
 

@@ -25,8 +25,8 @@ from kcbs_qkd.protocol import (
     run_session,
     write_transcript_csv,
 )
-from kcbs_qkd.qutrit import _LANES, RngStream, born_probability
-from reference import TwoQutritState, entangled_collapse, write_transcript_csv_rows
+from kcbs_qkd.qutrit import _LANES, RngStream
+from reference import born, entangled_collapse, projector, state, write_transcript_csv_rows
 
 NO_EVE = EveStrategy()
 
@@ -110,11 +110,10 @@ def test_channel_built_per_config():
     eve = EveStrategy(kind="fixed", setting=1)
     for n in range(300):
         order = range(5) if n % 2 == 0 else [(i + 1) % 5 for i in range(5)]
-        fresh_basis = KcbsBasis.from_vectors([vectors[i] for i in order])
+        fresh_basis = KcbsBasis([vectors[i] for i in order])
         cfg = config(fresh_basis, rounds=1, eve=eve)
         run_round(cfg, 0)
-        rays = b"".join(s.amplitudes.tobytes() for s in fresh_basis.source_vectors)
-        fresh = adversary._channel.__wrapped__(rays, eve.resend)
+        fresh = adversary.build_channel.__wrapped__(fresh_basis, eve.resend)
         assert np.array_equal(cfg.channel.overlap, fresh.overlap)
         assert np.array_equal(cfg.channel.branch, fresh.branch)
         assert np.array_equal(cfg.channel.click, fresh.click)
@@ -127,9 +126,7 @@ def test_channel_built_per_config():
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 0.5
     shared = standard_basis()
-    for array in [s.amplitudes for s in shared.source_vectors] + [
-        p.matrix for p in shared.projectors
-    ]:
+    for array in (shared.rays, shared.projectors, shared.overlap):
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 0.5
 
@@ -137,17 +134,22 @@ def test_channel_built_per_config():
 def test_entangled_mode_requires_real_basis(basis, complex_basis):
     # the kernel takes Bob's state to be ray i; for complex rays the isotropic
     # pair steers Bob to conj(v_i) instead, which P_i seldom clicks on
-    isotropic = TwoQutritState(np.eye(3).reshape(-1))
-    p0 = complex_basis.projectors[0]
+    isotropic = state(np.eye(3))
+    p0 = projector(complex_basis.rays[0])
     for r in range(200):
         outcome, bob = entangled_collapse(isotropic, p0, RngStream(3, r))
         if outcome == 1:
             break
-    assert born_probability(bob, p0) < 0.5
+    assert born(bob, p0) < 0.5
     with pytest.raises(ValueError, match="real"):
         config(complex_basis, mode=ENTANGLED)
     config(complex_basis)  # prepare-and-measure sends v_i itself
     config(basis, mode=ENTANGLED)
+    # the check reads the projectors: a real pentagon times a global phase
+    # has complex rays but the same real projectors
+    phased = KcbsBasis([1j * v for v in basis.rays])
+    assert np.abs(phased.rays.imag).max() > 0.5
+    config(phased, mode=ENTANGLED)
 
 
 def test_key_stats_ideal(basis):
@@ -251,7 +253,7 @@ def test_mutual_information_identities():
 def test_mutual_information_matches_shannon_on_ideal_run(basis):
     t = run_session(config(basis, rounds=20_000, seed=30))
     ks = key_stats(t)
-    alice, bob, _ = t.sifted()
+    alice, bob, _ = t.sifted
     mi = mutual_information(alice, bob)
     assert mi == pytest.approx(ks.shannon, abs=1e-12)
 
@@ -396,10 +398,10 @@ def test_sifted_view_computed_once(basis):
     # key_stats, estimate_security and estimate_pe share one view, and the
     # columns it is computed from cannot change under it
     t = run_session(config(basis, rounds=2000, seed=9, eve=EveStrategy(kind="fixed", setting=1)))
-    view = t.sifted()
+    view = t.sifted
     key_stats(t)
     estimate_security(t, 0.5, RngStream(9, stream_id=2000))
-    assert all(a is b for a, b in zip(t.sifted(), view))
+    assert t.sifted is view
     with pytest.raises(ValueError, match="read-only"):
         t.columns[0, 0] = 4
     with pytest.raises(ValueError, match="read-only"):

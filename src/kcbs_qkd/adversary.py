@@ -8,14 +8,15 @@ preparation (Alice writes 0 only when settings match), so she guesses 0, and
 no click as 1.  It is not her best guess: it wins less often than always
 guessing 1 (ROADMAP item 1).
 
-``build_channel`` builds the exact intercept-resend channel of a pentagon basis
-from explicit density matrices of the basis's projectors, once per (basis
-value, resend policy) and process.
-The session sampler draws from it and ``attack_expectation``, the exact oracle
-that validates every Monte-Carlo estimate, contracts it, once per (strategy,
-channel) value.  Both results are read-only and shared by every caller.  The
-session statistics and the oracle share the sift rule ``SIFT``.  The tests
-hold the channel to an independent state-vector model of the same
+``build_channel`` builds Eve's exact intercept-resend channel of a pentagon
+basis from explicit density matrices of the basis's projectors, once per
+(basis value, resend policy) and process; without Eve a round reads only
+``basis.overlap``.  The session sampler draws from the channel, and
+``attack_expectation``, the exact oracle that validates every Monte-Carlo
+estimate, contracts the channel of its strategy's resend policy, once per
+(strategy, basis) value.  Both results are read-only and shared by every
+caller.  The session statistics and the oracle share the sift rule ``SIFT``.
+The tests hold the channel to an independent state-vector model of the same
 measurements, kept with them in ``tests/reference.py``.
 """
 
@@ -79,10 +80,7 @@ class EveStrategy:
                 raise ValueError("fixed strategy requires an int setting in 0..4")
         elif self.setting is not None:
             raise ValueError(f"strategy {self.kind!r} takes no fixed setting")
-        if self.kind != ABSENT and self.resend not in (
-            RESEND_COLLAPSED,
-            RESEND_EIGENSTATE,
-        ):
+        if self.resend not in (RESEND_COLLAPSED, RESEND_EIGENSTATE):
             raise ValueError(f"unknown resend policy {self.resend!r}")
 
     @property
@@ -98,30 +96,27 @@ def eve_guess(outcome: int) -> int:
 
 @dataclass(frozen=True)
 class Channel:
-    """Exact Born-rule probabilities of one round, indexed by Alice's ray i,
-    Eve's setting k, Eve's outcome e (1 = click) and Bob's setting j.
+    """Exact Born-rule probabilities of one round with Eve, indexed by Alice's
+    ray i, Eve's setting k, Eve's outcome e (1 = click) and Bob's setting j.
 
-    overlap[i, j]     : P(Bob clicks | undisturbed ray i, setting j)
     branch[i, k, e]   : P(Eve's outcome e | ray i, setting k); 0 below 1e-15
     click[i, k, e, j] : P(Bob clicks | ray i, Eve's k and e, setting j);
                         0 on branches that branch[] sets to 0
     """
 
-    resend: str | None
-    overlap: np.ndarray
-    branch: np.ndarray | None
-    click: np.ndarray | None
+    resend: str
+    branch: np.ndarray
+    click: np.ndarray
 
 
 # bounded, as a process may build channels of any number of bases
 @lru_cache(maxsize=32)
-def build_channel(basis: KcbsBasis, resend: str | None) -> Channel:
-    """The intercept-resend channel of a basis under one resend policy, or
-    the undisturbed channel (``overlap`` alone) when ``resend`` is None.
+def build_channel(basis: KcbsBasis, resend: str) -> Channel:
+    """The intercept-resend channel of a basis under one resend policy.
     Built once per value of the basis (the bytes of its rays) and ``resend``;
     its arrays are read-only."""
-    if resend is None:
-        return Channel(resend=None, overlap=basis.overlap, branch=None, click=None)
+    if resend not in (RESEND_COLLAPSED, RESEND_EIGENSTATE):
+        raise ValueError(f"unknown resend policy {resend!r}")
     proj = basis.projectors
     identity = np.eye(3, dtype=np.complex128)
     branch = np.zeros((5, 5, 2))
@@ -141,7 +136,7 @@ def build_channel(basis: KcbsBasis, resend: str | None) -> Channel:
                 click[i, k, e] = np.trace(proj @ rho_out, axis1=1, axis2=2).real
     branch.setflags(write=False)
     click.setflags(write=False)
-    return Channel(resend=resend, overlap=basis.overlap, branch=branch, click=click)
+    return Channel(resend=resend, branch=branch, click=click)
 
 
 def estimate_pe(transcript) -> float:
@@ -174,36 +169,28 @@ class AttackExpectation:
     guess_table: tuple  # [i][j]: P(guess == alice | i, j), None off context
 
 
-def attack_expectation(strategy: EveStrategy, channel: Channel) -> AttackExpectation:
+# bounded, as a process may ask for the oracle of any number of bases
+@lru_cache(maxsize=32)
+def attack_expectation(strategy: EveStrategy, basis: KcbsBasis) -> AttackExpectation:
     """Exact expected values of an intercept-resend attack (no sampling).
 
-    Contracts ``channel``, which must be built for the strategy's resend
-    policy, over Eve's settings k and outcomes e (click first) for every
-    Alice ray i and Bob setting j.  Sums keep the order k, then e, per cell
-    and row-major order across cells, so every value is reproducible to the
-    last bit.  Computed once per value of the strategy and of the channel
-    arrays it reads; the result is immutable.
+    Contracts the basis's channel under the strategy's resend policy over
+    Eve's settings k and outcomes e (click first) for every Alice ray i and
+    Bob setting j.  Sums keep the order k, then e, per cell and row-major
+    order across cells, so every value is reproducible to the last bit.
+    Computed once per value of the strategy and of the basis; the result is
+    immutable.
     """
     if not strategy.present:
         raise ValueError("attack_expectation requires a present eavesdropper")
-    if channel.resend != strategy.resend:
-        raise ValueError(f"channel built for resend policy {channel.resend!r}")
-    return _contract(strategy, channel.branch.tobytes(), channel.click.tobytes())
-
-
-@lru_cache(maxsize=32)
-def _contract(
-    strategy: EveStrategy, branch_bytes: bytes, click_bytes: bytes
-) -> AttackExpectation:
-    branch = np.frombuffer(branch_bytes).reshape(5, 5, 2)
-    click = np.frombuffer(click_bytes).reshape(5, 5, 2, 5)
+    channel = build_channel(basis, strategy.resend)
     if strategy.kind == FIXED:
         settings, w_k = [strategy.setting], 1.0
     else:
         settings, w_k = list(range(5)), 0.2
     outcomes = (1, 0)  # Eve's outcome e, click first, on the e axis below
-    weight = w_k * branch[:, settings, ::-1]  # [i, k, e]
-    p_click = click[:, settings, ::-1]  # [i, k, e, j]
+    weight = w_k * channel.branch[:, settings, ::-1]  # [i, k, e]
+    p_click = channel.click[:, settings, ::-1]  # [i, k, e, j]
     p_anti = np.where(SIFT[:, None, None, :] == 0, p_click, 1.0 - p_click)
     anticorr = np.zeros((5, 5))
     guess_ok = np.zeros((5, 5))

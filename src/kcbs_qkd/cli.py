@@ -25,7 +25,6 @@ from .adversary import (
     FIXED,
     RANDOM,
     RESEND_COLLAPSED,
-    RESEND_EIGENSTATE,
     EveStrategy,
     attack_expectation,
 )
@@ -166,8 +165,6 @@ def _parse_eve(eve: str, resend: str | None) -> EveStrategy:
             raise ValueError("--resend requires an eavesdropper (--eve fixed:K|random)")
         return EveStrategy(kind=ABSENT)
     resend_policy = resend or RESEND_COLLAPSED
-    if resend_policy not in (RESEND_COLLAPSED, RESEND_EIGENSTATE):
-        raise ValueError(f"unknown resend policy {resend_policy!r}")
     if eve == "random":
         return EveStrategy(kind=RANDOM, resend=resend_policy)
     # the spelled-out specs only: int() would also take "fixed: 1" and other digits
@@ -205,7 +202,7 @@ def build_report(cfg: ProtocolConfig, transcript, stats, security) -> dict:
         "monogamy_anticorr_bounds": {"paper": 6.0 / 5.0, "derived": 2 * cert.bound},
     }
     if cfg.eve.present:
-        oracle = attack_expectation(cfg.eve, cfg.channel)
+        oracle = attack_expectation(cfg.eve, cfg.basis)
         report["oracle"] = dataclasses.asdict(oracle)
         if security.pe_estimate is not None and not math.isnan(security.kab_estimate):
             report["diagnostics"] = {

@@ -3,8 +3,9 @@
 The default basis is the standard explicit choice of five real qutrit rays
 whose cyclic neighbors are orthogonal (the pentagon orthogonality structure).
 A ``KcbsBasis`` is the package's one model of it: the normalised rays and the
-projectors and overlaps derived from them, as read-only arrays that the exact
-channel of ``adversary.build_channel`` and ``verify`` read.  The projector
+projectors and overlaps derived from them, as read-only arrays that the
+session sampler, Eve's exact channel of ``adversary.build_channel`` and
+``verify`` read.  The projector
 form (average probability of a click over the five settings) of a state,
 given by its amplitudes, is evaluated as ``ktilde``.  Constant bounds for it and for the anti-correlation
 form over the five commuting neighbor pairs are exposed as a record, together

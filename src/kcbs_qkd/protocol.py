@@ -22,8 +22,9 @@ which Alice clicks, at attempt a (draws 1, 3, 5, ...), and finishes a round in
 the pass that draws the block after that one.  Rounds of both modes are read
 alike from her setting, draw s = 0 or 2 (a - 1).
 ``run_round`` is the scalar replay of one round through ``RngStream``, and the
-independent check of the kernel.  Outcome probabilities come from the exact
-channel of ``adversary.build_channel``, built once per config on first use.
+independent check of the kernel.  Undisturbed click probabilities come from
+``basis.overlap``; with Eve, Bob's come from her exact channel of
+``adversary.build_channel``, built once per config on first use.
 
 A round is stored as what it drew, a ``Round``; a session's ``Transcript``
 holds these as the columns of one int16 array.  Sift case, bits and Eve's
@@ -135,9 +136,10 @@ class ProtocolConfig:
             raise ValueError("entangled mode requires a real pentagon basis")
 
     @cached_property
-    def channel(self) -> Channel:
-        """The exact channel of this basis and Eve, built on first use."""
-        return build_channel(self.basis, self.eve.resend if self.eve.present else None)
+    def channel(self) -> Channel | None:
+        """Eve's exact channel of this basis, built on first use; None
+        without Eve."""
+        return build_channel(self.basis, self.eve.resend) if self.eve.present else None
 
 
 class Round(NamedTuple):
@@ -155,13 +157,20 @@ class Round(NamedTuple):
 class Transcript:
     """Column r of ``columns``, one owning int16 array of shape (6, rounds),
     holds round r's ``Round``; its rows follow the ``Round`` fields.  It is
-    read-only, so the sifted view computed from it once stays current."""
+    made read-only, so the sifted view computed from it once stays current.
+    A view is refused, as its base would stay writable; it is not copied,
+    which would add 12 bytes a round."""
 
     config: ProtocolConfig
     columns: np.ndarray
 
     def __post_init__(self) -> None:
-        self.columns.setflags(write=False)
+        columns = self.columns
+        if not (isinstance(columns, np.ndarray) and columns.dtype == np.int16
+                and columns.ndim == 2 and len(columns) == len(Round._fields)
+                and columns.flags.owndata):
+            raise ValueError("columns must be an owning int16 array of shape (6, rounds)")
+        columns.setflags(write=False)
 
     @property
     def total_attempts(self) -> int:
@@ -210,7 +219,7 @@ def run_round(
     """Replay one protocol round alone, on its own derived random stream."""
     if rng is None:
         rng = RngStream(cfg.seed, stream_id=round_index)
-    overlap, click = cfg.channel.overlap, cfg.channel.click
+    overlap = cfg.basis.overlap
     attempts = 1
     if cfg.mode == ENTANGLED:
         # Alice measures {P_i (x) I} on a fresh isotropic pair until she
@@ -235,7 +244,7 @@ def run_round(
         # Eve's P_k clicks on ray i as Bob's would: overlap[i, k]
         e = 1 if rng.uniform() < overlap[i, k] else 0
         j = rng.integer(5)
-        p_click = click[i, k, e, j]
+        p_click = cfg.channel.click[i, k, e, j]
 
     bob_outcome = 1 if rng.uniform() < p_click else 0
     return Round(i, j, bob_outcome, k, e, attempts)
@@ -332,7 +341,7 @@ def _finish(cfg: ProtocolConfig, u, out: np.ndarray) -> None:
     Each row is read once and overwritten; what a round drew so far is kept
     in ``out`` alone, so that the next row may be drawn when it is asked for.
     Outcome probabilities are looked up by flat int16 index."""
-    overlap = cfg.channel.overlap.ravel()
+    overlap = cfg.basis.overlap.ravel()
     i, j, bob_outcome, k, e = out[:5]
     _integer5(next(u), i)
     eve = cfg.eve

@@ -13,8 +13,8 @@ ufunc calls of Philox's ten rounds: at 1536 lanes a lane costs less than half
 what it does at 384.  A call holds about 82 bytes a lane: its (4, m) result,
 in which the partial products live until it is written, and three (2, m)
 word arrays.  The pentagon's rays, projectors and overlaps are the arrays of
-``kcbs.KcbsBasis``; the package samples from the exact channel of
-``adversary.build_channel``, and the tests' state-vector reference
+``kcbs.KcbsBasis``; the package samples from its overlaps and Eve's exact
+channel of ``adversary.build_channel``, and the tests' state-vector reference
 (``tests/reference.py``) samples measurements and collapses states.
 """
 

@@ -14,7 +14,7 @@ import pytest
 from scipy.stats import chi2_contingency
 
 from conftest import D2_OVERLAP, synthetic_transcript
-from kcbs_qkd.adversary import EveStrategy, attack_expectation, build_channel, estimate_pe
+from kcbs_qkd.adversary import EveStrategy, attack_expectation, estimate_pe
 from kcbs_qkd.cli import main
 from kcbs_qkd.graphs import verify_monogamy_decomposition
 from kcbs_qkd.kcbs import ktilde, standard_basis
@@ -139,7 +139,7 @@ def test_criterion_5_entangled_mode(basis):
 
 def test_criterion_6_adversary_oracle(basis):
     eve = EveStrategy(kind="fixed", setting=1)
-    oracle = attack_expectation(eve, build_channel(basis, eve.resend))
+    oracle = attack_expectation(eve, basis)
     start = time.perf_counter()
     t = run_session(config(basis, rounds=1_000_000, seed=7, eve=eve))
     alice, bob, _ = t.sifted

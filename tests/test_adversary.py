@@ -24,10 +24,6 @@ GOLDEN_ORACLE = pathlib.Path(__file__).parent / "golden" / "oracle.json"
 FIXED_1 = EveStrategy(kind="fixed", setting=1)
 
 
-def oracle(strategy, basis):
-    return attack_expectation(strategy, build_channel(basis, strategy.resend))
-
-
 # Exact oracle values, recomputed by hand from the overlap structure:
 # q = distance-2 click probability = D2_OVERLAP^2 = 0.381966.
 # For Eve fixed at k, preparations k-1, k, k+1 pass undisturbed (anticorr 1);
@@ -40,13 +36,19 @@ EXPECTED_PE = (2 / 3 + 1 / 3 + 2 / 3 + 2 * Y) / 5
 EXPECTED_KAB = 0.898142  # (3 + 2x)/5, x from the density-matrix enumeration
 
 
-def test_strategy_validation():
+def test_strategy_validation(basis):
     with pytest.raises(ValueError):
         EveStrategy(kind="fixed")
     with pytest.raises(ValueError):
         EveStrategy(kind="random", setting=2)
-    with pytest.raises(ValueError):
-        EveStrategy(kind="fixed", setting=1, resend="teleport")
+    # the resend rule is checked for every kind, absent Eve's too, and by the
+    # channel builder: without Eve a round reads basis.overlap, not a channel
+    for resend in ("teleport", None):
+        for kwargs in (dict(kind="fixed", setting=1), dict(kind="random"), dict(kind="absent")):
+            with pytest.raises(ValueError, match="unknown resend policy"):
+                EveStrategy(resend=resend, **kwargs)
+        with pytest.raises(ValueError, match="unknown resend policy"):
+            build_channel(basis, resend)
     # a setting that is not an int: run_session would truncate 2.5 to 2,
     # while run_round and attack_expectation fail on it
     for setting in (2.5, 2.0, True):
@@ -97,12 +99,12 @@ def test_channel_matches_state_vector_reference(request, which, resend):
     # The reference forms its projectors from the rays itself.
     pentagon = request.getfixturevalue(which)
     ch = build_channel(pentagon, resend)
-    assert ch.overlap.shape == (5, 5) and ch.branch.shape == (5, 5, 2)
+    assert pentagon.overlap.shape == (5, 5) and ch.branch.shape == (5, 5, 2)
     assert ch.click.shape == (5, 5, 2, 5)
     proj = [projector(ray) for ray in pentagon.rays]
     for i, ray in enumerate(pentagon.rays):
         for j in range(5):
-            assert ch.overlap[i, j] == pytest.approx(born(ray, proj[j]), abs=1e-12)
+            assert pentagon.overlap[i, j] == pytest.approx(born(ray, proj[j]), abs=1e-12)
         for k in range(5):
             p_click = born(ray, proj[k])
             strategy = EveStrategy(kind="fixed", setting=k, resend=resend)
@@ -130,13 +132,13 @@ def test_oracle_matches_golden():
     for resend in ("collapsed", "eigenstate"):
         for label, kwargs in strategies:
             names.append(f"{label} {resend}")
-            exp = oracle(EveStrategy(resend=resend, **kwargs), standard_basis())
+            exp = attack_expectation(EveStrategy(resend=resend, **kwargs), standard_basis())
             assert json.loads(json.dumps(dataclasses.asdict(exp))) == golden[names[-1]], names[-1]
     assert sorted(names) == sorted(golden)
 
 
 def test_oracle_fixed_collapsed(basis):
-    exp = oracle(FIXED_1, basis)
+    exp = attack_expectation(FIXED_1, basis)
     assert exp.kab_expected == pytest.approx(EXPECTED_KAB, abs=1e-6)
     assert exp.pe_expected == pytest.approx(EXPECTED_PE, abs=1e-9)
     assert exp.pe_expected < exp.kab_expected  # P_B > P_E for this attack
@@ -144,7 +146,7 @@ def test_oracle_fixed_collapsed(basis):
 
 def test_oracle_per_setting_confinement(basis):
     # disturbance is confined to the distance-2 preparations
-    exp = oracle(FIXED_1, basis)
+    exp = attack_expectation(FIXED_1, basis)
     per_i = [
         sum(v for v in row if v is not None) / 3 for row in exp.anticorr_table
     ]
@@ -159,33 +161,33 @@ def test_oracle_dihedral_symmetry(basis):
     # strategy setting and the basis leaves the expectations unchanged
     from kcbs_qkd.kcbs import KcbsBasis, standard_vectors_unnormalized
 
-    base = oracle(FIXED_1, basis)
+    base = attack_expectation(FIXED_1, basis)
     vectors = standard_vectors_unnormalized()
     for sigma in [lambda i: (i + 1) % 5, lambda i: (-i) % 5, lambda i: (3 - i) % 5]:
         permuted = KcbsBasis([vectors[sigma(i)] for i in range(5)])
         k_new = next(i for i in range(5) if sigma(i) == 1)
-        exp = oracle(EveStrategy(kind="fixed", setting=k_new), permuted)
+        exp = attack_expectation(EveStrategy(kind="fixed", setting=k_new), permuted)
         assert exp.kab_expected == pytest.approx(base.kab_expected, abs=1e-12)
         assert exp.pe_expected == pytest.approx(base.pe_expected, abs=1e-12)
 
 
 def test_oracle_random_strategy_matches_fixed_by_symmetry(basis):
     # uniform-setting Eve averages five dihedral copies of the fixed attack
-    fixed = oracle(FIXED_1, basis)
-    rand = oracle(EveStrategy(kind="random"), basis)
+    fixed = attack_expectation(FIXED_1, basis)
+    rand = attack_expectation(EveStrategy(kind="random"), basis)
     assert rand.kab_expected == pytest.approx(fixed.kab_expected, abs=1e-12)
     assert rand.pe_expected == pytest.approx(fixed.pe_expected, abs=1e-12)
 
 
 def test_oracle_eigenstate_resend_equivalent(basis):
     # rank-1 projectors make the click branches of both policies coincide
-    collapsed = oracle(FIXED_1, basis)
-    eigen = oracle(EveStrategy(kind="fixed", setting=1, resend="eigenstate"), basis)
+    collapsed = attack_expectation(FIXED_1, basis)
+    eigen = attack_expectation(EveStrategy(kind="fixed", setting=1, resend="eigenstate"), basis)
     assert eigen.kab_expected == pytest.approx(collapsed.kab_expected, abs=1e-12)
 
 
 def test_oracle_kae_and_paper_form(basis):
-    exp = oracle(FIXED_1, basis)
+    exp = attack_expectation(FIXED_1, basis)
     # Eve-context rounds (i in {0,1,2}) are undisturbed: perfect anticorr
     assert exp.kae_expected == pytest.approx(1.0, abs=1e-12)
     # published linear form (3/5) P01 + 1/5 with P01 = 2/3: reported only
@@ -193,10 +195,8 @@ def test_oracle_kae_and_paper_form(basis):
 
 
 def test_oracle_requires_eve(basis):
-    with pytest.raises(ValueError):
-        attack_expectation(EveStrategy(), build_channel(basis, None))
-    with pytest.raises(ValueError, match="resend"):
-        attack_expectation(FIXED_1, build_channel(basis, "eigenstate"))
+    with pytest.raises(ValueError, match="present eavesdropper"):
+        attack_expectation(EveStrategy(), basis)
 
 
 def _session(basis, eve, rounds, seed):
@@ -243,7 +243,7 @@ def test_constant_guess_baseline(basis):
 def test_monte_carlo_matches_oracle(basis, eve):
     rounds = 100_000
     transcript = _session(basis, eve, rounds, seed=2718)
-    exp = oracle(eve, basis)
+    exp = attack_expectation(eve, basis)
     alice, bob, _ = transcript.sifted
     n = len(alice)
     kab = np.count_nonzero(alice != bob) / n

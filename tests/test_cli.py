@@ -428,21 +428,14 @@ def test_simulate_calls_each_traced_global_once(capsys, monkeypatch):
         calls.update(dict.fromkeys(names, 0))
 
 
-def test_simulate_builds_channel_once(capsys, monkeypatch):
-    # the report's oracle reads the channel that the session sampled from
-    from kcbs_qkd import adversary, protocol
+def test_simulate_builds_channel_once(capsys):
+    # the report's oracle reads the channel that the session sampled from,
+    # whether or not the oracle is cached already
+    from kcbs_qkd.adversary import build_channel
 
-    original = adversary.build_channel
-    builds = []
-
-    def counted(basis, resend):
-        builds.append(resend)
-        return original(basis, resend)
-
-    for module in (adversary, protocol):
-        monkeypatch.setattr(module, "build_channel", counted)
+    build_channel.cache_clear()
     run(capsys, "simulate", "--rounds", "300", "--seed", "4", "--eve", "fixed:1")
-    assert builds == ["collapsed"]
+    assert build_channel.cache_info().misses == 1
 
 
 def test_simulate_insecure_exit_code(tmp_path, capsys, monkeypatch):

@@ -9,13 +9,14 @@ import pytest
 
 from conftest import synthetic_transcript
 from kcbs_qkd import adversary, protocol
-from kcbs_qkd.adversary import SIFT, EveStrategy, attack_expectation, build_channel
+from kcbs_qkd.adversary import SIFT, EveStrategy, attack_expectation
 from kcbs_qkd.kcbs import KcbsBasis, standard_basis, standard_vectors_unnormalized
 from kcbs_qkd.protocol import (
     ENTANGLED,
     PREPARE_MEASURE,
     ProtocolConfig,
     Round,
+    Transcript,
     _BLOCK,
     _CSV_CHUNK,
     estimate_security,
@@ -107,22 +108,26 @@ def test_channel_built_per_config():
     # when a fresh basis takes over the memory (and so the id) of a freed one;
     # "fresh" is built and contracted past the per-process caches
     vectors = standard_vectors_unnormalized()
+    rotated = [(i + 1) % 5 for i in range(5)]
     eve = EveStrategy(kind="fixed", setting=1)
     for n in range(300):
-        order = range(5) if n % 2 == 0 else [(i + 1) % 5 for i in range(5)]
+        order = range(5) if n % 2 == 0 else rotated
         fresh_basis = KcbsBasis([vectors[i] for i in order])
         cfg = config(fresh_basis, rounds=1, eve=eve)
         run_round(cfg, 0)
         fresh = adversary.build_channel.__wrapped__(fresh_basis, eve.resend)
-        assert np.array_equal(cfg.channel.overlap, fresh.overlap)
         assert np.array_equal(cfg.channel.branch, fresh.branch)
         assert np.array_equal(cfg.channel.click, fresh.click)
-        expected = adversary._contract.__wrapped__(
-            eve, fresh.branch.tobytes(), fresh.click.tobytes()
-        )
-        assert attack_expectation(eve, cfg.channel) == expected
+        assert attack_expectation(eve, cfg.basis) == attack_expectation.__wrapped__(eve, fresh_basis)
+    # the oracle is kept per value: bases built apart from the same rays share
+    # one, and a reordered basis gets its own
+    standard = attack_expectation(eve, KcbsBasis(vectors))
+    assert attack_expectation(eve, KcbsBasis(vectors)) is standard
+    reordered = attack_expectation(eve, KcbsBasis([vectors[i] for i in rotated]))
+    assert reordered is not standard
+    assert reordered == attack_expectation.__wrapped__(eve, KcbsBasis([vectors[i] for i in rotated]))
     # what the caches share is read-only
-    for array in (cfg.channel.overlap, cfg.channel.branch, cfg.channel.click):
+    for array in (cfg.channel.branch, cfg.channel.click):
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 0.5
     shared = standard_basis()
@@ -408,6 +413,12 @@ def test_sifted_view_computed_once(basis):
         view[1][0] = 1
     with pytest.raises(dataclasses.FrozenInstanceError):
         t.columns = t.columns.copy()
+    # a view is refused, as a write to its base would leave the view stale;
+    # so are other types and shapes
+    base = t.columns.copy()
+    for columns in (base[:, :], base.astype(np.int32), base[:5].copy(), base.tolist()):
+        with pytest.raises(ValueError, match="owning int16 array"):
+            Transcript(config=t.config, columns=columns)
 
 
 def test_transcript_holds_draws_only(basis):
@@ -417,8 +428,13 @@ def test_transcript_holds_draws_only(basis):
     assert t.columns.nbytes / 1000 <= 16
 
 
-def test_channel_without_eve_holds_overlap_only(basis):
-    cfg = config(basis)
+def test_no_channel_without_eve(basis, monkeypatch):
+    # rounds without Eve read basis.overlap alone and build no channel
+    def refused(*args):
+        raise AssertionError("a channel was built without Eve")
+
+    monkeypatch.setattr(protocol, "build_channel", refused)
+    cfg = config(basis, rounds=300)
+    run_session(cfg)
     run_round(cfg, 0)
-    assert cfg.channel.branch is None and cfg.channel.click is None
-    assert np.array_equal(cfg.channel.overlap, build_channel(basis, "collapsed").overlap)
+    assert cfg.channel is None

@@ -14,8 +14,9 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 import sys
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -71,8 +72,51 @@ def round_floats(obj):
     return obj
 
 
+# report blocks that depend only on (mode, Eve, basis)
+_CONSTANT_BLOCKS = ("kcbs_constants", "monogamy_certificate", "monogamy_anticorr_bounds", "oracle")
+
+
+def _nested_json(block) -> str:
+    """``block`` as ``report_json`` renders it one level down in a document."""
+    return json.dumps(round_floats(block), indent=2, sort_keys=True).replace("\n", "\n  ")
+
+
+def _block_text(block) -> str:
+    """``_nested_json(block)``, kept by the block's value: its pickle, which
+    loads back to an equal value of the same types (a tuple and a list
+    differ, so each gets an entry of the same text).  A value that cannot be
+    pickled, such as an instance of a local class, is rendered every time."""
+    try:
+        key = pickle.dumps(block)
+    except (pickle.PicklingError, TypeError, AttributeError):
+        return _nested_json(block)
+    return _pickled_text(key)
+
+
+# bounded like the channel and oracle caches
+@lru_cache(maxsize=32)
+def _pickled_text(key: bytes) -> str:
+    """The text of the block pickled as ``key``, rendered from the key alone,
+    so that no entry can disagree with its key."""
+    return _nested_json(pickle.loads(key))
+
+
 def report_json(report: dict) -> str:
-    return json.dumps(round_floats(report), indent=2, sort_keys=True)
+    """``json.dumps(round_floats(report), indent=2, sort_keys=True)``, byte
+    for byte, for any dict.
+
+    The constant blocks (``_CONSTANT_BLOCKS``) are rendered once per value.  The rest is rounded and encoded in one call, with ``null`` at
+    each constant key, and each block's text replaces that ``null``.  The
+    line that holds it, a newline, two spaces and ``"key": null``, occurs
+    once: only a top-level key starts a line with two spaces and a quote,
+    and no encoded string holds a raw newline.
+    """
+    rounded = {k: None if k in _CONSTANT_BLOCKS else round_floats(v) for k, v in report.items()}
+    text = json.dumps(rounded, indent=2, sort_keys=True)
+    for key in _CONSTANT_BLOCKS:
+        if key in report:
+            text = text.replace(f'\n  "{key}": null', f'\n  "{key}": {_block_text(report[key])}', 1)
+    return text
 
 
 def _load_basis(path: str | None) -> KcbsBasis:
@@ -176,8 +220,15 @@ def _parse_eve(eve: str, resend: str | None) -> EveStrategy:
     )
 
 
+def _fields(obj) -> dict:
+    """A new dict of a frozen dataclass's fields.  Shallow: their values are
+    immutable (the oracle's tables are tuples), so nothing is copied."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 def build_report(cfg: ProtocolConfig, transcript, stats, security) -> dict:
-    """Assemble the full simulation report document."""
+    """Assemble the full simulation report document.  Its dicts are new on
+    every call; the values in them are shared and immutable."""
     cert = verify_monogamy_decomposition()
     report = {
         "version": __version__,
@@ -186,13 +237,13 @@ def build_report(cfg: ProtocolConfig, transcript, stats, security) -> dict:
             "rounds": cfg.rounds,
             "sacrifice_fraction": cfg.sacrifice_fraction,
             "seed": cfg.seed,
-            "eve": dataclasses.asdict(cfg.eve),
+            "eve": _fields(cfg.eve),
         },
         "total_attempts": transcript.total_attempts,
-        "key_stats": dataclasses.asdict(stats),
-        "security": dataclasses.asdict(security),
+        "key_stats": _fields(stats),
+        "security": _fields(security),
         "kcbs_constants": {
-            "paper": dataclasses.asdict(bounds()),
+            "paper": _fields(bounds()),
             "derived": derived_anticorr_values(),
         },
         "monogamy_certificate": cert.to_json_dict(),
@@ -203,7 +254,7 @@ def build_report(cfg: ProtocolConfig, transcript, stats, security) -> dict:
     }
     if cfg.eve.present:
         oracle = attack_expectation(cfg.eve, cfg.basis)
-        report["oracle"] = dataclasses.asdict(oracle)
+        report["oracle"] = _fields(oracle)
         if security.pe_estimate is not None and not math.isnan(security.kab_estimate):
             report["diagnostics"] = {
                 "kab_plus_pe_estimate": security.kab_estimate + security.pe_estimate,

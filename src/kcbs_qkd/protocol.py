@@ -482,9 +482,10 @@ def _atomic_writer(path: str):
         with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        raise
 
 
 @cache

@@ -7,6 +7,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcbs_qkd.cli import _build_parser, main, report_json, round_floats
 from kcbs_qkd.kcbs import standard_basis
@@ -399,6 +401,22 @@ def test_simulate_failed_write_leaves_outputs_untouched(tmp_path, capsys):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+def test_simulate_successful_write_removes_nothing(tmp_path, capsys, monkeypatch):
+    # each output's temporary file is renamed over its path, so there is
+    # nothing left to remove
+    import os
+
+    removed = []
+    monkeypatch.setattr(os, "remove", removed.append)
+    report, csv_path = tmp_path / "r.json", tmp_path / "t.csv"
+    code, _, _ = run(
+        capsys, "simulate", "--rounds", "2000", "--seed", "3",
+        "--out", str(report), "--transcript", str(csv_path),
+    )
+    assert code == 0 and report.exists() and csv_path.exists()
+    assert removed == []
+
+
 def test_simulate_calls_each_traced_global_once(capsys, monkeypatch):
     # the per-process caches live in the callees: every call of simulate still
     # calls each of these cli globals once, as the benchmark's tracer assumes
@@ -491,3 +509,101 @@ def test_readme_usage_matches_parser():
 def test_round_floats_precision():
     assert round_floats(0.1 + 0.2) == 0.3
     assert round_floats({"x": [float("nan")]}) == {"x": [None]}
+
+
+# --- report_json's text cache -------------------------------------------------
+
+CONSTANT_KEYS = ("kcbs_constants", "monogamy_certificate", "monogamy_anticorr_bounds", "oracle")
+
+
+def plain_json(doc):
+    return json.dumps(round_floats(doc), indent=2, sort_keys=True)
+
+
+# strings a splice could mistake for the place of a constant block
+TRICKY = st.sampled_from(
+    ["\x00", "\x00oracle\x00", '\n  "oracle": null', '"oracle": null', "null", "\n  "]
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8) | TRICKY,
+    lambda inner: (
+        st.lists(inner, max_size=3)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=5) | TRICKY | st.sampled_from(CONSTANT_KEYS),
+                          inner, max_size=3)
+    ),
+    max_leaves=12,
+)
+
+
+@given(st.dictionaries(st.sampled_from(CONSTANT_KEYS) | st.text(max_size=8) | TRICKY,
+                       JSON_VALUES, max_size=7))
+@settings(max_examples=300, deadline=None)
+def test_report_json_matches_plain_encoder(doc):
+    expected = plain_json(doc)
+    assert report_json(doc) == expected  # cold or warm, whatever ran before
+    assert report_json(doc) == expected  # warm
+
+
+def test_report_json_follows_a_changed_block():
+    doc = {"oracle": {"kab_expected": 0.75, "table": [[0.1, None], []]}, "version": "x"}
+    first = report_json(doc)
+    doc["oracle"]["table"][0][0] = 0.2
+    second = report_json(doc)
+    assert second != first and second == plain_json(doc)
+    doc["oracle"]["table"][0][0] = 0.1
+    assert report_json(doc) == first
+
+
+def test_report_json_renders_unpicklable_blocks():
+    # a block kept by no key is rendered on every call
+    class Label(str):
+        pass
+
+    doc = {"oracle": {"label": Label("x")}, "kcbs_constants": np.float64(0.1 + 0.2)}
+    assert report_json(doc) == report_json(doc) == plain_json(doc)
+
+
+def test_mutated_report_leaves_next_report_unchanged(capsys, monkeypatch):
+    # build_report's blocks are new dicts of shared immutable values: a
+    # caller that edits one changes neither the next report nor its text
+    import kcbs_qkd.cli as cli
+
+    reports = []
+
+    def kept(*args):
+        reports.append(build_report(*args))
+        return reports[-1]
+
+    build_report = cli.build_report
+    monkeypatch.setattr(cli, "build_report", kept)
+    argv = ("simulate", "--rounds", "300", "--seed", "4", "--eve", "fixed:1", "--json")
+    _, first, _ = run(capsys, *argv)
+    report = reports[-1]
+    report["oracle"]["kab_expected"] = 0
+    report["kcbs_constants"]["paper"]["exclusivity_max"] = 0
+    report["kcbs_constants"]["derived"].clear()
+    report["monogamy_certificate"]["parts"][0].append(9)
+    report["config"]["eve"]["setting"] = 3
+    _, second, _ = run(capsys, *argv)
+    assert second == first
+    assert report_json(report) == plain_json(report) != first.rstrip("\n")
+
+
+def test_warm_report_encodes_once(capsys, monkeypatch):
+    # the constant blocks are encoded once: a warm session makes one indented
+    # json.dumps call, whose pure-Python encoder leaves cyclic garbage per call
+    argv = ("simulate", "--rounds", "300", "--seed", "4", "--eve", "random", "--json")
+    _, first, _ = run(capsys, *argv)
+    indented = []
+
+    def spy(*args, **kwargs):
+        if kwargs.get("indent") is not None:
+            indented.append(args)
+        return dumps(*args, **kwargs)
+
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", spy)
+    _, second, _ = run(capsys, *argv)
+    assert second == first
+    assert len(indented) == 1

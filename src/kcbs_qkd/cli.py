@@ -105,11 +105,12 @@ def report_json(report: dict) -> str:
     """``json.dumps(round_floats(report), indent=2, sort_keys=True)``, byte
     for byte, for any dict.
 
-    The constant blocks (``_CONSTANT_BLOCKS``) are rendered once per value.  The rest is rounded and encoded in one call, with ``null`` at
-    each constant key, and each block's text replaces that ``null``.  The
-    line that holds it, a newline, two spaces and ``"key": null``, occurs
-    once: only a top-level key starts a line with two spaces and a quote,
-    and no encoded string holds a raw newline.
+    The constant blocks (``_CONSTANT_BLOCKS``) are rendered once per value.
+    The rest is rounded and encoded in one call, with ``null`` at each
+    constant key, and each block's text replaces that ``null``.  The line
+    that holds it, a newline, two spaces and ``"key": null``, occurs once:
+    only a top-level key starts a line with two spaces and a quote, and no
+    encoded string holds a raw newline.
     """
     rounded = {k: None if k in _CONSTANT_BLOCKS else round_floats(v) for k, v in report.items()}
     text = json.dumps(rounded, indent=2, sort_keys=True)

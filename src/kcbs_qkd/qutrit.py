@@ -8,12 +8,11 @@ numpy's Philox generator for one stream and draws one value at a time; the
 scalar replay of a round and the security test's subset use it.
 :func:`uniforms` evaluates one Philox block of up to ``_LANES`` = 1536 streams
 of one seed with uint64 numpy arithmetic, as the doubles ``RngStream.uniform``
-returns; the session kernel draws from it.  A call costs mostly the ~20
-ufunc calls of each of Philox's ten rounds (nine when every lane shares one
-block): at 1536 lanes a lane costs less than half what it does at 384.  A
-call holds about 82 bytes a lane: its (4, m) result, in which the partial
-products live until it is written, and three (2, m) word arrays.  The
-pentagon's rays, projectors and overlaps are the arrays of
+returns; the session kernel draws from it.  A call costs mostly the ~200
+ufunc calls of Philox's ten rounds: at 1536 lanes a lane costs less than half
+what it does at 384.  A call holds about 82 bytes a lane: its (4, m) result,
+in which the partial products live until it is written, and three (2, m)
+word arrays.  The pentagon's rays, projectors and overlaps are the arrays of
 ``kcbs.KcbsBasis``; the package samples from its overlaps and Eve's exact
 channel of ``adversary.build_channel``, and the tests' state-vector reference
 (``tests/reference.py``) samples measurements and collapses states.
@@ -84,8 +83,7 @@ _S32 = np.array(32, np.uint64)
 _S11 = np.array(11, np.uint64)
 # Philox4x64-10 round multipliers of the two multiplied words (0 and 2) of a
 # block, stored flat as _LANES copies of each: see _lane_tables
-_M0 = 0xD2E7470EE14C6C93
-_MUL = np.repeat(np.array([_M0, 0xCA5A826395121157], np.uint64), _LANES)
+_MUL = np.repeat(np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64), _LANES)
 _MUL_HI = _MUL >> _S32
 _MUL_LO = _MUL & _U32
 # round r is keyed by (k0 + r B0, k1 + r B1) mod 2^64: the steps r B0, and
@@ -117,12 +115,11 @@ def uniforms(seed: int, stream_ids: np.ndarray, blocks) -> np.ndarray:
     is draw 4 (b - 1) + w of stream s, since numpy counts blocks from 1.
 
     ``seed`` is an int in [0, 2^64), ``stream_ids`` a 1-d uint64 array of at
-    most ``_LANES`` ids, and ``blocks`` one int in [0, 2^64), whose round 0
-    needs no array product, or a uint64 array of a block per id.  The
-    scratch is 48 bytes a lane beside the result: three (2, m) word arrays.
-    The seed's key word stays 0-d, and the stream ids' is formed each round
-    in the partial products' scratch, which lives in the result's memory
-    until the result is written."""
+    most ``_LANES`` ids, and ``blocks`` one int or a uint64 array of a block
+    per id.  The scratch is 48 bytes a lane beside the result: three (2, m)
+    word arrays.  The seed's key word stays 0-d, and the stream ids' is
+    formed each round in the partial products' scratch, which lives in the
+    result's memory until the result is written."""
     if not _is_key(seed):
         raise ValueError(f"seed {seed!r} is not an int in [0, 2^64)")
     if not (isinstance(stream_ids, np.ndarray) and stream_ids.dtype == np.uint64
@@ -131,20 +128,8 @@ def uniforms(seed: int, stream_ids: np.ndarray, blocks) -> np.ndarray:
     m = len(stream_ids)
     mul, mul_hi, mul_lo = _lane_tables(m)
     even = np.zeros((2, m), np.uint64)  # words (c0, c2), the multiplied ones
+    even[0] = blocks
     odd = np.zeros((2, m), np.uint64)  # words (c3, c1)
-    if isinstance(blocks, np.ndarray):
-        even[0] = blocks
-        first = 0
-    elif _is_key(blocks):
-        # round 0 of the words (b, 0, 0, 0) leaves (k0, 0, hi(M0 b) ^ k1,
-        # lo(M0 b)): one Python product, so the rounds start at round 1
-        hi0, lo0 = divmod(_M0 * blocks, KEY_LIMIT)
-        even[0] = seed
-        np.bitwise_xor(stream_ids, np.array(hi0, np.uint64), out=even[1])
-        odd[0] = lo0
-        first = 1
-    else:
-        raise ValueError(f"block {blocks!r} is not an int in [0, 2^64) or a uint64 array")
     hi = np.empty((2, m), np.uint64)
     out = np.empty((4, m))
     scratch = out.view(np.uint64)
@@ -155,7 +140,7 @@ def uniforms(seed: int, stream_ids: np.ndarray, blocks) -> np.ndarray:
     # k0 of each round as a 0-d view, which a ufunc takes about twice as
     # fast as a (1,) array
     k0 = _K0_STEPS + seed
-    for r, step1 in enumerate(_K1_STEPS[first:], first):
+    for r, step1 in enumerate(_K1_STEPS):
         # hi, lo (in place of even) = the 128-bit products mul * even, from
         # 32-bit halves a = ah 2^32 + al and mul = mh 2^32 + ml
         np.bitwise_and(even, _U32, out=t)  # al

@@ -158,8 +158,8 @@ def test_uniforms_match_numpy_philox():
             drawn = uniforms(seed, np.array([stream_id], dtype=np.uint64), block)
             expected = (raw[4 * (block - 1):4 * block] >> 11) * 2.0**-53
             assert drawn.shape == (4, 1) and drawn[:, 0].tolist() == expected.tolist()
-    # an int block's round 0 is formed apart from the other nine: hold it to
-    # numpy's counter at blocks whose product with the multiplier is wide
+    # int blocks whose product with the round multiplier is wide, held to
+    # numpy's counter and to the same block given per lane
     ids = np.array([0, 7, 2**63 + 1, 2**64 - 1], dtype=np.uint64)
     for block in (2**32 + 3, 2**63, 2**64 - 1):
         drawn = uniforms(2**64 - 3, ids, block)
@@ -210,14 +210,6 @@ def test_uniforms_rejects_bad_keys(seed, ids):
     # float id 0.7 as stream 0
     with pytest.raises(ValueError, match="seed|stream ids"):
         uniforms(seed, ids, 1)
-
-
-@pytest.mark.parametrize("block", [-1, 2**64, 1.0, True, [1]])
-def test_uniforms_rejects_bad_blocks(block):
-    # round 0 of an int block is a Python product, which would take 2^64 and
-    # return words of no block rather than fail
-    with pytest.raises(ValueError, match="block"):
-        uniforms(1, np.array([0], np.uint64), block)
 
 
 def test_philox_multipliers_contiguous(monkeypatch):

@@ -229,8 +229,10 @@ def _fields(obj) -> dict:
 
 def build_report(cfg: ProtocolConfig, transcript, stats, security) -> dict:
     """Assemble the full simulation report document.  Its dicts are new on
-    every call; the values in them are shared and immutable."""
+    every call; the values in them are shared and immutable, but for the
+    certificate's parts, which are new lists."""
     cert = verify_monogamy_decomposition()
+    certificate = cert.shared_json
     report = {
         "version": __version__,
         "config": {
@@ -247,7 +249,11 @@ def build_report(cfg: ProtocolConfig, transcript, stats, security) -> dict:
             "paper": _fields(bounds()),
             "derived": derived_anticorr_values(),
         },
-        "monogamy_certificate": cert.to_json_dict(),
+        "monogamy_certificate": {
+            **certificate,
+            "joint_graph": dict(certificate["joint_graph"]),
+            "parts": [list(part) for part in certificate["parts"]],
+        },
         # anti-correlation-form monogamy constants: the published value next
         # to the one implied by doubling the certificate bound; reported side
         # by side, never asserted against simulation

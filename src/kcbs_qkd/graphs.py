@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from types import MappingProxyType
 
 __all__ = [
@@ -259,6 +259,23 @@ class MonogamyCertificate:
             "bound": self.bound,
             "deterministic_max": self.deterministic_max,
             "mode": self.mode,
+        }
+
+    @cached_property
+    def shared_json(self) -> dict:
+        """``to_json_dict()`` with its lists made tuples, built on first read
+        and shared by every report of this certificate: listing and sorting
+        the joint graph's edges is most of its cost.  Copy its dicts before
+        editing them."""
+        doc = self.to_json_dict()
+        graph = doc["joint_graph"]
+        return {
+            **doc,
+            "joint_graph": {**graph, "labels": tuple(graph["labels"]),
+                            "edges": tuple(map(tuple, graph["edges"]))},
+            "parts": self.parts,
+            "chordal": self.chordal,
+            "alpha": self.alpha,
         }
 
 

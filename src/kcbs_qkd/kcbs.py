@@ -5,13 +5,12 @@ whose cyclic neighbors are orthogonal (the pentagon orthogonality structure).
 A ``KcbsBasis`` is the package's one model of it: the normalised rays and the
 projectors and overlaps derived from them, as read-only arrays that the
 session sampler, Eve's exact channel of ``adversary.build_channel`` and
-``verify`` read.  The projector
-form (average probability of a click over the five settings) of a state,
-given by its amplitudes, is evaluated as ``ktilde``.  Constant bounds for it and for the anti-correlation
-form over the five commuting neighbor pairs are exposed as a record, together
-with the independently derived values where the two forms' published
-constants disagree with the exclusivity identity (see
-``derived_anticorr_values``).
+``verify`` read.  The projector form (average probability of a click over the
+five settings) of a state, given by its amplitudes, is evaluated as
+``ktilde``.  Constant bounds for it and for the anti-correlation form over the
+five commuting neighbor pairs are exposed as a record, together with the
+independently derived values where the two forms' published constants
+disagree with the exclusivity identity (see ``derived_anticorr_values``).
 """
 
 from __future__ import annotations

@@ -19,7 +19,10 @@ Entangled rounds run in one pool of up to ``_BLOCK`` = 384 rounds in flight,
 narrower because its working set is most of a short session's memory: each
 pass draws the next Philox block of every round in it, keeps the block in
 which Alice clicks, at attempt a (draws 1, 3, 5, ...), and finishes a round in
-the pass that draws the block after that one.  Rounds of both modes are read
+the pass that draws the block after that one.  Once every round has started,
+the pool runs below ``_BLOCK``, and the rounds still searching share its spare
+lanes: each draws its next q blocks in the pass, so a session's last rounds
+take a few full calls, not many narrow ones.  Rounds of both modes are read
 alike from her setting, draw s = 0 or 2 (a - 1).
 ``run_round`` is the scalar replay of one round through ``RngStream``, and the
 independent check of the kernel.  Undisturbed click probabilities come from
@@ -277,9 +280,9 @@ def _rows(seed: int, ids: np.ndarray, blocks: int):
 
 def _integer5(u: np.ndarray, out: np.ndarray) -> None:
     """``RngStream.integer(5)`` of each uniform, min(int(5 u), 4), into the
-    int16 ``out``; ``u`` is overwritten."""
-    np.multiply(u, 5, out=u)
-    np.minimum(u, 4, out=u)
+    int16 ``out``; ``u`` is overwritten.  A Philox double is at most
+    1 - 2^-53, whose 5 u rounds to 5 - 2^-50, so int(5 u) is at most 4."""
+    np.multiply(u, 5, u)
     out[...] = u  # truncates, as int() does for u >= 0
 
 
@@ -287,35 +290,57 @@ def _run_entangled(cfg: ProtocolConfig, columns: np.ndarray) -> None:
     """Fill ``columns`` with entangled rounds from one pool of up to ``_BLOCK``
     rounds in flight, topped up with the next round ids in order.
 
-    Each pass draws the next Philox block of every round in flight in one call.
+    Each pass draws the Philox blocks of every round in flight in one call.
     Attempt a clicks on draw 2a - 1, row 1 or 3 of block (a + 1) // 2, and its
     setting s = 2 (a - 1) is row 0 or 2 of that block, which the pool keeps.
     s % 4 is 0 or 2, so the round's later draws lie in the kept block and the
-    next: the round is finished in the pass that draws it.  The pool is then
-    compacted in place, clicked rounds first."""
+    next: the round is finished in the pass that draws it.
+
+    A clicked round draws one block a pass, and each searching round draws its
+    next q = (_BLOCK - clicked) // searching blocks, laid out block by block
+    after the pool's lanes.  While rounds are left to start, the pool is full
+    and q = 1; once none is, q grows as the pool drains, so that each call
+    stays near _BLOCK lanes.  A round whose first click is in block p < q - 1
+    is finished from blocks p and p + 1 of that call; one that clicks in the
+    last keeps it, as with q = 1.  The pool is then compacted in place,
+    clicked rounds first."""
     rounds = columns.shape[1]
     ids = np.empty(_BLOCK, np.uint64)
     block = np.empty(_BLOCK, np.uint64)  # the block each lane draws next
     kept = np.empty((4, _BLOCK))  # the block Alice clicked in
-    # lanes [0, clicked) draw the block after their click; [clicked, n) search
+    # lanes [0, clicked) draw the block after their click; [clicked, n) search,
+    # and [n, clicked + q (n - clicked)) draw the searching rounds' later blocks
     clicked = n = top = 0
     while n or top < rounds:
         fresh = min(_BLOCK - n, rounds - top)
         ids[n:n + fresh] = np.arange(top, top + fresh, dtype=np.uint64)
         block[n:n + fresh] = 1
         n, top = n + fresh, top + fresh
-        drawn = uniforms(cfg.seed, ids[:n], block[:n])
+        searching = n - clicked
+        q = (_BLOCK - clicked) // searching if searching else 1
+        lanes = clicked + q * searching
+        if q > 1:
+            ids[n:lanes].reshape(q - 1, searching)[...] = ids[clicked:n]
+            np.add(block[clicked:n], np.arange(1, q, dtype=np.uint64)[:, None],
+                   block[n:lanes].reshape(q - 1, searching))
+        drawn = uniforms(cfg.seed, ids[:lanes], block[:lanes])
         if clicked:
             _finish_clicked(cfg, kept[:, :clicked], drawn[:, :clicked],
                             block[:clicked], columns, ids[:clicked])
-        search = drawn[:, clicked:n]
+        search = drawn[:, clicked:lanes].reshape(4, q, searching)
         hit = (search[1] < 1.0 / 3.0) | (search[3] < 1.0 / 3.0)
-        order = np.concatenate((np.flatnonzero(hit), np.flatnonzero(~hit))) + clicked
-        clicked, n = np.count_nonzero(hit), n - clicked
-        kept[:, :clicked] = drawn[:, order[:clicked]]
-        ids[:n] = ids[order]
-        block[:n] = block[order] + 1
-        del drawn, search, order  # before the next pass draws
+        if q > 1:
+            last, wait = _finish_early(cfg, search, hit, block[clicked:n], columns, ids[clicked:n])
+        else:
+            last = hit[0]  # a click in the block drawn
+            wait = ~last
+        clicking = np.flatnonzero(last)
+        order = np.concatenate((clicking, np.flatnonzero(wait)))
+        ids[:len(order)] = ids[clicked:n][order]
+        block[:len(order)] = block[clicked:n][order] + q
+        clicked, n = len(clicking), len(order)
+        kept[:, :clicked] = search[:, -1, clicking]
+        del drawn, search, hit, last, wait, clicking, order  # before the next pass draws
 
 
 def _finish_clicked(cfg, kept, drawn, block, columns, ids) -> None:
@@ -332,6 +357,22 @@ def _finish_clicked(cfg, kept, drawn, block, columns, ids) -> None:
     _finish(cfg, u, out)
     out[5] = 2 * (block - 1) - odd
     columns[:, ids] = out
+
+
+def _finish_early(cfg, search, hit, block, columns, ids):
+    """Write the rounds whose Alice clicked in a block of ``search``, shape
+    (4, q, rounds), before its last, from that block and the next; ``hit``
+    marks the blocks with a click and ``block`` the first one's number.
+    Return the masks of the other rounds: those whose first click is in the
+    last block, and those that search on."""
+    before = hit[:-1]
+    early = before.any(0)
+    index = np.flatnonzero(early)
+    p = before[:, index].argmax(0)  # the first block with a click
+    _finish_clicked(cfg, search[:, p, index], search[:, p + 1, index],
+                    block[index] + (p + 1).astype(np.uint64), columns, ids[index])
+    last = hit[-1] & ~early
+    return last, ~(last | early)
 
 
 def _finish(cfg: ProtocolConfig, u, out: np.ndarray) -> None:

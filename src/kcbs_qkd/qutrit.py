@@ -8,14 +8,17 @@ numpy's Philox generator for one stream and draws one value at a time; the
 scalar replay of a round and the security test's subset use it.
 :func:`uniforms` evaluates one Philox block of up to ``_LANES`` = 1536 streams
 of one seed with uint64 numpy arithmetic, as the doubles ``RngStream.uniform``
-returns; the session kernel draws from it.  A call costs mostly the ~200
-ufunc calls of Philox's ten rounds: at 1536 lanes a lane costs less than half
-what it does at 384.  A call holds about 82 bytes a lane: its (4, m) result,
-in which the partial products live until it is written, and three (2, m)
-word arrays.  The pentagon's rays, projectors and overlaps are the arrays of
-``kcbs.KcbsBasis``; the package samples from its overlaps and Eve's exact
-channel of ``adversary.build_channel``, and the tests' state-vector reference
-(``tests/reference.py``) samples measurements and collapses states.
+returns; the session kernel draws from it.  A call costs about 205 us plus
+0.19 us a lane (medians at 1 to 1536 lanes on a 2-vCPU host; the fastest runs
+read about half of each): the fixed part is the dispatch of the ~200 ufunc
+calls of Philox's ten rounds, each given its output positionally, which
+dispatches faster than ``out=``.  A call holds about 82 bytes a lane: its
+(4, m) result, in which the partial products live until it is written, and
+three (2, m) word arrays.  The pentagon's rays, projectors and overlaps are
+the arrays of ``kcbs.KcbsBasis``; the package samples from its overlaps and
+Eve's exact channel of ``adversary.build_channel``, and the tests'
+state-vector reference (``tests/reference.py``) samples measurements and
+collapses states.
 """
 
 from __future__ import annotations
@@ -143,28 +146,28 @@ def uniforms(seed: int, stream_ids: np.ndarray, blocks) -> np.ndarray:
     for r, step1 in enumerate(_K1_STEPS):
         # hi, lo (in place of even) = the 128-bit products mul * even, from
         # 32-bit halves a = ah 2^32 + al and mul = mh 2^32 + ml
-        np.bitwise_and(even, _U32, out=t)  # al
-        np.multiply(t, mul_lo, out=u)
-        np.right_shift(u, _S32, out=u)
-        np.multiply(t, mul_hi, out=t)
-        np.right_shift(even, _S32, out=hi)
-        np.multiply(hi, mul_lo, out=hi)
-        np.add(u, hi, out=u)  # ah ml + carry, below 2^64
-        np.bitwise_and(u, _U32, out=hi)
-        np.add(t, hi, out=t)  # al mh + low half of u
-        np.right_shift(even, _S32, out=hi)
-        np.multiply(hi, mul_hi, out=hi)  # ah mh
-        np.right_shift(u, _S32, out=u)
-        np.add(hi, u, out=hi)
-        np.right_shift(t, _S32, out=t)
-        np.add(hi, t, out=hi)
-        np.multiply(even, mul, out=even)  # lo
+        np.bitwise_and(even, _U32, t)  # al
+        np.multiply(t, mul_lo, u)
+        np.right_shift(u, _S32, u)
+        np.multiply(t, mul_hi, t)
+        np.right_shift(even, _S32, hi)
+        np.multiply(hi, mul_lo, hi)
+        np.add(u, hi, u)  # ah ml + carry, below 2^64
+        np.bitwise_and(u, _U32, hi)
+        np.add(t, hi, t)  # al mh + low half of u
+        np.right_shift(even, _S32, hi)
+        np.multiply(hi, mul_hi, hi)  # ah mh
+        np.right_shift(u, _S32, u)
+        np.add(hi, u, hi)
+        np.right_shift(t, _S32, t)
+        np.add(hi, t, hi)
+        np.multiply(even, mul, even)  # lo
         # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0), a row
         # at a time: a ufunc on a view with its rows swapped copies it
-        np.bitwise_xor(hi, odd, out=hi)  # (hi0 ^ c3, hi1 ^ c1)
-        np.bitwise_xor(hi1, k0[r, ...], out=odd_rows[0])
-        np.add(stream_ids, step1, out=t0)  # k1
-        np.bitwise_xor(hi0, t0, out=odd_rows[1])
+        np.bitwise_xor(hi, odd, hi)  # (hi0 ^ c3, hi1 ^ c1)
+        np.bitwise_xor(hi1, k0[r, ...], odd_rows[0])
+        np.add(stream_ids, step1, t0)  # k1
+        np.bitwise_xor(hi0, t0, odd_rows[1])
         even, odd, even_rows, odd_rows = odd, even, odd_rows, even_rows
     even >>= _S11
     odd >>= _S11

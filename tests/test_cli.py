@@ -446,6 +446,28 @@ def test_simulate_calls_each_traced_global_once(capsys, monkeypatch):
         calls.update(dict.fromkeys(names, 0))
 
 
+def test_certificate_json_built_once_per_mode(capsys, monkeypatch):
+    # the report's certificate block is the certificate's shared JSON, built
+    # on its first read: a new certificate lists it once for any number of
+    # sessions, and the report's bytes stay the same
+    from kcbs_qkd.graphs import PAPER_ABSTRACT, MonogamyCertificate, verify_monogamy_decomposition
+
+    argv = ("simulate", "--rounds", "300", "--seed", "4", "--eve", "random", "--json")
+    _, first, _ = run(capsys, *argv)
+    calls = []
+
+    def spy(cert):
+        calls.append(cert.mode)
+        return to_json_dict(cert)
+
+    to_json_dict = MonogamyCertificate.to_json_dict
+    monkeypatch.setattr(MonogamyCertificate, "to_json_dict", spy)
+    verify_monogamy_decomposition.cache_clear()  # a new certificate, its JSON not yet built
+    outputs = [run(capsys, *argv)[1] for _ in range(2)]
+    assert outputs == [first, first]
+    assert calls == [PAPER_ABSTRACT]
+
+
 def test_simulate_builds_channel_once(capsys):
     # the report's oracle reads the channel that the session sampled from,
     # whether or not the oracle is cached already

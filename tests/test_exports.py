@@ -53,6 +53,15 @@ def test_private_names_are_read():
     assert not unread, f"private names never read in the package: {unread}"
 
 
+def test_source_lines_fit_100_columns():
+    # the package's own line limit; a longer line hides its end in review
+    long = [f"{path.name}:{number}: {len(line)} columns"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if len(line) > 100]
+    assert not long, long
+
+
 def test_public_names_are_read():
     # a module's public name that neither the package nor the benchmark reads,
     # and that the package does not re-export, is API only the tests reach

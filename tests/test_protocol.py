@@ -326,8 +326,11 @@ def test_run_round_matches_session(basis):
                 assert run_round(cfg, r) == Round(*t.columns[:, r].tolist())
     # a one-round session, sessions around one full entangled pool and around
     # one prepare-and-measure pass, and ones of two full pools or passes plus 7
-    # rounds; the pass width matters to prepare-and-measure only
-    pool = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7)
+    # rounds; the pass width matters to prepare-and-measure only.  Entangled
+    # sessions shorter than the pool draw several blocks a round from their
+    # first pass: 3 below _BLOCK // 3 + 1 rounds, 2 below _BLOCK // 2 + 1
+    pool = (1, 2, _BLOCK // 3, _BLOCK // 2 - 1, _BLOCK // 2 + 1,
+            _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7)
     passes = (_LANES - 1, _LANES, _LANES + 1, 2 * _LANES + 7)
     for mode, kind, resend, rounds in itertools.chain(
         itertools.product((PREPARE_MEASURE, ENTANGLED), KINDS, RESENDS, pool),
@@ -338,7 +341,7 @@ def test_run_round_matches_session(basis):
         t = run_session(cfg)
         replay = [run_round(cfg, r) for r in range(rounds)]
         assert replay == [Round(*c) for c in t.columns.T.tolist()], (mode, kind, resend, rounds)
-        if mode == ENTANGLED and rounds > 1:
+        if mode == ENTANGLED and rounds > 2:
             # rounds that stay in the pool for several passes of the attempt
             # search, and rounds whose setting s = 2 (a - 1) sits in row 2, so
             # that their later draws cross into the next Philox block
@@ -359,6 +362,25 @@ def test_entangled_session_independent_of_pool_width(basis, monkeypatch, eve):
     for width in (1, 7, 100):
         monkeypatch.setattr(protocol, "_BLOCK", width)
         assert np.array_equal(run_session(cfg).columns, expected), width
+
+
+def test_entangled_pool_fills_its_last_passes(basis, monkeypatch):
+    # once no round is left to start, the rounds still searching draw several
+    # blocks a call: a 500-round session's last rounds take few calls, none
+    # wider than the pool
+    calls = []
+
+    def spy(seed, ids, blocks):
+        calls.append(len(ids))
+        return uniforms(seed, ids, blocks)
+
+    uniforms = protocol.uniforms
+    monkeypatch.setattr(protocol, "uniforms", spy)
+    for seed in range(20):
+        calls.clear()
+        run_session(config(basis, rounds=500, seed=seed, mode=ENTANGLED,
+                           eve=EveStrategy(kind="random")))
+        assert len(calls) <= 6 and max(calls) <= _BLOCK, (seed, calls)
 
 
 @pytest.mark.parametrize(
@@ -382,7 +404,9 @@ def test_session_working_set_bounded(basis, mode):
     eve = EveStrategy(kind="random", resend="eigenstate")
     run_session(config(basis, rounds=10, mode=mode, eve=eve))
     peaks = []
-    for rounds in (5_000, 50_000):
+    # an entangled session of 100 rounds draws 3 blocks a round from its
+    # first pass
+    for rounds in (5_000, 50_000, 100):
         cfg = config(basis, rounds=rounds, seed=3, mode=mode, eve=eve)
         cfg.channel  # built outside the measurement
         tracemalloc.start()
@@ -397,6 +421,19 @@ def test_session_working_set_bounded(basis, mode):
         # this is the session of sweep_short's memory measurement, whose peak
         # is nearly all this working set and the columns
         assert max(peaks) <= 80 * 1024, peaks
+        assert peaks[2] <= peaks[0], peaks
+
+
+def test_integer5_is_scalar_integer():
+    # RngStream.integer(5) is min(int(5 u), 4); a Philox double is at most
+    # 1 - 2^-53, so the array draw needs no clamp at its top
+    edges = [np.nextafter(x, d) for x in (0.2, 0.4, 0.6, 0.8) for d in (0.0, 1.0)]
+    u = np.array([0.0, 0.2, 0.4, 0.6, 0.8, *edges, 1.0 - 2.0**-53])
+    expected = [min(int(5 * x), 4) for x in u.tolist()]
+    out = np.empty(len(u), np.int16)
+    protocol._integer5(u.copy(), out)
+    assert out.tolist() == expected
+    assert expected[-1] == 4
 
 
 def test_sifted_view_computed_once(basis):

@@ -326,9 +326,9 @@ def test_run_round_matches_session(basis):
                 assert run_round(cfg, r) == Round(*t.columns[:, r].tolist())
     # a one-round session, sessions around one full entangled pool and around
     # one prepare-and-measure pass, and ones of two full pools or passes plus 7
-    # rounds; the pass width matters to prepare-and-measure only.  Entangled
-    # sessions shorter than the pool draw several blocks a round from their
-    # first pass: 3 below _BLOCK // 3 + 1 rounds, 2 below _BLOCK // 2 + 1
+    # rounds; the pass width matters to prepare-and-measure only.  An
+    # entangled session of r < _BLOCK rounds draws _BLOCK // r blocks a round
+    # in its first pass: 3 at _BLOCK // 3, 2 at _BLOCK // 2 - 1, 1 at + 1
     pool = (1, 2, _BLOCK // 3, _BLOCK // 2 - 1, _BLOCK // 2 + 1,
             _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7)
     passes = (_LANES - 1, _LANES, _LANES + 1, 2 * _LANES + 7)

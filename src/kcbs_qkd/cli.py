@@ -47,6 +47,7 @@ from .protocol import (
     PREPARE_MEASURE,
     ProtocolConfig,
     _atomic_writer,
+    _temporary_path,
     estimate_security,
     key_stats,
     run_session,
@@ -72,7 +73,8 @@ def round_floats(obj):
     return obj
 
 
-# report blocks that depend only on (mode, Eve, basis)
+# report blocks that depend only on (Eve, basis): every report embeds the
+# paper-abstract certificate, whatever the session's mode
 _CONSTANT_BLOCKS = ("kcbs_constants", "monogamy_certificate", "monogamy_anticorr_bounds", "oracle")
 
 
@@ -228,11 +230,9 @@ def _fields(obj) -> dict:
 
 
 def build_report(cfg: ProtocolConfig, transcript, stats, security) -> dict:
-    """Assemble the full simulation report document.  Its dicts are new on
-    every call; the values in them are shared and immutable, but for the
-    certificate's parts, which are new lists."""
+    """Assemble the full simulation report document.  Its dicts and lists
+    are new on every call; the values in them are shared and immutable."""
     cert = verify_monogamy_decomposition()
-    certificate = cert.shared_json
     report = {
         "version": __version__,
         "config": {
@@ -249,11 +249,7 @@ def build_report(cfg: ProtocolConfig, transcript, stats, security) -> dict:
             "paper": _fields(bounds()),
             "derived": derived_anticorr_values(),
         },
-        "monogamy_certificate": {
-            **certificate,
-            "joint_graph": dict(certificate["joint_graph"]),
-            "parts": [list(part) for part in certificate["parts"]],
-        },
+        "monogamy_certificate": cert.to_json_dict(),
         # anti-correlation-form monogamy constants: the published value next
         # to the one implied by doubling the certificate bound; reported side
         # by side, never asserted against simulation
@@ -282,7 +278,7 @@ def _check_outputs(out: str | None, transcript: str | None) -> None:
     out = os.path.realpath(out)
     if out == os.path.realpath(transcript):
         raise ValueError("--out and --transcript name the same file")
-    if out == os.path.realpath(f"{transcript}.tmp"):
+    if out == os.path.realpath(_temporary_path(transcript)):
         raise ValueError(f"--out names the temporary file of --transcript {transcript}")
 
 
@@ -374,16 +370,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_mono = sub.add_parser("monogamy", help="emit the monogamy decomposition certificate")
-    p_mono.add_argument("--mode", choices=[PAPER_ABSTRACT, MIMIC], default=PAPER_ABSTRACT)
+    p_mono.add_argument(
+        "--mode", choices=[PAPER_ABSTRACT, MIMIC], default=PAPER_ABSTRACT,
+        help="joint graph to certify: every edge exclusive (paper-abstract, the default), "
+        "or each of Bob's projectors only compatible with Eve's copy of it (mimic)",
+    )
     p_mono.add_argument("--graph", help="JSON file with a custom graph and parts")
 
     p_sim = sub.add_parser("simulate", help="run the protocol and emit a report")
-    p_sim.add_argument("--rounds", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, required=True)
-    p_sim.add_argument("--mode", choices=["prepare", "entangled"], default="prepare")
+    p_sim.add_argument("--rounds", type=int, required=True, help="rounds to simulate, at least 1")
+    p_sim.add_argument("--seed", type=int, required=True,
+                       help="seed in [0, 2^64); round r draws from the stream (seed, r)")
+    p_sim.add_argument("--mode", choices=["prepare", "entangled"], default="prepare",
+                       help="prepare-and-measure (default) or entangled-pair scheme")
     p_sim.add_argument("--eve", default="absent", help="absent | fixed:K (K = 0..4) | random")
     p_sim.add_argument("--resend", default=None, help="collapsed | eigenstate")
-    p_sim.add_argument("--sacrifice", type=float, default=0.1)
+    p_sim.add_argument("--sacrifice", type=float, default=0.1,
+                       help="fraction of sifted rounds spent on the security test, "
+                       "in [0, 0.5] (default 0.1)")
     p_sim.add_argument("--out", help="write the JSON report to this path")
     p_sim.add_argument("--transcript", help="write the per-round CSV to this path")
     p_sim.add_argument("--json", action="store_true", help="print the report to stdout")

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Mapping
-from dataclasses import dataclass
-from functools import cache, cached_property
+from dataclasses import dataclass, field
+from functools import cache
 from types import MappingProxyType
 
 __all__ = [
@@ -66,6 +66,8 @@ class ContextGraph:
     n: int
     labels: tuple[str, ...]
     edges: Mapping[frozenset[int], EdgeKind]  # kept as a read-only copy
+    # the edges as sorted (u, v, kind) triples, u < v: their JSON form
+    _edge_triples: tuple[tuple[int, int, str], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0 or self.n > MAX_VERTICES:
@@ -78,6 +80,9 @@ class ContextGraph:
             if not all(0 <= v < self.n for v in edge):
                 raise ValueError(f"edge {set(edge)} references unknown vertex")
         object.__setattr__(self, "edges", MappingProxyType(dict(self.edges)))
+        object.__setattr__(self, "_edge_triples", tuple(sorted(
+            (*sorted(edge), kind.value) for edge, kind in self.edges.items()
+        )))
 
     def adjacency(self, kind: EdgeKind) -> list[int]:
         """Per-vertex neighbor bitmasks restricted to the given edge kind.
@@ -111,9 +116,7 @@ class ContextGraph:
         return {
             "n": self.n,
             "labels": list(self.labels),
-            "edges": sorted(
-                [*sorted(edge), kind.value] for edge, kind in self.edges.items()
-            ),
+            "edges": list(self._edge_triples),
         }
 
     @classmethod
@@ -259,23 +262,6 @@ class MonogamyCertificate:
             "bound": self.bound,
             "deterministic_max": self.deterministic_max,
             "mode": self.mode,
-        }
-
-    @cached_property
-    def shared_json(self) -> dict:
-        """``to_json_dict()`` with its lists made tuples, built on first read
-        and shared by every report of this certificate: listing and sorting
-        the joint graph's edges is most of its cost.  Copy its dicts before
-        editing them."""
-        doc = self.to_json_dict()
-        graph = doc["joint_graph"]
-        return {
-            **doc,
-            "joint_graph": {**graph, "labels": tuple(graph["labels"]),
-                            "edges": tuple(map(tuple, graph["edges"]))},
-            "parts": self.parts,
-            "chordal": self.chordal,
-            "alpha": self.alpha,
         }
 
 

@@ -511,6 +511,11 @@ def estimate_security(
     )
 
 
+def _temporary_path(path: str) -> str:
+    """The file that ``_atomic_writer`` writes before it replaces ``path``."""
+    return f"{path}.tmp"
+
+
 @contextlib.contextmanager
 def _atomic_writer(path: str):
     """A binary file that replaces ``path`` once written; removed on failure.
@@ -518,7 +523,7 @@ def _atomic_writer(path: str):
     that the file could not replace."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    tmp = f"{path}.tmp"
+    tmp = _temporary_path(path)
     try:
         with open(tmp, "wb") as fh:
             yield fh

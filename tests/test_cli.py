@@ -117,6 +117,15 @@ def test_monogamy_mimic(capsys):
     assert doc["bound"] != 0.8 or doc["alpha"] != [2, 2]
 
 
+def test_monogamy_goldens(capsys):
+    # the whole output, edge order included, of both built-in certificates
+    golden = Path(__file__).parent / "golden"
+    for name, argv in (("paper_abstract", ()), ("mimic", ("--mode", "mimic"))):
+        code, out, _ = run(capsys, "monogamy", *argv)
+        assert code == 0
+        assert out == (golden / f"monogamy_{name}.json").read_text(), name
+
+
 def test_monogamy_custom_failure(tmp_path, capsys):
     doc = {
         "n": 4,
@@ -446,28 +455,6 @@ def test_simulate_calls_each_traced_global_once(capsys, monkeypatch):
         calls.update(dict.fromkeys(names, 0))
 
 
-def test_certificate_json_built_once_per_mode(capsys, monkeypatch):
-    # the report's certificate block is the certificate's shared JSON, built
-    # on its first read: a new certificate lists it once for any number of
-    # sessions, and the report's bytes stay the same
-    from kcbs_qkd.graphs import PAPER_ABSTRACT, MonogamyCertificate, verify_monogamy_decomposition
-
-    argv = ("simulate", "--rounds", "300", "--seed", "4", "--eve", "random", "--json")
-    _, first, _ = run(capsys, *argv)
-    calls = []
-
-    def spy(cert):
-        calls.append(cert.mode)
-        return to_json_dict(cert)
-
-    to_json_dict = MonogamyCertificate.to_json_dict
-    monkeypatch.setattr(MonogamyCertificate, "to_json_dict", spy)
-    verify_monogamy_decomposition.cache_clear()  # a new certificate, its JSON not yet built
-    outputs = [run(capsys, *argv)[1] for _ in range(2)]
-    assert outputs == [first, first]
-    assert calls == [PAPER_ABSTRACT]
-
-
 def test_simulate_builds_channel_once(capsys):
     # the report's oracle reads the channel that the session sampled from,
     # whether or not the oracle is cached already
@@ -528,6 +515,17 @@ def test_readme_usage_matches_parser():
     assert checked >= 15
 
 
+def test_every_option_has_help():
+    commands = _build_parser()._subparsers._group_actions[0].choices
+    missing = [
+        f"{name} {action.option_strings[-1]}"
+        for name, command in commands.items()
+        for action in command._actions
+        if action.option_strings and not action.help
+    ]
+    assert missing == []
+
+
 def test_round_floats_precision():
     assert round_floats(0.1 + 0.2) == 0.3
     assert round_floats({"x": [float("nan")]}) == {"x": [None]}
@@ -565,6 +563,22 @@ def test_report_json_matches_plain_encoder(doc):
     expected = plain_json(doc)
     assert report_json(doc) == expected  # cold or warm, whatever ran before
     assert report_json(doc) == expected  # warm
+
+
+def test_constant_blocks_independent_of_mode(capsys):
+    # every report embeds the paper-abstract certificate: the constant blocks
+    # depend on Eve and the basis, not on the session's mode
+    for eve in (("--eve", "absent"), ("--eve", "fixed:1", "--resend", "collapsed"),
+                ("--eve", "random", "--resend", "eigenstate")):
+        modes, blocks = [], []
+        for mode in ("prepare", "entangled"):
+            _, out, _ = run(capsys, "simulate", "--rounds", "300", "--seed", "4",
+                            "--mode", mode, *eve, "--json")
+            report = json.loads(out)
+            modes.append(report["config"]["mode"])
+            blocks.append({key: report.get(key) for key in CONSTANT_KEYS})
+        assert modes[0] != modes[1] and blocks[0] == blocks[1], eve
+        assert (blocks[0]["oracle"] is None) == (eve[1] == "absent"), eve
 
 
 def test_report_json_follows_a_changed_block():

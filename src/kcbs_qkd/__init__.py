@@ -19,6 +19,7 @@ from .protocol import (
     Transcript,
     estimate_security,
     key_stats,
+    mutual_information,
     run_round,
     run_session,
 )
@@ -46,6 +47,7 @@ __all__ = [
     "Transcript",
     "estimate_security",
     "key_stats",
+    "mutual_information",
     "run_round",
     "run_session",
     "RngStream",

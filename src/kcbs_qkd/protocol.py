@@ -30,10 +30,13 @@ independent check of the kernel.  Undisturbed click probabilities come from
 ``adversary.build_channel``, built once per config on first use.
 
 A round is stored as what it drew, a ``Round``; a session's ``Transcript``
-holds these as the columns of one int16 array.  Sift case, bits and Eve's
-guess are derived from them through ``adversary.SIFT``, once per transcript.
-``write_transcript_csv`` renders the CSV from a table of every line a round
-can have after its index.
+holds these as the columns of one int16 array.  A round's row code numbers
+what it drew, (i, j, Bob's outcome, Eve's setting and outcome), in 900 rows.
+``Transcript.cells`` counts the rounds of each row, once per transcript, and
+the key statistics, p_E and the security test's sizes are read from it
+through the sift rule ``adversary.SIFT``.  ``write_transcript_csv`` renders
+the CSV from a table of every line a round can have after its index, at the
+round's row code.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .adversary import (
     SIFT,
     Channel,
     EveStrategy,
+    _sifted_counts,
     build_channel,
     estimate_pe,
     eve_guess,
@@ -108,6 +112,19 @@ _CSV_CHUNK = 1000
 _BLOCK = 384
 # draws a round makes after Alice's setting, by Eve's kind: (k), e, j, Bob's outcome
 _LATER_DRAWS = {ABSENT: 2, FIXED: 3, RANDOM: 4}
+# a round's row code is ((5 i + j) 2 + bob_outcome) 18 + 3 (k + 1) + e + 1, the
+# weights below dotted with (i, j, bob_outcome, k, e) plus 4; Transcript.cells
+# counts rounds by it, shaped _CELLS
+_ROW_WEIGHTS = np.array([180, 36, 18, 3, 1], np.int16)
+_CELLS = (5, 5, 2, 6, 3)
+_ROWS = math.prod(_CELLS)
+# rounds the statistics read per pass: their temporaries, at most about 10
+# bytes a round, are bounded by this, not by the session length
+_STATS_CHUNK = 3072
+# attempts summed per slice: an int16 sum accumulates in int64 through a
+# buffer of up to this many values (12 KB), where a whole column would take
+# numpy's default of 8,192 (64 KB)
+_SUM_CHUNK = 1536
 
 
 @dataclass(frozen=True)
@@ -160,7 +177,7 @@ class Round(NamedTuple):
 class Transcript:
     """Column r of ``columns``, one owning int16 array of shape (6, rounds),
     holds round r's ``Round``; its rows follow the ``Round`` fields.  It is
-    made read-only, so the sifted view computed from it once stays current.
+    made read-only, so the ``cells`` computed from it once stay current.
     A view is refused, as its base would stay writable; it is not copied,
     which would add 12 bytes a round."""
 
@@ -177,20 +194,30 @@ class Transcript:
 
     @property
     def total_attempts(self) -> int:
-        return int(self.columns[5].sum())
+        attempts = self.columns[5]
+        return sum(int(attempts[start:start + _SUM_CHUNK].sum())
+                   for start in range(0, len(attempts), _SUM_CHUNK))
 
     @cached_property
-    def sifted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Alice's bit, Bob's bit and Eve's outcome on the sifted rounds, as
-        read-only arrays computed on the first read."""
-        i, j, bob_outcome, _, eve_outcome, _ = self.columns
-        # one flat int16 index, not SIFT[i, j]: that casts both columns to intp
-        case = SIFT.ravel().take(5 * i + j)
-        keep = case != C3
-        view = case[keep], bob_outcome[keep], eve_outcome[keep]
-        for column in view:
-            column.setflags(write=False)
-        return view
+    def cells(self) -> np.ndarray:
+        """The rounds of each row code, as a read-only int64 array of shape
+        (5, 5, 2, 6, 3) indexed (i, j, bob_outcome, k + 1, e + 1), computed
+        on the first read, ``_STATS_CHUNK`` rounds at a time.  Its flat index
+        is the row code of ``write_transcript_csv``'s line tails."""
+        columns = self.columns
+        cells = np.bincount(_row_codes(columns[:, :_STATS_CHUNK]), minlength=_ROWS)
+        for start in range(_STATS_CHUNK, columns.shape[1], _STATS_CHUNK):
+            codes = _row_codes(columns[:, start:start + _STATS_CHUNK])
+            cells += np.bincount(codes, minlength=_ROWS)
+        cells = cells.reshape(_CELLS)
+        cells.setflags(write=False)
+        return cells
+
+    @cached_property
+    def _sifted(self) -> list:
+        """``adversary._sifted_counts`` of ``cells``, read by ``key_stats``,
+        ``estimate_security`` and ``estimate_pe``; computed on the first read."""
+        return _sifted_counts(self.cells)
 
 
 @dataclass(frozen=True)
@@ -403,6 +430,42 @@ def _finish(cfg: ProtocolConfig, u, out: np.ndarray) -> None:
     np.less(next(u), p_click.take(cell), out=bob_outcome)
 
 
+def _row_codes(columns: np.ndarray) -> np.ndarray:
+    """The int16 row code of each round whose i, j, bob_outcome, k and e are
+    rows 0-4 of ``columns``."""
+    codes = np.einsum("r,rn->n", _ROW_WEIGHTS, columns[:5])  # about 3x as fast as @
+    codes += 4
+    return codes
+
+
+def _subset_cells(columns: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """The rounds of each row code, as ``Transcript.cells`` counts them but
+    flat, among the rounds at the sorted ``positions`` of the sifted rounds of
+    ``columns``; found ``_STATS_CHUNK`` rounds at a time."""
+    cells = np.zeros(_ROWS, np.int64)
+    done = before = 0  # positions counted, and sifted rounds before the chunk
+    for start in range(0, columns.shape[1], _STATS_CHUNK):
+        if done == len(positions):
+            break
+        chunk = columns[:, start:start + _STATS_CHUNK]
+        # the row codes of the chunk's sifted rounds: Bob's setting j sifts
+        # Alice's i where j - i is 0, +-1 or +-4, that is where (j - i)^2,
+        # else 4 or 9, is at most 1 in its low four bits
+        sifted = chunk[1] - chunk[0]
+        sifted *= sifted
+        sifted &= 15
+        sifted = _row_codes(chunk)[sifted <= 1]
+        if len(sifted):
+            # the positions up to the chunk's last sifted round, found in their
+            # own dtype: a Python int would cast them all to int64
+            last = positions.dtype.type(before + len(sifted) - 1)
+            end = positions.searchsorted(last, "right")
+            # positions[done] >= before, so before fits the positions' dtype
+            cells += np.bincount(sifted[positions[done:end] - before], minlength=_ROWS)
+            done, before = end, before + len(sifted)
+    return cells
+
+
 def _entropy_bits(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0
@@ -410,16 +473,17 @@ def _entropy_bits(p: float) -> float:
 
 
 def key_stats(t: Transcript) -> KeyStats:
-    """Sift-rate, bit frequencies, entropy and key rate over sifted rounds."""
-    alice, bob, _ = t.sifted
-    n = len(alice)
+    """Sift-rate, bit frequencies, entropy and key rate over sifted rounds,
+    counted from ``t.cells``."""
+    (a00, a01, *_), (a10, a11, *_) = t._sifted
+    n = a00 + a01 + a10 + a11
     if not n:
         raise ValueError("no sifted rounds: cannot compute key statistics")
-    p1 = np.count_nonzero(alice) / n
+    p1 = (a10 + a11) / n
     p0 = 1.0 - p1
     shannon = _entropy_bits(p1)
     sift_rate = n / t.columns.shape[1]
-    anticorr = np.count_nonzero(alice != bob) / n
+    anticorr = (a01 + a10) / n
     return KeyStats(
         sift_rate=sift_rate,
         p0=p0,
@@ -440,8 +504,12 @@ def mutual_information(x_bits, y_bits) -> float:
         raise ValueError("need at least 100 samples for a mutual-information estimate")
     if not (((x == 0) | (x == 1)).all() and ((y == 0) | (y == 1)).all()):
         raise ValueError("mutual information takes sequences of bits 0 and 1")
-    n = len(x)
-    joint = np.bincount(2 * x + y, minlength=4).reshape(2, 2).tolist()
+    return _mutual_information(np.bincount(2 * x + y, minlength=4).reshape(2, 2).tolist())
+
+
+def _mutual_information(joint: list) -> float:
+    """Plug-in mutual information of the bit pairs counted in ``joint[x][y]``."""
+    n = sum(joint[0]) + sum(joint[1])
     total = 0.0
     for a in (0, 1):
         for b in (0, 1):
@@ -462,14 +530,17 @@ def estimate_security(
     Both parties publish their bits on the sacrificed subset; the verdict
     compares the observed anti-correlation fraction against the threshold
     with a 3-sigma normal halfwidth (floored at 1/m at the boundary values).
-    Sacrificed rounds are excluded from the final key.
+    Sacrificed rounds are excluded from the final key.  The sifted rounds are
+    counted from ``t.cells``, and the m sacrificed ones in a second pass over
+    the columns.
     """
     if not 0.0 <= sacrifice_fraction <= 1.0:
         raise ValueError("sacrifice_fraction must lie in [0, 1]")
-    alice, bob, eve_outcome = t.sifted
-    if not len(alice):
+    (b00, b01, *_), (b10, b11, *_) = t._sifted
+    n = b00 + b01 + b10 + b11
+    if not n:
         raise ValueError("no sifted rounds: cannot run a security test")
-    m = int(round(sacrifice_fraction * len(alice)))
+    m = int(round(sacrifice_fraction * n))
     if m < 100:
         return SecurityReport(
             kab_estimate=float("nan"),
@@ -479,9 +550,9 @@ def estimate_security(
             sacrificed_count=m,
             note=f"sacrificed subset too small ({m} < 100 sifted rounds)",
         )
-    chosen = rng.subset(len(alice), m)
-    alice, bob, eve_outcome = alice[chosen], bob[chosen], eve_outcome[chosen]
-    kab = np.count_nonzero(alice != bob) / m
+    subset = _subset_cells(t.columns, rng.subset(n, m))
+    (b00, b01, g00, g01, _), (b10, b11, g10, g11, _) = _sifted_counts(subset)
+    kab = (b01 + b10) / m
     if kab in (0.0, 1.0):
         halfwidth = 1.0 / m
     else:
@@ -497,8 +568,8 @@ def estimate_security(
     mi_ae = None
     if t.config.eve.present:
         pe = estimate_pe(t)
-        mi_ae = mutual_information(alice, eve_guess(eve_outcome))
-    mi_ab = mutual_information(alice, bob)
+        mi_ae = _mutual_information([[g00, g01], [g10, g11]])
+    mi_ab = _mutual_information([[b00, b01], [b10, b11]])
     return SecurityReport(
         kab_estimate=kab,
         confidence_halfwidth=halfwidth,
@@ -540,9 +611,9 @@ def _csv_tables() -> tuple[np.ndarray, np.ndarray]:
 
     ``digits[0, r]`` (uint8) is an index r below 1000 and ``digits[1, r]`` the
     last three digits of a larger index.  ``tails`` (bytes) holds every line a
-    round can have after its index, as ``csv.writer`` writes it, at row
-    ((5 i + j) 2 + bob_outcome) 18 + 3 (k + 1) + e + 1, where Eve's setting k
-    and outcome e are -1 without Eve.
+    round can have after its index, as ``csv.writer`` writes it, at the
+    round's row code ((5 i + j) 2 + bob_outcome) 18 + 3 (k + 1) + e + 1,
+    where Eve's setting k and outcome e are -1 without Eve.
     """
     names = ("C1", "C2", "C3")
     tails = []
@@ -584,10 +655,9 @@ def write_transcript_csv(t: Transcript, out) -> None:
     buffer = np.empty((min(rounds, _CSV_CHUNK), prefix + 3 + tails.itemsize), np.uint8)
     out.write((",".join(CSV_COLUMNS) + "\r\n").encode())
     for c, start in enumerate(range(0, rounds, _CSV_CHUNK)):
-        i, j, bob_outcome, k, e, _ = t.columns[:, start:start + _CSV_CHUNK]
-        lines = buffer[:len(i)]
+        tail = tails.take(_row_codes(t.columns[:, start:start + _CSV_CHUNK]))
+        lines = buffer[:len(tail)]
         lines[:, :prefix] = np.frombuffer(f"{c or ''}".encode().ljust(prefix, b"\0"), np.uint8)
-        lines[:, prefix:prefix + 3] = digits[min(c, 1), :len(i)]
-        tail = tails.take(((i * 5 + j) * 2 + bob_outcome) * 18 + k * 3 + e + 4)
-        lines[:, prefix + 3:] = tail.view(np.uint8).reshape(len(i), tails.itemsize)
+        lines[:, prefix:prefix + 3] = digits[min(c, 1), :len(tail)]
+        lines[:, prefix + 3:] = tail.view(np.uint8).reshape(len(tail), tails.itemsize)
         out.write(lines[lines != 0])

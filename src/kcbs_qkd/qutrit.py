@@ -72,9 +72,13 @@ class RngStream:
         return min(int(self.uniform() * upper), upper - 1)
 
     def subset(self, n: int, m: int) -> np.ndarray:
-        """m distinct indices sampled uniformly from range(n), sorted."""
+        """m distinct indices sampled uniformly from range(n), sorted, in the
+        narrowest unsigned dtype that holds n - 1.  The shuffle draws what
+        ``Generator.permutation(n)`` draws and gives the same order."""
         self.counter += n
-        return np.sort(self._gen.permutation(n)[:m])
+        indices = np.arange(n, dtype=np.min_scalar_type(max(n - 1, 0)))
+        self._gen.shuffle(indices)
+        return np.sort(indices[:m])
 
 
 # streams one uniforms call takes at most, and prepare-and-measure rounds per

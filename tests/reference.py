@@ -11,12 +11,14 @@ constants, the basis's rays, the random streams and the transcript types
 (``test_exports`` checks this).  The tests hold the channel, the oracle and
 the session kernel to it.  It also keeps the transcript CSV written row by
 row through ``csv.writer``, which the package's columnar writer must match
-byte for byte.
+byte for byte, and the key statistics computed from the sifted rounds'
+bits, gathered by a boolean mask, which the package's counts must match.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -139,3 +141,78 @@ def write_transcript_csv_rows(t: Transcript, path: str) -> None:
                  case if sifted else "", bob_outcome if sifted else "",
                  k if eve else "", e if eve else "", 1 - e if eve else ""]
             )
+
+
+def sift(t: Transcript) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alice's bit, Bob's bit and Eve's outcome on the sifted rounds, in
+    round order, gathered by a boolean mask over the transcript's columns."""
+    i, j, bob_outcome, _, eve_outcome, _ = t.columns
+    case = SIFT.ravel().take(5 * i + j)  # on a sifted round Alice's bit
+    keep = case != C3
+    return case[keep], bob_outcome[keep], eve_outcome[keep]
+
+
+def entropy_bits(p: float) -> float:
+    if p <= 0.0 or p >= 1.0:
+        return 0.0
+    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
+def mutual_information(x: np.ndarray, y: np.ndarray) -> float:
+    """Plug-in mutual information of two bit arrays, in bits."""
+    n = len(x)
+    joint = [[np.count_nonzero((x == a) & (y == b)) for b in (0, 1)] for a in (0, 1)]
+    total = 0.0
+    for a in (0, 1):
+        for b in (0, 1):
+            p_ab = joint[a][b] / n
+            if p_ab == 0.0:
+                continue
+            p_a = (joint[a][0] + joint[a][1]) / n
+            p_b = (joint[0][b] + joint[1][b]) / n
+            total += p_ab * math.log2(p_ab / (p_a * p_b))
+    return max(total, 0.0)
+
+
+def key_stats_fields(t: Transcript) -> dict:
+    """The fields of ``protocol.KeyStats`` from the sifted bits."""
+    alice, bob, _ = sift(t)
+    n = len(alice)
+    p1 = np.count_nonzero(alice) / n
+    sift_rate = n / t.columns.shape[1]
+    return {"sift_rate": sift_rate, "p0": 1.0 - p1, "p1": p1, "shannon": entropy_bits(p1),
+            "key_rate_per_transmission": sift_rate * entropy_bits(p1),
+            "anticorr_fraction": np.count_nonzero(alice != bob) / n}
+
+
+def estimate_pe(t: Transcript) -> float:
+    """The fraction of sifted rounds on which Eve's guess 1 - e is Alice's bit."""
+    alice, _, eve_outcome = sift(t)
+    return np.count_nonzero(1 - eve_outcome == alice) / len(alice)
+
+
+def estimate_security_fields(t: Transcript, sacrifice_fraction: float, rng: RngStream) -> dict:
+    """The fields of ``protocol.SecurityReport`` of a subset of at least 100
+    sifted rounds: K(A,B) against 5/8 with a 3-sigma halfwidth, floored at
+    1/m."""
+    alice, bob, eve_outcome = sift(t)
+    m = int(round(sacrifice_fraction * len(alice)))
+    if m < 100:
+        raise ValueError("the reference takes a subset of at least 100 rounds")
+    chosen = rng.subset(len(alice), m)
+    alice, bob, eve_outcome = alice[chosen], bob[chosen], eve_outcome[chosen]
+    kab = np.count_nonzero(alice != bob) / m
+    halfwidth = 1.0 / m if kab in (0.0, 1.0) else 3.0 * math.sqrt(kab * (1.0 - kab) / m)
+    threshold = 5.0 / 8.0
+    if kab - halfwidth > threshold:
+        verdict = "Secure"
+    elif kab + halfwidth < threshold:
+        verdict = "Insecure"
+    else:
+        verdict = "Inconclusive"
+    eve = t.config.eve.present
+    return {"kab_estimate": kab, "confidence_halfwidth": halfwidth, "threshold": threshold,
+            "verdict": verdict, "pe_estimate": estimate_pe(t) if eve else None,
+            "mutual_info_ab": mutual_information(alice, bob),
+            "mutual_info_ae": mutual_information(alice, 1 - eve_outcome) if eve else None,
+            "sacrificed_count": m, "note": None}

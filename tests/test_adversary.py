@@ -17,7 +17,7 @@ from kcbs_qkd.adversary import (
 from kcbs_qkd.kcbs import standard_basis
 from kcbs_qkd.protocol import PREPARE_MEASURE, ProtocolConfig, run_session
 from kcbs_qkd.qutrit import RngStream
-from reference import ForcedDraws, born, intercept, projector
+from reference import ForcedDraws, born, intercept, projector, sift
 
 GOLDEN_ORACLE = pathlib.Path(__file__).parent / "golden" / "oracle.json"
 
@@ -227,7 +227,7 @@ def test_estimate_pe_requires_eve_records(basis):
 def test_constant_guess_baseline(basis):
     # guessing a constant 1 against the ideal run succeeds 2/3 of the time
     transcript = _session(basis, EveStrategy(), 50_000, 5)
-    alice, _, _ = transcript.sifted
+    alice, _, _ = sift(transcript)
     p = np.count_nonzero(alice == 1) / len(alice)
     assert p == pytest.approx(2 / 3, abs=3 * math.sqrt((2 / 3) * (1 / 3) / len(alice)))
 
@@ -244,7 +244,7 @@ def test_monte_carlo_matches_oracle(basis, eve):
     rounds = 100_000
     transcript = _session(basis, eve, rounds, seed=2718)
     exp = attack_expectation(eve, basis)
-    alice, bob, _ = transcript.sifted
+    alice, bob, _ = sift(transcript)
     n = len(alice)
     kab = np.count_nonzero(alice != bob) / n
     assert kab == pytest.approx(

@@ -1,5 +1,7 @@
+import collections
 import csv
 import dataclasses
+import io
 import itertools
 import math
 import tracemalloc
@@ -14,11 +16,14 @@ from kcbs_qkd.kcbs import KcbsBasis, standard_basis, standard_vectors_unnormaliz
 from kcbs_qkd.protocol import (
     ENTANGLED,
     PREPARE_MEASURE,
+    KeyStats,
     ProtocolConfig,
     Round,
+    SecurityReport,
     Transcript,
     _BLOCK,
     _CSV_CHUNK,
+    _STATS_CHUNK,
     estimate_security,
     key_stats,
     mutual_information,
@@ -27,7 +32,8 @@ from kcbs_qkd.protocol import (
     write_transcript_csv,
 )
 from kcbs_qkd.qutrit import _LANES, RngStream
-from reference import born, entangled_collapse, projector, state, write_transcript_csv_rows
+import reference
+from reference import born, entangled_collapse, projector, sift, state, write_transcript_csv_rows
 
 NO_EVE = EveStrategy()
 
@@ -258,7 +264,7 @@ def test_mutual_information_identities():
 def test_mutual_information_matches_shannon_on_ideal_run(basis):
     t = run_session(config(basis, rounds=20_000, seed=30))
     ks = key_stats(t)
-    alice, bob, _ = t.sifted
+    alice, bob, _ = sift(t)
     mi = mutual_information(alice, bob)
     assert mi == pytest.approx(ks.shannon, abs=1e-12)
 
@@ -436,18 +442,21 @@ def test_integer5_is_scalar_integer():
     assert expected[-1] == 4
 
 
-def test_sifted_view_computed_once(basis):
-    # key_stats, estimate_security and estimate_pe share one view, and the
-    # columns it is computed from cannot change under it
+def test_cells_computed_once(basis):
+    # key_stats, estimate_security and estimate_pe share one count table, and
+    # the columns it is computed from cannot change under it
     t = run_session(config(basis, rounds=2000, seed=9, eve=EveStrategy(kind="fixed", setting=1)))
-    view = t.sifted
+    cells = t.cells
+    assert cells.shape == (5, 5, 2, 6, 3) and cells.dtype == np.int64
+    assert cells.sum() == 2000
     key_stats(t)
     estimate_security(t, 0.5, RngStream(9, stream_id=2000))
-    assert t.sifted is view
+    adversary.estimate_pe(t)
+    assert t.cells is cells
     with pytest.raises(ValueError, match="read-only"):
         t.columns[0, 0] = 4
     with pytest.raises(ValueError, match="read-only"):
-        view[1][0] = 1
+        cells[0, 1, 0, 2, 1] = 1
     with pytest.raises(dataclasses.FrozenInstanceError):
         t.columns = t.columns.copy()
     # a view is refused, as a write to its base would leave the view stale;
@@ -475,3 +484,109 @@ def test_no_channel_without_eve(basis, monkeypatch):
     run_session(cfg)
     run_round(cfg, 0)
     assert cfg.channel is None
+
+
+# round counts on both sides of every chunk boundary of the statistics
+STATS_ROUNDS = (_STATS_CHUNK - 1, _STATS_CHUNK, _STATS_CHUNK + 1, 2 * _STATS_CHUNK + 1, 20_001)
+
+
+@pytest.mark.parametrize("mode", [PREPARE_MEASURE, ENTANGLED])
+@pytest.mark.parametrize(
+    "eve",
+    [NO_EVE, EveStrategy(kind="fixed", setting=1), EveStrategy(kind="random", resend="eigenstate")],
+    ids=["absent", "fixed", "random"],
+)
+@pytest.mark.parametrize("sacrifice", [0.1, 0.5])
+def test_statistics_match_reference_sift(basis, mode, eve, sacrifice):
+    # the counts of Transcript.cells and of the sacrificed rounds give the
+    # values of the sifted bits that a boolean mask gathers, to the last bit
+    for rounds in STATS_ROUNDS:
+        cfg = config(basis, rounds=rounds, seed=rounds, mode=mode, eve=eve, sacrifice=sacrifice)
+        t = run_session(cfg)
+        assert key_stats(t) == KeyStats(**reference.key_stats_fields(t)), rounds
+        report = estimate_security(t, sacrifice, RngStream(cfg.seed, stream_id=rounds))
+        expected = reference.estimate_security_fields(
+            t, sacrifice, RngStream(cfg.seed, stream_id=rounds))
+        assert report == SecurityReport(**expected), rounds
+        if eve.present:
+            assert adversary.estimate_pe(t) == reference.estimate_pe(t), rounds
+        else:
+            with pytest.raises(ValueError, match="without Eve records"):
+                adversary.estimate_pe(t)
+
+
+@pytest.mark.parametrize(
+    "mode,eve",
+    [(PREPARE_MEASURE, NO_EVE), (PREPARE_MEASURE, EveStrategy(kind="fixed", setting=3)),
+     (ENTANGLED, EveStrategy(kind="random", resend="eigenstate"))],
+    ids=["prepare-absent", "prepare-fixed", "entangled-random"],
+)
+def test_cells_count_rounds_and_csv_lines(basis, mode, eve):
+    # cells holds the rounds of each (i, j, bob_outcome, k + 1, e + 1), and its
+    # flat index is the row of the line tail the CSV writer gives the round
+    rounds = _STATS_CHUNK + 1
+    t = run_session(config(basis, rounds=rounds, seed=4, mode=mode, eve=eve))
+    expected = np.zeros((5, 5, 2, 6, 3), np.int64)
+    for r in map(Round._make, t.columns.T.tolist()):
+        expected[r.i, r.j, r.bob_outcome, r.eve_setting + 1, r.eve_outcome + 1] += 1
+    assert np.array_equal(t.cells, expected)
+    out = io.BytesIO()
+    write_transcript_csv(t, out)
+    tails = collections.Counter(line.split(b",", 1)[1] for line in out.getvalue().splitlines()[1:])
+    assert sum(tails.values()) == rounds
+    assert len(tails) == np.count_nonzero(t.cells)
+    for tail, count in tails.items():
+        i, j, _, bob_outcome, _, _, k, e, _ = tail.split(b",")
+        i, j, bob_outcome, k, e = (int(f) if f else -1 for f in (i, j, bob_outcome, k, e))
+        assert t.cells[i, j, bob_outcome, k + 1, e + 1] == count, tail
+
+
+@pytest.mark.parametrize("rounds", [1, 8191, 8192, 8193, 20_001])
+def test_total_attempts_exact(basis, rounds):
+    # the int64 sum of the attempts column, up to int16's largest count
+    attempts = np.random.default_rng(rounds).integers(1, 2**15, rounds)
+    columns = np.zeros((len(Round._fields), rounds), np.int16)
+    columns[5] = attempts
+    t = Transcript(config=config(basis, rounds=rounds), columns=columns)
+    assert t.total_attempts == sum(attempts.tolist())
+    assert type(t.total_attempts) is int
+
+
+def test_total_attempts_buffer_bounded(basis):
+    # a whole-column int64 sum casts through a buffer of 8,192 rounds (64 KB)
+    t = run_session(config(basis, rounds=20_000, seed=3, mode=ENTANGLED))
+    t.total_attempts
+    tracemalloc.start()
+    try:
+        t.total_attempts
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 1024, peak
+
+
+@pytest.mark.parametrize("rounds", [5_000, 20_000])
+@pytest.mark.parametrize("sacrifice", [0.1, 0.5])
+def test_statistics_working_set_bounded(basis, rounds, sacrifice):
+    # key_stats, estimate_security and total_attempts, from a transcript whose
+    # cells are not yet counted, hold no more beside the columns than the
+    # session kernel's own working set: their passes are bounded by
+    # _STATS_CHUNK, not the session length
+    eve = EveStrategy(kind="random", resend="eigenstate")
+    warm = run_session(config(basis, rounds=300, mode=ENTANGLED, eve=eve))
+    key_stats(warm)
+    estimate_security(warm, 0.5, RngStream(0, stream_id=300))
+    cfg = config(basis, rounds=rounds, seed=3, mode=ENTANGLED, eve=eve, sacrifice=sacrifice)
+    cfg.channel  # built outside the measurement
+    tracemalloc.start()
+    try:
+        t = run_session(cfg)
+        session = tracemalloc.get_traced_memory()[1] - t.columns.nbytes
+        tracemalloc.reset_peak()
+        key_stats(t)
+        estimate_security(t, sacrifice, RngStream(cfg.seed, stream_id=rounds))
+        t.total_attempts
+        statistics = tracemalloc.get_traced_memory()[1] - t.columns.nbytes
+    finally:
+        tracemalloc.stop()
+    assert statistics <= session, (statistics, session)

@@ -140,6 +140,20 @@ def test_rng_streams_identical_and_independent():
     assert RngStream(7, 3).uniform() != RngStream(7, 4).uniform()
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 100, 255, 256, 257, 3_000, 65_535, 65_536, 65_537, 200_000])
+def test_subset_is_permutation_prefix(n):
+    # the narrowest unsigned permutation is Generator.permutation's, sorted,
+    # and leaves the stream where permutation(n) leaves it
+    rng = RngStream(17, stream_id=n)
+    gen = np.random.Generator(np.random.Philox(key=np.array([17, n], np.uint64)))
+    m = n // 3
+    chosen = rng.subset(n, m)
+    assert chosen.dtype == np.min_scalar_type(max(n - 1, 0))
+    assert np.array_equal(chosen, np.sort(gen.permutation(n)[:m]))
+    assert rng.uniform() == gen.random()
+    assert rng.counter == n + 1
+
+
 def test_rng_keys_above_two_to_the_63():
     # a key holding a value >= 2^63 must keep its low bits
     assert RngStream(2**63, 0).uniform() != RngStream(2**63 + 1, 0).uniform()

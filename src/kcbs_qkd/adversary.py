@@ -42,7 +42,6 @@ __all__ = [
     "AttackExpectation",
     "build_channel",
     "eve_guess",
-    "estimate_pe",
     "attack_expectation",
 ]
 
@@ -137,42 +136,6 @@ def build_channel(basis: KcbsBasis, resend: str) -> Channel:
     branch.setflags(write=False)
     click.setflags(write=False)
     return Channel(resend=resend, branch=branch, click=click)
-
-
-# _BY_BIT[a, 5 i + j] is 1 where the settings (i, j) are sifted with Alice's
-# bit a.  _BY_OUTCOME[b, k + 1, e + 1], for Bob's outcome b and Eve's setting
-# k and outcome e (-1 without Eve), is 1 in column b, and in column
-# 2 + eve_guess(e) or, without Eve, 4; it is used flat, with 36 rows.
-_BY_BIT = np.array([SIFT.ravel() == a for a in (0, 1)], np.int64)
-_BY_OUTCOME = np.zeros((2, 6, 3, 5), np.int64)
-for _b in (0, 1):
-    _BY_OUTCOME[_b, :, :, _b] = 1
-for _e in (-1, 0, 1):
-    _BY_OUTCOME[:, :, _e + 1, 4 if _e < 0 else 2 + eve_guess(_e)] = 1
-_BY_OUTCOME = _BY_OUTCOME.reshape(36, 5)
-for _table in (_BY_BIT, _BY_OUTCOME):
-    _table.setflags(write=False)
-del _b, _e, _table
-
-
-def _sifted_counts(cells: np.ndarray) -> list:
-    """The sifted rounds of 900 counts laid out as ``Transcript.cells`` is,
-    (i, j, bob_outcome, k + 1, e + 1), by Alice's bit a: for a = 0 and 1 the
-    list [Bob's outcome 0, 1, Eve's guess 0, 1, no Eve record] of ints."""
-    return (_BY_BIT @ cells.reshape(25, 36) @ _BY_OUTCOME).tolist()
-
-
-def estimate_pe(transcript) -> float:
-    """Fraction of sifted rounds where Eve's guess matches Alice's key bit,
-    counted from ``transcript.cells``: the transcript keeps their
-    ``_sifted_counts``."""
-    (b00, b01, g00, _, missing0), (b10, b11, _, g11, missing1) = transcript._sifted
-    if missing0 or missing1:
-        raise ValueError("transcript has sifted rounds without Eve records")
-    n = b00 + b01 + b10 + b11
-    if n == 0:
-        raise ValueError("no sifted rounds with Eve records")
-    return (g00 + g11) / n
 
 
 @dataclass(frozen=True)

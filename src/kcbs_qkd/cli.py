@@ -26,6 +26,7 @@ from .adversary import (
     FIXED,
     RANDOM,
     RESEND_COLLAPSED,
+    RESEND_EIGENSTATE,
     EveStrategy,
     attack_expectation,
 )
@@ -53,7 +54,6 @@ from .protocol import (
     run_session,
     write_transcript_csv,
 )
-from .qutrit import RngStream
 
 __all__ = ["main", "build_report", "round_floats", "report_json"]
 
@@ -301,10 +301,7 @@ def _cmd_simulate(args) -> int:
     transcript = run_session(cfg)
     try:
         stats = key_stats(transcript)
-        # the security test draws from its own stream, outside the round ids
-        security = estimate_security(
-            transcript, cfg.sacrifice_fraction, RngStream(cfg.seed, stream_id=cfg.rounds)
-        )
+        security = estimate_security(transcript)
     except ValueError as exc:  # e.g. no sifted rounds in a very short session
         print(f"simulate: {exc}", file=sys.stderr)
         return 1
@@ -384,7 +381,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--mode", choices=["prepare", "entangled"], default="prepare",
                        help="prepare-and-measure (default) or entangled-pair scheme")
     p_sim.add_argument("--eve", default="absent", help="absent | fixed:K (K = 0..4) | random")
-    p_sim.add_argument("--resend", default=None, help="collapsed | eigenstate")
+    p_sim.add_argument("--resend", choices=[RESEND_COLLAPSED, RESEND_EIGENSTATE], default=None,
+                       help="Eve's resend rule (default collapsed); needs --eve fixed:K or random")
     p_sim.add_argument("--sacrifice", type=float, default=0.1,
                        help="fraction of sifted rounds spent on the security test, "
                        "in [0, 0.5] (default 0.1)")

@@ -37,11 +37,12 @@ def random_state_amplitudes(rng: np.random.Generator) -> np.ndarray:
     return rng.normal(size=3) + 1j * rng.normal(size=3)
 
 
-def synthetic_transcript(basis, n_sifted, anticorr_fraction, n_c3=0):
+def synthetic_transcript(basis, n_sifted, anticorr_fraction, n_c3=0, seed=0):
     """A hand-built transcript with an exact anti-correlation fraction.
 
     ``n_sifted`` C2 rounds (Alice's bit 1), the correlated ones first, then
-    ``n_c3`` out-of-context rounds; no Eve.
+    ``n_c3`` out-of-context rounds; no Eve.  Its config sacrifices half of
+    the sifted rounds, drawn from the stream (``seed``, rounds).
     """
     correlated = round(n_sifted * (1 - anticorr_fraction))  # Bob's bit 1 too
     rows = [Round(0, 1, 1 if r < correlated else 0, -1, -1, 1) for r in range(n_sifted)]
@@ -52,7 +53,7 @@ def synthetic_transcript(basis, n_sifted, anticorr_fraction, n_c3=0):
         rounds=len(rows),
         sacrifice_fraction=0.5,
         eve=EveStrategy(),
-        seed=0,
+        seed=seed,
     )
     columns = np.array(rows, dtype=np.int16).reshape(len(rows), len(Round._fields)).T.copy()
     return Transcript(config=cfg, columns=columns)

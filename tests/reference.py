@@ -191,15 +191,17 @@ def estimate_pe(t: Transcript) -> float:
     return np.count_nonzero(1 - eve_outcome == alice) / len(alice)
 
 
-def estimate_security_fields(t: Transcript, sacrifice_fraction: float, rng: RngStream) -> dict:
+def estimate_security_fields(t: Transcript) -> dict:
     """The fields of ``protocol.SecurityReport`` of a subset of at least 100
-    sifted rounds: K(A,B) against 5/8 with a 3-sigma halfwidth, floored at
+    sifted rounds, the config's fraction of them drawn from the stream
+    (seed, rounds): K(A,B) against 5/8 with a 3-sigma halfwidth, floored at
     1/m."""
+    cfg = t.config
     alice, bob, eve_outcome = sift(t)
-    m = int(round(sacrifice_fraction * len(alice)))
+    m = int(round(cfg.sacrifice_fraction * len(alice)))
     if m < 100:
         raise ValueError("the reference takes a subset of at least 100 rounds")
-    chosen = rng.subset(len(alice), m)
+    chosen = RngStream(cfg.seed, stream_id=cfg.rounds).subset(len(alice), m)
     alice, bob, eve_outcome = alice[chosen], bob[chosen], eve_outcome[chosen]
     kab = np.count_nonzero(alice != bob) / m
     halfwidth = 1.0 / m if kab in (0.0, 1.0) else 3.0 * math.sqrt(kab * (1.0 - kab) / m)
@@ -210,7 +212,7 @@ def estimate_security_fields(t: Transcript, sacrifice_fraction: float, rng: RngS
         verdict = "Insecure"
     else:
         verdict = "Inconclusive"
-    eve = t.config.eve.present
+    eve = cfg.eve.present
     return {"kab_estimate": kab, "confidence_halfwidth": halfwidth, "threshold": threshold,
             "verdict": verdict, "pe_estimate": estimate_pe(t) if eve else None,
             "mutual_info_ab": mutual_information(alice, bob),

@@ -14,7 +14,7 @@ import pytest
 from scipy.stats import chi2_contingency
 
 from conftest import D2_OVERLAP, synthetic_transcript
-from kcbs_qkd.adversary import EveStrategy, attack_expectation, estimate_pe
+from kcbs_qkd.adversary import EveStrategy, attack_expectation
 from kcbs_qkd.cli import main
 from kcbs_qkd.graphs import verify_monogamy_decomposition
 from kcbs_qkd.kcbs import ktilde, standard_basis
@@ -22,11 +22,11 @@ from kcbs_qkd.protocol import (
     ENTANGLED,
     PREPARE_MEASURE,
     ProtocolConfig,
+    estimate_pe,
     estimate_security,
     key_stats,
     run_session,
 )
-from kcbs_qkd.qutrit import RngStream
 from reference import sift
 
 NO_EVE = EveStrategy()
@@ -150,7 +150,7 @@ def test_criterion_6_adversary_oracle(basis):
     elapsed = time.perf_counter() - start
     kab_tol = 4 * math.sqrt(oracle.kab_expected * (1 - oracle.kab_expected) / n)
     pe_tol = 4 * math.sqrt(oracle.pe_expected * (1 - oracle.pe_expected) / n)
-    security = estimate_security(t, 0.1, RngStream(7, stream_id=1_000_000))
+    security = estimate_security(t)
     ok = (
         abs(kab - oracle.kab_expected) <= kab_tol
         and abs(pe - oracle.pe_expected) <= pe_tol
@@ -172,8 +172,8 @@ def test_criterion_6_adversary_oracle(basis):
 def test_criterion_7_threshold_logic(basis):
     verdicts = {}
     for fraction in (0.60, 0.625, 0.65):
-        t = synthetic_transcript(basis, 40_000, fraction)
-        rep = estimate_security(t, 0.5, RngStream(55, stream_id=0))
+        t = synthetic_transcript(basis, 40_000, fraction, seed=55)
+        rep = estimate_security(t)
         verdicts[fraction] = rep.verdict
     ok = (
         verdicts[0.60] == "Insecure"

@@ -11,11 +11,17 @@ from kcbs_qkd.adversary import (
     EveStrategy,
     attack_expectation,
     build_channel,
-    estimate_pe,
     eve_guess,
 )
 from kcbs_qkd.kcbs import standard_basis
-from kcbs_qkd.protocol import PREPARE_MEASURE, ProtocolConfig, run_session
+from kcbs_qkd.protocol import (
+    PREPARE_MEASURE,
+    SECURITY_THRESHOLD,
+    ProtocolConfig,
+    estimate_pe,
+    estimate_security,
+    run_session,
+)
 from kcbs_qkd.qutrit import RngStream
 from reference import ForcedDraws, born, intercept, projector, sift
 
@@ -257,9 +263,6 @@ def test_monte_carlo_matches_oracle(basis, eve):
         abs=4 * math.sqrt(exp.pe_expected * (1 - exp.pe_expected) / n),
     )
     # verdict chain: the simulation verdict reproduces the oracle's
-    from kcbs_qkd.protocol import SECURITY_THRESHOLD, estimate_security
-    from kcbs_qkd.qutrit import RngStream
-
-    security = estimate_security(transcript, 0.1, RngStream(2718, stream_id=rounds))
+    security = estimate_security(transcript)
     oracle_verdict = "Secure" if exp.kab_expected > SECURITY_THRESHOLD else "Insecure"
     assert security.verdict == oracle_verdict

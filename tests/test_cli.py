@@ -1,3 +1,5 @@
+import ast
+import importlib
 import importlib.resources
 import json
 import math
@@ -254,7 +256,16 @@ def test_simulate_rejects_resend_without_eve(tmp_path, capsys):
         "simulate", "--rounds", "100", "--seed", "1", "--resend", "collapsed",
     )
     assert code == 1
-    assert "resend" in err
+    assert err == "simulate: --resend requires an eavesdropper (--eve fixed:K|random)\n"
+
+
+def test_simulate_rejects_unknown_resend(capsys):
+    # a usage error, as an unknown --mode is
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--rounds", "100", "--seed", "1", "--eve", "random",
+              "--resend", "teleport"])
+    assert exc.value.code == 1
+    assert "argument --resend: invalid choice: 'teleport'" in capsys.readouterr().err
 
 
 def test_simulate_rejects_bad_eve_spec(capsys):
@@ -426,18 +437,21 @@ def test_simulate_successful_write_removes_nothing(tmp_path, capsys, monkeypatch
     assert removed == []
 
 
-def test_simulate_calls_each_traced_global_once(capsys, monkeypatch):
-    # the per-process caches live in the callees: every call of simulate still
-    # calls each of these cli globals once, as the benchmark's tracer assumes
-    import kcbs_qkd.cli as cli
+def _traced_calls() -> tuple:
+    """The benchmark tracer's (module, attribute, span) triples, read from
+    ``perfbench/run.py`` without running it."""
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "run.py").read_text())
+    (value,) = (node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["TRACED_CALLS"])
+    return ast.literal_eval(value)
 
-    names = (
-        "standard_basis",
-        "build_report",
-        "verify_monogamy_decomposition",
-        "attack_expectation",
-        "report_json",
-    )
+
+def test_simulate_calls_each_traced_global_once(tmp_path, capsys, monkeypatch):
+    # the per-process caches live in the callees: every call of simulate still
+    # calls each global that the benchmark's tracer patches once, as it
+    # assumes; with a transcript, Eve and a subset large enough for p_E
+    names = [f"{module}.{attr}" for module, attr, _ in _traced_calls()]
+    assert {"cli.write_transcript_csv", "protocol.estimate_pe"} <= set(names)
     calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
@@ -448,9 +462,13 @@ def test_simulate_calls_each_traced_global_once(capsys, monkeypatch):
         return wrapper
 
     for name in names:
-        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        module, attr = name.split(".")
+        mod = importlib.import_module(f"kcbs_qkd.{module}")
+        monkeypatch.setattr(mod, attr, counted(name, getattr(mod, attr)))
     for _ in range(2):
-        run(capsys, "simulate", "--rounds", "300", "--seed", "4", "--eve", "fixed:1")
+        code, _, _ = run(capsys, "simulate", "--rounds", "2000", "--seed", "4", "--eve", "fixed:1",
+                         "--transcript", str(tmp_path / "t.csv"))
+        assert code == 0
         assert calls == dict.fromkeys(names, 1)
         calls.update(dict.fromkeys(names, 0))
 
@@ -471,7 +489,7 @@ def test_simulate_insecure_exit_code(tmp_path, capsys, monkeypatch):
     import kcbs_qkd.cli as cli
     from kcbs_qkd.protocol import SECURITY_THRESHOLD, SecurityReport
 
-    def fake_security(transcript, fraction, rng):
+    def fake_security(transcript):
         return SecurityReport(
             kab_estimate=0.5,
             confidence_halfwidth=0.01,
@@ -509,7 +527,7 @@ def test_readme_usage_matches_parser():
                 synopsis += " " + more
             for flag, value in re.findall(r"(--[a-z-]+)(?: ([^\s\]]+))?", synopsis):
                 assert flag in options, f"README flag {flag} unknown to the parser"
-                if flag == "--mode":
+                if flag in ("--mode", "--resend"):
                     assert set(value.split("|")) == set(options[flag].choices), synopsis
                 checked += 1
     assert checked >= 15

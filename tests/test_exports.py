@@ -76,6 +76,27 @@ def test_public_names_are_read():
     assert not unread, f"public names read only outside the package and benchmark: {unread}"
 
 
+def test_cells_layout_read_by_protocol_alone():
+    # protocol defines the layout of Transcript.cells and folds it; the
+    # physics in adversary reads nothing of a transcript
+    trees = {p.name: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    imported = set()
+    for node in ast.walk(trees["adversary.py"]):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not [name for name in imported if "protocol" in name.split(".")], imported
+    readers = sorted(
+        f"{module}: {node.attr}"
+        for module, tree in trees.items() if module != "protocol.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("cells", "_sifted")
+    )
+    assert not readers, f"modules other than protocol read the transcript's counts: {readers}"
+
+
 # what tests/reference.py may take from the package: sift and strategy
 # constants, the basis (for its rays), the random streams and the transcript
 # types; nothing that computes a probability or a state, so that the tests'

@@ -24,6 +24,7 @@ from kcbs_qkd.protocol import (
     _BLOCK,
     _CSV_CHUNK,
     _STATS_CHUNK,
+    estimate_pe,
     estimate_security,
     key_stats,
     mutual_information,
@@ -202,7 +203,7 @@ def test_entangled_mode_attempt_metadata(basis):
 
 def test_security_ideal_run(basis):
     t = run_session(config(basis, rounds=20_000, seed=8))
-    rep = estimate_security(t, 0.1, RngStream(8, stream_id=20_000))
+    rep = estimate_security(t)
     assert rep.kab_estimate == 1.0
     assert rep.verdict == "Secure"
     assert rep.confidence_halfwidth == pytest.approx(1 / rep.sacrificed_count, abs=0)
@@ -213,7 +214,7 @@ def test_security_ideal_run(basis):
 
 def test_security_subset_too_small(basis):
     t = run_session(config(basis, rounds=500, seed=8))
-    rep = estimate_security(t, 0.1, RngStream(8, stream_id=500))
+    rep = estimate_security(t)
     assert rep.verdict == "Inconclusive"
     assert "too small" in rep.note
 
@@ -223,15 +224,15 @@ def test_security_subset_too_small(basis):
     [(0.60, "Insecure"), (0.625, "Inconclusive"), (0.65, "Secure")],
 )
 def test_security_threshold_logic(basis, fraction, expected):
-    t = synthetic_transcript(basis, n_sifted=40_000, anticorr_fraction=fraction)
-    rep = estimate_security(t, 0.5, RngStream(123, stream_id=0))
+    t = synthetic_transcript(basis, n_sifted=40_000, anticorr_fraction=fraction, seed=123)
+    rep = estimate_security(t)
     assert rep.verdict == expected
     assert rep.threshold == 5 / 8
 
 
 def test_security_excludes_c3(basis):
-    t = synthetic_transcript(basis, n_sifted=1000, anticorr_fraction=1.0, n_c3=1000)
-    rep = estimate_security(t, 0.5, RngStream(5, stream_id=0))
+    t = synthetic_transcript(basis, n_sifted=1000, anticorr_fraction=1.0, n_c3=1000, seed=5)
+    rep = estimate_security(t)
     assert rep.sacrificed_count == 500  # half of the sifted rounds only
     assert rep.kab_estimate == 1.0
 
@@ -445,13 +446,14 @@ def test_integer5_is_scalar_integer():
 def test_cells_computed_once(basis):
     # key_stats, estimate_security and estimate_pe share one count table, and
     # the columns it is computed from cannot change under it
-    t = run_session(config(basis, rounds=2000, seed=9, eve=EveStrategy(kind="fixed", setting=1)))
+    eve = EveStrategy(kind="fixed", setting=1)
+    t = run_session(config(basis, rounds=2000, seed=9, eve=eve, sacrifice=0.5))
     cells = t.cells
     assert cells.shape == (5, 5, 2, 6, 3) and cells.dtype == np.int64
     assert cells.sum() == 2000
     key_stats(t)
-    estimate_security(t, 0.5, RngStream(9, stream_id=2000))
-    adversary.estimate_pe(t)
+    estimate_security(t)
+    estimate_pe(t)
     assert t.cells is cells
     with pytest.raises(ValueError, match="read-only"):
         t.columns[0, 0] = 4
@@ -504,15 +506,13 @@ def test_statistics_match_reference_sift(basis, mode, eve, sacrifice):
         cfg = config(basis, rounds=rounds, seed=rounds, mode=mode, eve=eve, sacrifice=sacrifice)
         t = run_session(cfg)
         assert key_stats(t) == KeyStats(**reference.key_stats_fields(t)), rounds
-        report = estimate_security(t, sacrifice, RngStream(cfg.seed, stream_id=rounds))
-        expected = reference.estimate_security_fields(
-            t, sacrifice, RngStream(cfg.seed, stream_id=rounds))
-        assert report == SecurityReport(**expected), rounds
+        report = estimate_security(t)
+        assert report == SecurityReport(**reference.estimate_security_fields(t)), rounds
         if eve.present:
-            assert adversary.estimate_pe(t) == reference.estimate_pe(t), rounds
+            assert estimate_pe(t) == reference.estimate_pe(t), rounds
         else:
             with pytest.raises(ValueError, match="without Eve records"):
-                adversary.estimate_pe(t)
+                estimate_pe(t)
 
 
 @pytest.mark.parametrize(
@@ -573,9 +573,9 @@ def test_statistics_working_set_bounded(basis, rounds, sacrifice):
     # session kernel's own working set: their passes are bounded by
     # _STATS_CHUNK, not the session length
     eve = EveStrategy(kind="random", resend="eigenstate")
-    warm = run_session(config(basis, rounds=300, mode=ENTANGLED, eve=eve))
+    warm = run_session(config(basis, rounds=300, seed=0, mode=ENTANGLED, eve=eve, sacrifice=0.5))
     key_stats(warm)
-    estimate_security(warm, 0.5, RngStream(0, stream_id=300))
+    estimate_security(warm)
     cfg = config(basis, rounds=rounds, seed=3, mode=ENTANGLED, eve=eve, sacrifice=sacrifice)
     cfg.channel  # built outside the measurement
     tracemalloc.start()
@@ -584,7 +584,7 @@ def test_statistics_working_set_bounded(basis, rounds, sacrifice):
         session = tracemalloc.get_traced_memory()[1] - t.columns.nbytes
         tracemalloc.reset_peak()
         key_stats(t)
-        estimate_security(t, sacrifice, RngStream(cfg.seed, stream_id=rounds))
+        estimate_security(t)
         t.total_attempts
         statistics = tracemalloc.get_traced_memory()[1] - t.columns.nbytes
     finally:

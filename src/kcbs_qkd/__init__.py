@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .adversary import AttackExpectation, EveStrategy, attack_expectation
+from .adversary import EveStrategy
 from .graphs import (
     ContextGraph,
     EdgeKind,
@@ -12,14 +12,15 @@ from .graphs import (
 )
 from .kcbs import KcbsBasis, KcbsBounds, bounds, ktilde, standard_basis
 from .protocol import (
+    AttackExpectation,
     KeyStats,
     ProtocolConfig,
     Round,
     SecurityReport,
     Transcript,
+    attack_expectation,
     estimate_security,
     key_stats,
-    mutual_information,
     run_round,
     run_session,
 )
@@ -47,7 +48,6 @@ __all__ = [
     "Transcript",
     "estimate_security",
     "key_stats",
-    "mutual_information",
     "run_round",
     "run_session",
     "RngStream",

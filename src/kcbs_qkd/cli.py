@@ -28,7 +28,6 @@ from .adversary import (
     RESEND_COLLAPSED,
     RESEND_EIGENSTATE,
     EveStrategy,
-    attack_expectation,
 )
 from .graphs import (
     MIMIC,
@@ -49,6 +48,7 @@ from .protocol import (
     ProtocolConfig,
     _atomic_writer,
     _temporary_path,
+    attack_expectation,
     estimate_security,
     key_stats,
     run_session,

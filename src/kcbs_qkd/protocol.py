@@ -34,11 +34,13 @@ independent check of the kernel.  Undisturbed click probabilities come from
 A round is stored as what it drew, a ``Round``; a session's ``Transcript``
 holds these as the columns of one int16 array.  A round's row code numbers
 what it drew, (i, j, Bob's outcome, Eve's setting and outcome), in 900 rows.
-``Transcript.cells`` counts the rounds of each row, once per transcript, and
-the key statistics, p_E and the security test's sizes are read from it
-through the sift rule ``adversary.SIFT``; no other module reads that
-layout.  ``write_transcript_csv`` renders the CSV from a table of every line
-a round can have after its index, at the round's row code.
+``Transcript.cells`` counts the rounds of each row, once per transcript; the
+key statistics, p_E and the security test's sizes are read, through the sift
+rule ``adversary.SIFT``, from its per-(i, j) table, and ``attack_expectation``,
+the exact oracle of every Monte-Carlo estimate, reads the same table of Eve's
+channel.  No other module reads that layout or the sift rule.
+``write_transcript_csv`` renders the CSV from a table of every line a round
+can have after its index, at the round's row code.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -77,12 +79,13 @@ __all__ = [
     "Transcript",
     "KeyStats",
     "SecurityReport",
+    "AttackExpectation",
     "run_round",
     "run_session",
     "key_stats",
     "estimate_security",
     "estimate_pe",
-    "mutual_information",
+    "attack_expectation",
     "write_transcript_csv",
 ]
 
@@ -215,7 +218,7 @@ class Transcript:
         return cells
 
     @cached_property
-    def _sifted(self) -> list:
+    def _sifted(self) -> tuple[list, list, list]:
         """``_sifted_counts`` of ``cells``, read by ``key_stats``,
         ``estimate_security`` and ``estimate_pe``; computed on the first read."""
         return _sifted_counts(self.cells)
@@ -242,6 +245,26 @@ class SecurityReport:
     mutual_info_ae: float | None = None
     sacrificed_count: int = 0
     note: str | None = None
+
+
+@dataclass(frozen=True)
+class AttackExpectation:
+    """Exact expected statistics of an attack, from density-matrix enumeration.
+
+    ``kab_expected`` and ``pe_expected`` pool over sifted rounds (Alice's
+    setting uniform, Bob's uniform over the three in-context settings).
+    ``kae_expected`` is the Alice-Eve analog of the Alice-Bob anti-correlation:
+    it treats Eve's setting like Bob's and pools rounds where Eve's setting
+    lies in Alice's context.  The linear-form value built from the published
+    per-setting analysis is reported alongside, never asserted.
+    """
+
+    kab_expected: float
+    pe_expected: float
+    kae_expected: float
+    paper_kae_linear_form: float
+    anticorr_table: tuple  # [i][j]: P(alice != bob | i, j), None off context
+    guess_table: tuple  # [i][j]: P(guess == alice | i, j), None off context
 
 
 def run_round(
@@ -446,28 +469,40 @@ def _row_fields():
 
 
 @cache
-def _sift_fold() -> tuple[np.ndarray, np.ndarray]:
-    """The read-only int64 factors of ``_sifted_counts``, twice as fast as one
-    (900, 10) table.  Row code r is 36 (5 i + j) + t: ``by_bit[a, 5 i + j]``
-    is 1 where (i, j) are sifted with Alice's bit a, and ``by_outcome[t]`` is
-    1 in column bob_outcome and in column 2 + eve_guess(e), or 4 without Eve."""
+def _sift_fold() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only int64 tables of the sift fold.  Row code r is 36 (5 i + j)
+    + t, and ``by_outcome[t]`` is 1 in column bob_outcome and in column 2 +
+    eve_guess(e), or 4 without Eve: it folds counts into ``_sift_read``'s table.
+    ``by_bit[a, 5 i + j]`` is 1 where (i, j) are sifted with Alice's bit a, and
+    ``reads`` holds, per sifted (i, j) row-major, the flat index in that table
+    of Bob's outcome 1 - a (row 0) and of Eve's guess a (row 1)."""
     by_bit = np.zeros((2, 25), np.int64)
     by_outcome = np.zeros((36, 5), np.int64)
     for row, (i, j, bob_outcome, _, e) in enumerate(_row_fields()):
         settings, t = divmod(row, 36)
         by_bit[:, settings] = SIFT[i, j] == np.arange(2)
         by_outcome[t, [bob_outcome, 4 if e < 0 else 2 + eve_guess(e)]] = 1
-    for table in (by_bit, by_outcome):
+    sifted = np.flatnonzero(SIFT != C3)
+    bit = SIFT.ravel()[sifted]
+    reads = 5 * sifted + np.array([1 - bit, 2 + bit])
+    for table in (by_bit, by_outcome, reads):
         table.setflags(write=False)
-    return by_bit, by_outcome
+    return by_bit, by_outcome, reads
 
 
-def _sifted_counts(cells: np.ndarray) -> list:
-    """The sifted rounds of 900 counts laid out as ``Transcript.cells`` is,
-    by Alice's bit a: for a = 0 and 1 the list [Bob's outcome 0, 1, Eve's
-    guess 0, 1, no Eve record] of ints."""
-    by_bit, by_outcome = _sift_fold()
-    return (by_bit @ cells.reshape(25, 36) @ by_outcome).tolist()
+def _sift_read(table: np.ndarray) -> tuple[list, list, list]:
+    """The statistics of a per-cell table, of counts or of probabilities: row
+    5 i + j holds the (i, j) rounds' [Bob's outcome 0, 1, Eve's guess 0, 1, no
+    Eve record].  Returns its sifted rows summed by Alice's bit a, as two
+    lists, and per sifted (i, j), row-major, the entries where Bob's outcome
+    differs from a (read for K(A,B)) and where Eve's guess is a (for p_E)."""
+    by_bit, _, reads = _sift_fold()
+    return (by_bit @ table).tolist(), *table.take(reads).tolist()
+
+
+def _sifted_counts(cells: np.ndarray) -> tuple[list, list, list]:
+    """``_sift_read`` of 900 counts laid out as ``Transcript.cells`` is."""
+    return _sift_read(cells.reshape(25, 36) @ _sift_fold()[1])
 
 
 def _subset_cells(columns: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -507,7 +542,7 @@ def _entropy_bits(p: float) -> float:
 def key_stats(t: Transcript) -> KeyStats:
     """Sift-rate, bit frequencies, entropy and key rate over sifted rounds,
     counted from ``t.cells``."""
-    (a00, a01, *_), (a10, a11, *_) = t._sifted
+    ((a00, a01, *_), (a10, a11, *_)), anticorrelated, _ = t._sifted
     n = a00 + a01 + a10 + a11
     if not n:
         raise ValueError("no sifted rounds: cannot compute key statistics")
@@ -515,7 +550,7 @@ def key_stats(t: Transcript) -> KeyStats:
     p0 = 1.0 - p1
     shannon = _entropy_bits(p1)
     sift_rate = n / t.columns.shape[1]
-    anticorr = (a01 + a10) / n
+    anticorr = sum(anticorrelated) / n
     return KeyStats(
         sift_rate=sift_rate,
         p0=p0,
@@ -524,19 +559,6 @@ def key_stats(t: Transcript) -> KeyStats:
         key_rate_per_transmission=sift_rate * shannon,
         anticorr_fraction=anticorr,
     )
-
-
-def mutual_information(x_bits, y_bits) -> float:
-    """Plug-in empirical mutual information between two bit sequences, in bits."""
-    x = np.asarray(x_bits)
-    y = np.asarray(y_bits)
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    if len(x) < 100:
-        raise ValueError("need at least 100 samples for a mutual-information estimate")
-    if not (((x == 0) | (x == 1)).all() and ((y == 0) | (y == 1)).all()):
-        raise ValueError("mutual information takes sequences of bits 0 and 1")
-    return _mutual_information(np.bincount(2 * x + y, minlength=4).reshape(2, 2).tolist())
 
 
 def _mutual_information(joint: list) -> float:
@@ -557,11 +579,11 @@ def _mutual_information(joint: list) -> float:
 def estimate_pe(t: Transcript) -> float:
     """Fraction of sifted rounds where Eve's guess matches Alice's key bit,
     counted from ``t.cells``."""
-    (b00, b01, g00, _, missing0), (b10, b11, _, g11, missing1) = t._sifted
+    ((b00, b01, *_, missing0), (b10, b11, *_, missing1)), _, guessed = t._sifted
     n = b00 + b01 + b10 + b11
     if missing0 or missing1 or not n:
         raise ValueError("no sifted rounds, or sifted rounds without Eve records")
-    return (g00 + g11) / n
+    return sum(guessed) / n
 
 
 def estimate_security(t: Transcript) -> SecurityReport:
@@ -576,7 +598,7 @@ def estimate_security(t: Transcript) -> SecurityReport:
     in a second pass over the columns.
     """
     cfg = t.config
-    (b00, b01, *_), (b10, b11, *_) = t._sifted
+    ((b00, b01, *_), (b10, b11, *_)), *_ = t._sifted
     n = b00 + b01 + b10 + b11
     if not n:
         raise ValueError("no sifted rounds: cannot run a security test")
@@ -591,8 +613,8 @@ def estimate_security(t: Transcript) -> SecurityReport:
             note=f"sacrificed subset too small ({m} < 100 sifted rounds)",
         )
     subset = _subset_cells(t.columns, RngStream(cfg.seed, stream_id=cfg.rounds).subset(n, m))
-    (b00, b01, g00, g01, _), (b10, b11, g10, g11, _) = _sifted_counts(subset)
-    kab = (b01 + b10) / m
+    ((b00, b01, g00, g01, _), (b10, b11, g10, g11, _)), anticorrelated, _ = _sifted_counts(subset)
+    kab = sum(anticorrelated) / m
     if kab in (0.0, 1.0):
         halfwidth = 1.0 / m
     else:
@@ -619,6 +641,66 @@ def estimate_security(t: Transcript) -> SecurityReport:
         mutual_info_ab=mi_ab,
         mutual_info_ae=mi_ae,
         sacrificed_count=m,
+    )
+
+
+def _attack_tables(strategy: EveStrategy, basis: KcbsBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Eve's exact weights ``weight[i, k, g]``, the probability that she
+    measures k and guesses g on ray i, over her five settings, and the
+    per-cell table of ``_sift_read`` of the same rounds, of probabilities:
+    each (i, j) row has mass 1.  Its entries sum Eve's settings k ascending,
+    her click (guess 0) before no click, from 0.0; the weight of a setting
+    she never measures is 0, which adds exact zeros."""
+    channel = build_channel(basis, strategy.resend)
+    w_k = np.eye(5)[strategy.setting] if strategy.kind == FIXED else np.full(5, 0.2)
+    weight = w_k[:, None] * channel.branch[..., ::-1]  # Eve's click first: g = 1 - e
+    click = channel.click[:, :, ::-1]
+    guess = np.broadcast_to(np.eye(2)[:, None, None, :, None], (2, *click.shape))
+    columns = np.stack([1.0 - click, click, *guess, np.zeros_like(click)], axis=-1)
+    terms = weight[..., None, None] * columns  # [i, k, g, j, column]
+    return weight, sum(np.moveaxis(terms, 0, 2).reshape(10, 25, 5), 0.0)
+
+
+# bounded, as a process may ask for the oracle of any number of bases
+@lru_cache(maxsize=32)
+def attack_expectation(strategy: EveStrategy, basis: KcbsBasis) -> AttackExpectation:
+    """Exact expected values of an intercept-resend attack (no sampling).
+
+    ``_sift_read`` reads the exact per-cell table of ``_attack_tables`` as
+    the estimators read counts; each of the 15 sifted (i, j) has mass 1, so
+    K(A,B) and p_E are its reads summed row-major, over 15.  Every value is
+    reproducible to the last bit.  Computed once per value of the strategy
+    and of the basis; the result is immutable.
+    """
+    if not strategy.present:
+        raise ValueError("attack_expectation requires a present eavesdropper")
+    weight, table = _attack_tables(strategy, basis)
+    _, anticorrelated, guessed = _sift_read(table)
+
+    # Alice-Eve anti-correlation: Eve in Bob's role, whose outcome differs
+    # from Alice's bit where her guess equals it
+    eve_bit = SIFT[..., None]  # [i, k, 1]: Alice's bit, or C3 out of context
+    kae_num = sum((weight * (eve_bit == np.arange(2))).ravel().tolist())
+    kae_den = sum((weight * (eve_bit != C3)).ravel().tolist())
+
+    # Published linear form: (3/5) * P01 + 1/5, with P01 the guess-success
+    # probability when Eve's setting is one step from Alice's preparation.
+    # Each ray i is sifted with three settings j, the reads 3 i to 3 i + 2.
+    per_i = [sum(guessed[3 * i:3 * i + 3]) / 3.0 for i in range(5)]
+    p01 = per_i[(strategy.setting - 1) % 5] if strategy.kind == FIXED else max(per_i)
+
+    def by_setting(reads: list) -> tuple:
+        reads = iter(reads)
+        return tuple(tuple(None if case == C3 else next(reads) for case in row)
+                     for row in SIFT.tolist())
+
+    return AttackExpectation(
+        kab_expected=sum(anticorrelated) / 15.0,
+        pe_expected=sum(guessed) / 15.0,
+        kae_expected=kae_num / kae_den if kae_den > 0 else 0.0,
+        paper_kae_linear_form=0.6 * p01 + 0.2,
+        anticorr_table=by_setting(anticorrelated),
+        guess_table=by_setting(guessed),
     )
 
 

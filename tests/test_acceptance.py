@@ -14,7 +14,7 @@ import pytest
 from scipy.stats import chi2_contingency
 
 from conftest import D2_OVERLAP, synthetic_transcript
-from kcbs_qkd.adversary import EveStrategy, attack_expectation
+from kcbs_qkd.adversary import EveStrategy
 from kcbs_qkd.cli import main
 from kcbs_qkd.graphs import verify_monogamy_decomposition
 from kcbs_qkd.kcbs import ktilde, standard_basis
@@ -22,6 +22,7 @@ from kcbs_qkd.protocol import (
     ENTANGLED,
     PREPARE_MEASURE,
     ProtocolConfig,
+    attack_expectation,
     estimate_pe,
     estimate_security,
     key_stats,

@@ -7,17 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import D2_OVERLAP
-from kcbs_qkd.adversary import (
-    EveStrategy,
-    attack_expectation,
-    build_channel,
-    eve_guess,
-)
+from kcbs_qkd.adversary import EveStrategy, build_channel, eve_guess
 from kcbs_qkd.kcbs import standard_basis
 from kcbs_qkd.protocol import (
     PREPARE_MEASURE,
     SECURITY_THRESHOLD,
     ProtocolConfig,
+    _attack_tables,
+    attack_expectation,
     estimate_pe,
     estimate_security,
     run_session,
@@ -141,6 +138,38 @@ def test_oracle_matches_golden():
             exp = attack_expectation(EveStrategy(resend=resend, **kwargs), standard_basis())
             assert json.loads(json.dumps(dataclasses.asdict(exp))) == golden[names[-1]], names[-1]
     assert sorted(names) == sorted(golden)
+
+
+@pytest.mark.parametrize("resend", ["collapsed", "eigenstate"])
+@pytest.mark.parametrize("setting", [0, 1, 2, 3, 4, None], ids=[*map(str, range(5)), "random"])
+def test_oracle_cell_table_matches_reference(basis, setting, resend):
+    # the exact per-(i, j) table that the oracle reads, [Bob 0, Bob 1, Eve's
+    # guess 0, 1, no Eve record], against the Born probabilities of the states
+    # that the state-vector intercept() forwards; draw 0.0 forces a click
+    kind = "random" if setting is None else "fixed"
+    _, table = _attack_tables(EveStrategy(kind=kind, setting=setting, resend=resend), basis)
+    proj = [projector(ray) for ray in basis.rays]
+    expected = np.zeros((5, 5, 5))
+    w = 0.2 if setting is None else 1.0
+    for i, ray in enumerate(basis.rays):
+        for k in range(5) if setting is None else [setting]:
+            strategy = EveStrategy(kind="fixed", setting=k, resend=resend)
+            p_click = born(ray, proj[k])
+            for e, p_e, draw in ((1, p_click, 0.0), (0, 1.0 - p_click, 1.0)):
+                if p_e < 1e-15:  # a branch never sampled
+                    continue
+                resent, _, outcome = intercept(strategy, ray, basis, ForcedDraws(draw))
+                assert outcome == e
+                for j in range(5):
+                    bob = born(resent, proj[j])
+                    expected[i, j] += w * p_e * np.array([1 - bob, bob, e, 1 - e, 0.0])
+    table = table.reshape(5, 5, 5)
+    assert np.abs(table - expected).max() <= 1e-12
+    # each (i, j) row has mass 1 for Bob and for Eve, and every round has an
+    # Eve record
+    assert np.abs(table[..., 0] + table[..., 1] - 1).max() <= 1e-15
+    assert np.abs(table[..., 2] + table[..., 3] - 1).max() <= 1e-15
+    assert not table[..., 4].any()
 
 
 def test_oracle_fixed_collapsed(basis):

@@ -97,6 +97,24 @@ def test_cells_layout_read_by_protocol_alone():
     assert not readers, f"modules other than protocol read the transcript's counts: {readers}"
 
 
+def test_sift_rule_read_by_protocol_alone():
+    # protocol turns rounds and exact probabilities into statistics through
+    # the sift rule and Eve's guess; adversary defines them and the channel,
+    # and holds no statistic, so the oracle is not written a second time there
+    trees = {p.name: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    readers = []
+    for module, tree in trees.items():
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        read = (_read_names([tree]) | imported) & {"SIFT", "C3", "eve_guess"}
+        if module not in ("protocol.py", "adversary.py"):
+            readers += [f"{module}: {name}" for name in sorted(read)]
+    assert not readers, f"modules other than protocol read the sift rule: {readers}"
+    defined = {node.name for node in ast.walk(trees["adversary.py"])
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"attack_expectation", "AttackExpectation"}, defined
+
+
 # what tests/reference.py may take from the package: sift and strategy
 # constants, the basis (for its rays), the random streams and the transcript
 # types; nothing that computes a probability or a state, so that the tests'

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import synthetic_transcript
 from kcbs_qkd import adversary, protocol
-from kcbs_qkd.adversary import SIFT, EveStrategy, attack_expectation
+from kcbs_qkd.adversary import SIFT, EveStrategy
 from kcbs_qkd.kcbs import KcbsBasis, standard_basis, standard_vectors_unnormalized
 from kcbs_qkd.protocol import (
     ENTANGLED,
@@ -24,10 +24,11 @@ from kcbs_qkd.protocol import (
     _BLOCK,
     _CSV_CHUNK,
     _STATS_CHUNK,
+    _mutual_information,
+    attack_expectation,
     estimate_pe,
     estimate_security,
     key_stats,
-    mutual_information,
     run_round,
     run_session,
     write_transcript_csv,
@@ -237,36 +238,29 @@ def test_security_excludes_c3(basis):
     assert rep.kab_estimate == 1.0
 
 
+def _joint(x, y) -> list:
+    """The 2x2 table of counts of the bit pairs (x[r], y[r])."""
+    x, y = np.asarray(x), np.asarray(y)
+    return [[int(np.count_nonzero((x == a) & (y == b))) for b in (0, 1)] for a in (0, 1)]
+
+
 def test_mutual_information_identities():
     bits = [0, 1, 1] * 100
     h = -(1 / 3) * math.log2(1 / 3) - (2 / 3) * math.log2(2 / 3)
-    assert mutual_information(bits, bits) == pytest.approx(h, abs=1e-12)
+    assert _joint(bits, bits) == [[100, 0], [0, 200]]
+    assert _mutual_information(_joint(bits, bits)) == pytest.approx(h, abs=1e-12)
 
     rng = RngStream(99, 0)
     x = [rng.integer(2) for _ in range(100_000)]
     y = [rng.integer(2) for _ in range(100_000)]
-    assert mutual_information(x, y) == pytest.approx(0.0, abs=1e-3)
-
-    with pytest.raises(ValueError):
-        mutual_information([0, 1], [0])
-    with pytest.raises(ValueError):
-        mutual_information([0] * 99, [0] * 99)
-    # y = 2 on x = 0 determines x (1 bit), and must not be binned as x = 1
-    with pytest.raises(ValueError, match="bits"):
-        mutual_information([0] * 50 + [1] * 50, [2] * 50 + [0] * 50)
-    with pytest.raises(ValueError, match="bits"):
-        mutual_information([2] * 50 + [0] * 50, [0] * 50 + [1] * 50)
-    with pytest.raises(ValueError, match="bits"):
-        mutual_information([0.5] * 50 + [0] * 50, [0] * 50 + [1] * 50)
-    with pytest.raises(ValueError, match="bits"):
-        mutual_information([0] * 50 + [1] * 50, [-1] * 50 + [0] * 50)
+    assert _mutual_information(_joint(x, y)) == pytest.approx(0.0, abs=1e-3)
 
 
 def test_mutual_information_matches_shannon_on_ideal_run(basis):
     t = run_session(config(basis, rounds=20_000, seed=30))
     ks = key_stats(t)
     alice, bob, _ = sift(t)
-    mi = mutual_information(alice, bob)
+    mi = _mutual_information(_joint(alice, bob))
     assert mi == pytest.approx(ks.shannon, abs=1e-12)
 
 
@@ -469,6 +463,36 @@ def test_cells_computed_once(basis):
             Transcript(config=t.config, columns=columns)
 
 
+def test_sift_read_of_hand_built_counts(basis):
+    # rounds counted by hand, through the fold and the reader that the
+    # estimators share with the oracle: (i, j, bob_outcome, k, e) and count
+    counts = {
+        (0, 0, 1, 1, 1): 7,  # C1, Alice's bit 0: Bob differs, Eve guesses 0
+        (0, 0, 0, 1, 0): 3,  # C1: Bob agrees, Eve guesses 1
+        (2, 3, 0, 1, 1): 5,  # C2, Alice's bit 1: Bob differs, Eve guesses 0
+        (4, 0, 1, 2, 0): 2,  # C2 (j - i = -4): Bob agrees, Eve guesses 1
+        (1, 3, 1, 0, 0): 11,  # C3: not sifted
+    }
+    rows = [Round(*fields, 1) for fields, n in counts.items() for _ in range(n)]
+    columns = np.array(rows, np.int16).T.copy()
+    t = Transcript(config=config(basis, rounds=len(rows), eve=EveStrategy(kind="random")),
+                   columns=columns)
+    expected = np.zeros((5, 5, 2, 6, 3), np.int64)
+    for (i, j, bob_outcome, k, e), n in counts.items():
+        expected[i, j, bob_outcome, k + 1, e + 1] = n
+    assert np.array_equal(t.cells, expected)
+    by_bit, anticorrelated, guessed = protocol._sifted_counts(t.cells)
+    assert by_bit == [[3, 7, 7, 3, 0], [5, 2, 5, 2, 0]]
+    # per sifted (i, j), row-major: (0, 0) is the first, (2, 3) the 9th and
+    # (4, 0) the 13th
+    assert anticorrelated == [7, *[0] * 7, 5, *[0] * 6]
+    assert guessed == [7, *[0] * 11, 2, 0, 0]
+    stats = key_stats(t)
+    assert stats.anticorr_fraction == 12 / 17
+    assert (stats.p1, stats.sift_rate) == (7 / 17, 17 / 28)
+    assert estimate_pe(t) == 9 / 17
+
+
 def test_transcript_holds_draws_only(basis):
     # six int16 columns in one owning array: 12 bytes per round
     t = run_session(config(basis, rounds=1000, seed=5, mode=ENTANGLED, eve=EveStrategy(kind="random")))
@@ -573,9 +597,11 @@ def test_statistics_working_set_bounded(basis, rounds, sacrifice):
     # session kernel's own working set: their passes are bounded by
     # _STATS_CHUNK, not the session length
     eve = EveStrategy(kind="random", resend="eigenstate")
-    warm = run_session(config(basis, rounds=300, seed=0, mode=ENTANGLED, eve=eve, sacrifice=0.5))
+    # the warm-up sacrifices at least 100 rounds, so that the subset pass
+    # runs before the measurement too
+    warm = run_session(config(basis, rounds=400, seed=0, mode=ENTANGLED, eve=eve, sacrifice=0.5))
     key_stats(warm)
-    estimate_security(warm)
+    assert estimate_security(warm).sacrificed_count >= 100
     cfg = config(basis, rounds=rounds, seed=3, mode=ENTANGLED, eve=eve, sacrifice=sacrifice)
     cfg.channel  # built outside the measurement
     tracemalloc.start()

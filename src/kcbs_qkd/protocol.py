@@ -17,15 +17,19 @@ Prepare-and-measure rounds run ``qutrit._LANES`` = 1536 at a time, each pass
 one Philox call per block its rounds read; a second block (random Eve) is drawn
 only once the first one's draws are stored in the transcript.  An entangled
 round is a prepare-and-measure round that starts after Alice's attempts.
-Entangled rounds run in one pool of up to ``_BLOCK`` = 384 rounds in flight,
+Entangled rounds run in one pool of up to ``_BLOCK`` = 496 rounds in flight,
 narrower because its working set is most of a short session's memory: each
-pass draws the next Philox block of every round in it, keeps the block in
-which Alice clicks, at attempt a (draws 1, 3, 5, ...), and finishes a round in
-the pass that draws the block after that one.  Once every round has started,
-the pool runs below ``_BLOCK``, and the rounds still searching share its spare
-lanes: each draws its next q blocks in the pass, so a session's last rounds
-take a few full calls, not many narrow ones.  Rounds of both modes are read
-alike from her setting, draw s = 0 or 2 (a - 1).
+pass draws the next Philox block of every round in it.  A round that clicks,
+at attempt a (draws 1, 3, 5, ...), keeps of that block one int16 of what it
+decided: Alice's setting and, after a click on row 1 (odd a), the two later
+draws in rows 2-3.  It is finished in the pass that draws the next block;
+without Eve, a click on row 1 finishes the round in its own block.  The
+click and the finishing pass run the same sequence of later draws per Eve
+kind.  Once every round has started, the pool runs below ``_BLOCK``, and the
+rounds still searching share its spare lanes: each draws its next q blocks
+in the pass, so a session's last rounds take a few full calls, not many
+narrow ones.  Rounds of both modes are read alike from her setting, draw
+s = 0 or 2 (a - 1).
 ``run_round`` is the scalar replay of one round through ``RngStream``, and the
 independent check of the kernel.  Undisturbed click probabilities come from
 ``basis.overlap``; with Eve, Bob's come from her exact channel of
@@ -110,18 +114,23 @@ CSV_COLUMNS = (
 # all but the last three digits; its buffers are bounded by this, not by the
 # session length
 _CSV_CHUNK = 1000
-# entangled rounds in flight: the pool's working set (about 140 bytes a round)
-# is bounded by this, not by the session length.  Prepare-and-measure passes
-# are qutrit._LANES rounds wide.
-_BLOCK = 384
-# draws a round makes after Alice's setting, by Eve's kind: (k), e, j, Bob's outcome
-_LATER_DRAWS = {ABSENT: 2, FIXED: 3, RANDOM: 4}
+# entangled rounds in flight: the pool's working set (about 98 bytes a lane:
+# 80 in a uniforms call, 8 each of round id and block number, 2 of the code of
+# what the round's click block decided) is bounded by this, not by the session
+# length.  Prepare-and-measure passes are qutrit._LANES rounds wide.
+_BLOCK = 496
+# the Round rows a round draws after Alice's setting, in order, by Eve's kind:
+# (k), e, j, Bob's outcome
+_LATER_ROWS = {ABSENT: (1, 2), FIXED: (4, 1, 2), RANDOM: (3, 4, 1, 2)}
 # a round's row code is ((5 i + j) 2 + bob_outcome) 18 + 3 (k + 1) + e + 1, the
 # weights below dotted with (i, j, bob_outcome, k, e) plus 4; Transcript.cells
 # counts rounds by it, shaped _CELLS
 _ROW_WEIGHTS = np.array([180, 36, 18, 3, 1], np.int16)
 _CELLS = (5, 5, 2, 6, 3)
 _ROWS = math.prod(_CELLS)
+# an entangled round's code (``_advance``), less 4: the row code of what
+# its click block decided, plus 900 after a click on row 1 (a sixth field)
+_CODE_WEIGHTS = np.array([*_ROW_WEIGHTS, 900], np.int16)
 # rounds the statistics read per pass: their temporaries, at most about 10
 # bytes a round, are bounded by this, not by the session length
 _STATS_CHUNK = 3072
@@ -311,7 +320,7 @@ def run_session(cfg: ProtocolConfig) -> Transcript:
         _run_entangled(cfg, columns)
         return Transcript(config=cfg, columns=columns)
     # every round reads the same draws: rows 0-3 of block 1, row 0 of block 2
-    blocks = _LATER_DRAWS[cfg.eve.kind] // 4 + 1
+    blocks = len(_LATER_ROWS[cfg.eve.kind]) // 4 + 1
     ids = np.arange(min(_LANES, cfg.rounds), dtype=np.uint64)
     for start in range(0, cfg.rounds, _LANES):
         out = columns[:, start:start + _LANES]
@@ -343,9 +352,12 @@ def _run_entangled(cfg: ProtocolConfig, columns: np.ndarray) -> None:
 
     Each pass draws the Philox blocks of every round in flight in one call.
     Attempt a clicks on draw 2a - 1, row 1 or 3 of block (a + 1) // 2, and its
-    setting s = 2 (a - 1) is row 0 or 2 of that block, which the pool keeps.
-    s % 4 is 0 or 2, so the round's later draws lie in the kept block and the
-    next: the round is finished in the pass that draws it.
+    setting s = 2 (a - 1) is row 0 or 2 of that block.  A click on row 1 (odd
+    a) leaves rows 2-3 to the round's first two later draws, and one on row 3
+    leaves none, so the rest lie in the next block.  Of its click block, a
+    round keeps only an int16 code of what that block decided (``_advance``),
+    and it is finished in the pass that draws the next block; without Eve, a
+    click on row 1 finishes the round in its own block.
 
     A clicked round draws one block a pass, and each searching round draws its
     next q = (_BLOCK - clicked) // searching blocks, laid out block by block
@@ -353,77 +365,123 @@ def _run_entangled(cfg: ProtocolConfig, columns: np.ndarray) -> None:
     and q = 1; once none is, q grows as the pool drains, so that each call
     stays near _BLOCK lanes.  A round whose first click is in block p < q - 1
     is finished from blocks p and p + 1 of that call; one that clicks in the
-    last keeps it, as with q = 1.  The pool is then compacted in place,
-    clicked rounds first."""
+    last keeps its code, as with q = 1.  The pool is then compacted in place,
+    clicked rounds first, those that clicked on row 1 before the others."""
     rounds = columns.shape[1]
-    ids = np.empty(_BLOCK, np.uint64)
-    block = np.empty(_BLOCK, np.uint64)  # the block each lane draws next
-    kept = np.empty((4, _BLOCK))  # the block Alice clicked in
-    # lanes [0, clicked) draw the block after their click; [clicked, n) search,
-    # and [n, clicked + q (n - clicked)) draw the searching rounds' later blocks
-    clicked = n = top = 0
+    # each lane's round id and the block it draws next, as int64 rows that
+    # uniforms reads as uint64; and its round's code
+    lane = np.empty((2, _BLOCK), np.int64)
+    ids, block = lane
+    held = np.empty(_BLOCK, np.int16)
+    # the code of a round that has decided nothing but Eve's fixed fields
+    blank = np.zeros((len(Round._fields), 1), np.int16)
+    _eve_fixed(cfg, blank)
+    blank = _row_codes(blank)
+    # lanes [0, odd) hold rounds that clicked on row 1 and [odd, clicked) on
+    # row 3, which draw the block after their click; [clicked, n) search, and
+    # [n, clicked + q (n - clicked)) draw the searching rounds' later blocks
+    clicked = odd = n = top = 0
     while n or top < rounds:
         fresh = min(_BLOCK - n, rounds - top)
-        ids[n:n + fresh] = np.arange(top, top + fresh, dtype=np.uint64)
+        ids[n:n + fresh] = np.arange(top, top + fresh)
         block[n:n + fresh] = 1
+        held[n:n + fresh] = blank
         n, top = n + fresh, top + fresh
         searching = n - clicked
         q = (_BLOCK - clicked) // searching if searching else 1
         lanes = clicked + q * searching
         if q > 1:
             ids[n:lanes].reshape(q - 1, searching)[...] = ids[clicked:n]
-            np.add(block[clicked:n], np.arange(1, q, dtype=np.uint64)[:, None],
+            np.add(block[clicked:n], np.arange(1, q)[:, None],
                    block[n:lanes].reshape(q - 1, searching))
-        drawn = uniforms(cfg.seed, ids[:lanes], block[:lanes])
-        if clicked:
-            _finish_clicked(cfg, kept[:, :clicked], drawn[:, :clicked],
-                            block[:clicked], columns, ids[:clicked])
-        search = drawn[:, clicked:lanes].reshape(4, q, searching)
-        hit = (search[1] < 1.0 / 3.0) | (search[3] < 1.0 / 3.0)
+        drawn = uniforms(cfg.seed, ids[:lanes].view(np.uint64), block[:lanes].view(np.uint64))
+        kept, codes, clicks, odd = _pass(cfg, drawn, q, held[:n], clicked, odd,
+                                         block[:n], columns, ids[:n])
+        lane[:, :len(kept)] = lane[:, clicked:n].take(kept, axis=1)
+        block[:len(kept)] += q
+        held[:len(kept)] = codes[kept]
+        clicked, n = clicks, len(kept)
+        del drawn, kept, codes  # before the next pass draws
+
+
+def _pass(cfg, drawn, q, codes, clicked, odd, block, columns, ids) -> tuple:
+    """One pass of the pool over ``drawn``, its Philox blocks: finish the
+    ``clicked`` rounds, the ``odd`` that clicked on row 1 first, from their
+    lanes, and read the searching rounds' attempts from their q lanes each,
+    block by block.  ``codes``, ``block`` and ``ids`` are the lanes' codes,
+    block numbers and round ids.  Write the rounds that finish to
+    ``columns[:, ids]``.  Return the order of the other searching rounds in
+    the compacted pool, those that clicked in their last block first; the
+    searching rounds' codes; and how many clicked, and on row 1."""
+    searching = len(ids) - clicked
+    clicks, hit = drawn[1::2, clicked:] < 1.0 / 3.0  # a click on row 1, on row 3
+    hit |= clicks
+    p = 0  # each round's first block with a click
+    click = drawn[:, clicked:]
+    if q > 1:
+        p = hit.reshape(q, searching).argmax(0)
+        at = p * searching + np.arange(searching)
+        clicks, hit, click = clicks.take(at), hit.take(at), click.take(at, axis=1)
+    fields = _advance(cfg, drawn[:, :clicked], codes, odd, block[:clicked], click, clicks)
+    columns[:, ids[:clicked]] = fields[:, :clicked]
+    codes = _CODE_WEIGHTS @ fields[:, clicked:]  # the sixth field is a click on row 1
+    codes += 4
+    del fields, click
+    # parts: finished in the pass, after a click on row 1 or on row 3; kept
+    # clicked, after a click on row 1 or on row 3; searching on.  A round
+    # finishes if it clicked before its last block, or on row 1 without Eve
+    part = np.subtract(4, hit, dtype=np.int8)
+    part -= clicks
+    finish = clicks if len(_LATER_ROWS[cfg.eve.kind]) == 2 else None
+    if q > 1:
+        early = hit & (p < q - 1)
+        finish = early if finish is None else finish | early
+    if finish is not None:
+        part -= 2 * finish
+    order = part.argsort(kind="stable")
+    done_odd, done_even, odd, even, _ = np.bincount(part, minlength=5).tolist()
+    done = done_odd + done_even
+    if done:
+        index = order[:done]
+        # the block after the click, which a round finished by its click
+        # block does not read: its lane may lie past the last one
+        after = index + searching
+        block = block[clicked:].take(index) + 1
         if q > 1:
-            last, wait = _finish_early(cfg, search, hit, block[clicked:n], columns, ids[clicked:n])
-        else:
-            last = hit[0]  # a click in the block drawn
-            wait = ~last
-        clicking = np.flatnonzero(last)
-        order = np.concatenate((clicking, np.flatnonzero(wait)))
-        ids[:len(order)] = ids[clicked:n][order]
-        block[:len(order)] = block[clicked:n][order] + q
-        clicked, n = len(clicking), len(order)
-        kept[:, :clicked] = search[:, -1, clicking]
-        del drawn, search, hit, last, wait, clicking, order  # before the next pass draws
+            after += p.take(index) * searching
+            block += p.take(index)
+        after = drawn[:, clicked:].take(after, axis=1, mode="clip")
+        fields = _advance(cfg, after, codes.take(index), done_odd, block, after[:, :0], clicks[:0])
+        columns[:, ids[clicked:].take(index)] = fields
+    return order[done:], codes, odd + even, odd
 
 
-def _finish_clicked(cfg, kept, drawn, block, columns, ids) -> None:
-    """Write the rounds whose Alice clicked in ``kept`` to ``columns[:, ids]``;
-    ``drawn`` is the Philox block after it, and ``block`` that block's number."""
-    # a click on row 1 is attempt a = 2 (block - 1) - 1, with s = 2 (a - 1) in
-    # row 0; one on row 3 is attempt a + 1, with s in row 2.  Row w of the
-    # window holds draw s - s % 4 + w.
-    odd = kept[1] < 1.0 / 3.0
-    window = (*kept, *drawn)
-    u = (np.where(odd, window[w], window[w + 2])
-         for w in (0, *range(2, 2 + _LATER_DRAWS[cfg.eve.kind])))
-    out = np.empty((len(Round._fields), len(ids)), np.int16)
-    _finish(cfg, u, out)
-    out[5] = 2 * (block - 1) - odd
-    columns[:, ids] = out
+def _advance(cfg, after, codes, odd, block, click, clicks) -> np.ndarray:
+    """The fields, as a (6, rounds) int16 array, of two kinds of rounds with
+    the given ``codes``.  First the clicked rounds, the ``odd`` that clicked on
+    row 1 before the others, finished from ``after``, the rows (4, clicked) of
+    the block after the click, numbered ``block``; then the rounds that click
+    in ``click``, their rows (4, clicking), on row 1 where ``clicks`` holds.
 
-
-def _finish_early(cfg, search, hit, block, columns, ids):
-    """Write the rounds whose Alice clicked in a block of ``search``, shape
-    (4, q, rounds), before its last, from that block and the next; ``hit``
-    marks the blocks with a click and ``block`` the first one's number.
-    Return the masks of the other rounds: those whose first click is in the
-    last block, and those that search on."""
-    before = hit[:-1]
-    early = before.any(0)
-    index = np.flatnonzero(early)
-    p = before[:, index].argmax(0)  # the first block with a click
-    _finish_clicked(cfg, search[:, p, index], search[:, p + 1, index],
-                    block[index] + (p + 1).astype(np.uint64), columns, ids[index])
-    last = hit[-1] & ~early
-    return last, ~(last | early)
+    A round's code is the row code of ``Transcript.cells`` of what its click
+    block decided, plus 900 after a click on row 1: Alice's setting and after
+    a click on row 1 the round's first two later draws, rows 2-3, which the
+    clicking rounds draw here.  After a click on row 3, the code's later
+    draws are not read, and the clicked round draws them all from the next
+    block.  A clicking round's code gives only Eve's fixed fields."""
+    clicked = after.shape[1]
+    fields = _code_fields().take(codes, axis=1)
+    fields[5, :clicked] += 2 * block  # the attempts, 2 (block - 1) - odd
+    _integer5(np.where(clicks, click[0], click[2]), fields[0, clicked:])  # Alice's setting
+    # the first two later draws: rows 0-1 of the block after a click on row
+    # 3, and rows 2-3 of the click block
+    first = np.concatenate((after[:2, odd:], click[2:]), axis=1)
+    _later(cfg, iter(first), fields[:, odd:], slice(2))
+    # the clicked rounds' other later draws, from the block after the click
+    rest = np.concatenate((after[:2, :odd], after[2:, odd:]), axis=1)
+    _later(cfg, iter(rest), fields[:, :clicked], slice(2, None))
+    fields[5, clicked:] = clicks
+    return fields
 
 
 def _finish(cfg: ProtocolConfig, u, out: np.ndarray) -> None:
@@ -431,27 +489,44 @@ def _finish(cfg: ProtocolConfig, u, out: np.ndarray) -> None:
     the iterator ``u`` yields one row at a time, as ``run_round`` draws them.
 
     Each row is read once and overwritten; what a round drew so far is kept
-    in ``out`` alone, so that the next row may be drawn when it is asked for.
-    Outcome probabilities are looked up by flat int16 index."""
-    overlap = cfg.basis.overlap.ravel()
-    i, j, bob_outcome, k, e = out[:5]
-    _integer5(next(u), i)
+    in ``out`` alone, so that the next row may be drawn when it is asked for."""
+    _integer5(next(u), out[0])
+    _eve_fixed(cfg, out)
+    _later(cfg, u, out)
+
+
+def _eve_fixed(cfg: ProtocolConfig, fields: np.ndarray) -> None:
+    """Eve's rows of ``fields`` that no draw sets: k = e = -1 without her, and
+    her setting k when it is fixed."""
     eve = cfg.eve
     if eve.kind == ABSENT:
-        k[...] = e[...] = -1
-        _integer5(next(u), j)
-        p_click, cell = overlap, i * 5 + j
-    else:
-        if eve.kind == FIXED:
-            k[...] = eve.setting
+        fields[3:5] = -1
+    elif eve.kind == FIXED:
+        fields[3] = eve.setting
+
+
+def _later(cfg: ProtocolConfig, u, fields: np.ndarray, draws: slice = slice(None)) -> None:
+    """The ``draws`` of a round's later draws, ``_LATER_ROWS``, into their rows
+    of ``fields`` (int16 rows i, j, bob_outcome, k, e), each from the next
+    row of uniforms of the iterator ``u`` and the fields drawn before it, as
+    ``run_round`` draws them.  Outcome probabilities are looked up by flat
+    int16 index."""
+    if not fields.shape[1]:
+        return
+    i, j, bob_outcome, k, e = fields[:5]
+    for row in _LATER_ROWS[cfg.eve.kind][draws]:
+        if row in (1, 3):  # Bob's setting j, or random Eve's k
+            _integer5(next(u), fields[row])
+        elif row == 4:
+            # Eve's P_k clicks on ray i as Bob's would: overlap[i, k]
+            np.less(next(u), cfg.basis.overlap.ravel().take(i * 5 + k), out=e)
         else:
-            _integer5(next(u), k)
-        # Eve's P_k clicks on ray i as Bob's would: overlap[i, k]
-        np.less(next(u), overlap.take(i * 5 + k), out=e)
-        _integer5(next(u), j)
-        p_click, cell = cfg.channel.click.ravel(), ((i * 5 + k) * 2 + e) * 5 + j
-    # Bob's draw before his click probabilities: it may start a block
-    np.less(next(u), p_click.take(cell), out=bob_outcome)
+            if cfg.eve.present:
+                p_click, cell = cfg.channel.click.ravel(), ((i * 5 + k) * 2 + e) * 5 + j
+            else:
+                p_click, cell = cfg.basis.overlap.ravel(), i * 5 + j
+            # Bob's draw before his click probabilities: it may start a block
+            np.less(next(u), p_click.take(cell), out=bob_outcome)
 
 
 def _row_codes(columns: np.ndarray) -> np.ndarray:
@@ -466,6 +541,20 @@ def _row_fields():
     """(i, j, bob_outcome, k, e) of each row code in order; k and e are -1
     without Eve, and no round has only one of them -1."""
     return itertools.product(range(5), range(5), range(2), range(-1, 5), range(-1, 2))
+
+
+@cache
+def _code_fields() -> np.ndarray:
+    """The fields of each ``_advance`` code c in column c of a read-only int16
+    array of shape (6, 1800): rows i, j, bob_outcome, k, e, and -2, or -3
+    after a click on row 1 (c >= 900), the attempts less twice the number of
+    the block after the click."""
+    fields = np.array(list(_row_fields()), np.int16)
+    fields = np.concatenate((fields, fields))
+    fields = np.column_stack((fields, np.repeat(np.array([-2, -3], np.int16), _ROWS)))
+    fields = np.ascontiguousarray(fields.T)
+    fields.setflags(write=False)
+    return fields
 
 
 @cache

@@ -17,19 +17,18 @@ Prepare-and-measure rounds run ``qutrit._LANES`` = 1536 at a time, each pass
 one Philox call per block its rounds read; a second block (random Eve) is drawn
 only once the first one's draws are stored in the transcript.  An entangled
 round is a prepare-and-measure round that starts after Alice's attempts.
-Entangled rounds run in one pool of up to ``_BLOCK`` = 496 rounds in flight,
-narrower because its working set is most of a short session's memory: each
-pass draws the next Philox block of every round in it.  A round that clicks,
-at attempt a (draws 1, 3, 5, ...), keeps of that block one int16 of what it
-decided: Alice's setting and, after a click on row 1 (odd a), the two later
-draws in rows 2-3.  It is finished in the pass that draws the next block;
-without Eve, a click on row 1 finishes the round in its own block.  The
-click and the finishing pass run the same sequence of later draws per Eve
-kind.  Once every round has started, the pool runs below ``_BLOCK``, and the
-rounds still searching share its spare lanes: each draws its next q blocks
-in the pass, so a session's last rounds take a few full calls, not many
-narrow ones.  Rounds of both modes are read alike from her setting, draw
-s = 0 or 2 (a - 1).
+Entangled sessions run in two sweeps that keep what a round has drawn in its
+own column of the transcript.  The search sweep runs a pool of up to
+``_BLOCK`` = 496 rounds in flight, each pass drawing the next Philox block of
+every round in it (the next q blocks once the pool drains, so that a session's
+last rounds take a few full calls, not many narrow ones).  A round that
+clicks, at attempt a (draws 1, 3, 5, ...), writes Alice's setting and its
+attempts and, after a click on row 1 (odd a), its first two later draws from
+rows 2-3 of the same block, and leaves the pool; without Eve, that completes
+it.  The finishing sweep then draws, in round order and up to ``_BLOCK``
+rounds a call, the block after the click of every round that still needs
+draws.  Rounds of both modes are read alike from her setting, draw s = 0 or
+2 (a - 1).
 ``run_round`` is the scalar replay of one round through ``RngStream``, and the
 independent check of the kernel.  Undisturbed click probabilities come from
 ``basis.overlap``; with Eve, Bob's come from her exact channel of
@@ -114,10 +113,10 @@ CSV_COLUMNS = (
 # all but the last three digits; its buffers are bounded by this, not by the
 # session length
 _CSV_CHUNK = 1000
-# entangled rounds in flight: the pool's working set (about 98 bytes a lane:
-# 80 in a uniforms call, 8 each of round id and block number, 2 of the code of
-# what the round's click block decided) is bounded by this, not by the session
-# length.  Prepare-and-measure passes are qutrit._LANES rounds wide.
+# entangled rounds in flight, and rounds a finishing call draws: each sweep's
+# working set (51.6 KB measured: 80 bytes a lane in a uniforms call, 16 of
+# round id and block number) is bounded by this, not by the session length.
+# Prepare-and-measure passes are qutrit._LANES rounds wide.
 _BLOCK = 496
 # the Round rows a round draws after Alice's setting, in order, by Eve's kind:
 # (k), e, j, Bob's outcome
@@ -128,9 +127,6 @@ _LATER_ROWS = {ABSENT: (1, 2), FIXED: (4, 1, 2), RANDOM: (3, 4, 1, 2)}
 _ROW_WEIGHTS = np.array([180, 36, 18, 3, 1], np.int16)
 _CELLS = (5, 5, 2, 6, 3)
 _ROWS = math.prod(_CELLS)
-# an entangled round's code (``_advance``), less 4: the row code of what
-# its click block decided, plus 900 after a click on row 1 (a sixth field)
-_CODE_WEIGHTS = np.array([*_ROW_WEIGHTS, 900], np.int16)
 # rounds the statistics read per pass: their temporaries, at most about 10
 # bytes a round, are bounded by this, not by the session length
 _STATS_CHUNK = 3072
@@ -317,7 +313,8 @@ def run_session(cfg: ProtocolConfig) -> Transcript:
     """Execute all rounds; output is bit-identical for a given config and seed."""
     columns = np.empty((len(Round._fields), cfg.rounds), np.int16)
     if cfg.mode == ENTANGLED:
-        _run_entangled(cfg, columns)
+        _search_sweep(cfg, columns)
+        _finishing_sweep(cfg, columns)
         return Transcript(config=cfg, columns=columns)
     # every round reads the same draws: rows 0-3 of block 1, row 0 of block 2
     blocks = len(_LATER_ROWS[cfg.eve.kind]) // 4 + 1
@@ -346,142 +343,91 @@ def _integer5(u: np.ndarray, out: np.ndarray) -> None:
     out[...] = u  # truncates, as int() does for u >= 0
 
 
-def _run_entangled(cfg: ProtocolConfig, columns: np.ndarray) -> None:
-    """Fill ``columns`` with entangled rounds from one pool of up to ``_BLOCK``
-    rounds in flight, topped up with the next round ids in order.
+def _search_sweep(cfg: ProtocolConfig, columns: np.ndarray) -> None:
+    """Alice's attempts of every entangled round, from one pool of up to
+    ``_BLOCK`` rounds in flight, topped up with the next round ids in order.
 
-    Each pass draws the Philox blocks of every round in flight in one call.
     Attempt a clicks on draw 2a - 1, row 1 or 3 of block (a + 1) // 2, and its
-    setting s = 2 (a - 1) is row 0 or 2 of that block.  A click on row 1 (odd
-    a) leaves rows 2-3 to the round's first two later draws, and one on row 3
-    leaves none, so the rest lie in the next block.  Of its click block, a
-    round keeps only an int16 code of what that block decided (``_advance``),
-    and it is finished in the pass that draws the next block; without Eve, a
-    click on row 1 finishes the round in its own block.
-
-    A clicked round draws one block a pass, and each searching round draws its
-    next q = (_BLOCK - clicked) // searching blocks, laid out block by block
-    after the pool's lanes.  While rounds are left to start, the pool is full
-    and q = 1; once none is, q grows as the pool drains, so that each call
-    stays near _BLOCK lanes.  A round whose first click is in block p < q - 1
-    is finished from blocks p and p + 1 of that call; one that clicks in the
-    last keeps its code, as with q = 1.  The pool is then compacted in place,
-    clicked rounds first, those that clicked on row 1 before the others."""
+    setting s = 2 (a - 1) is row 0 or 2 of that block.  Each pass draws, in
+    one Philox call laid out block by block, the next q = _BLOCK // n blocks of
+    each of the n rounds in the pool: q is 1 while rounds are left to start,
+    and grows as the pool drains, so that each call stays near _BLOCK lanes.
+    A round that clicks in block c writes to its column Alice's setting, its
+    attempts (2c - 1 on row 1, 2c on row 3) and Eve's fixed fields, and after
+    a click on row 1 its first two later draws, rows 2-3 of that block; then
+    it leaves the pool.  Without Eve, a click on row 1 completes the round."""
     rounds = columns.shape[1]
-    # each lane's round id and the block it draws next, as int64 rows that
-    # uniforms reads as uint64; and its round's code
+    # each lane's round id and block, as int64 rows that uniforms reads as uint64
     lane = np.empty((2, _BLOCK), np.int64)
     ids, block = lane
-    held = np.empty(_BLOCK, np.int16)
-    # the code of a round that has decided nothing but Eve's fixed fields
-    blank = np.zeros((len(Round._fields), 1), np.int16)
-    _eve_fixed(cfg, blank)
-    blank = _row_codes(blank)
-    # lanes [0, odd) hold rounds that clicked on row 1 and [odd, clicked) on
-    # row 3, which draw the block after their click; [clicked, n) search, and
-    # [n, clicked + q (n - clicked)) draw the searching rounds' later blocks
-    clicked = odd = n = top = 0
+    n = top = 0
     while n or top < rounds:
         fresh = min(_BLOCK - n, rounds - top)
         ids[n:n + fresh] = np.arange(top, top + fresh)
         block[n:n + fresh] = 1
-        held[n:n + fresh] = blank
         n, top = n + fresh, top + fresh
-        searching = n - clicked
-        q = (_BLOCK - clicked) // searching if searching else 1
-        lanes = clicked + q * searching
-        if q > 1:
-            ids[n:lanes].reshape(q - 1, searching)[...] = ids[clicked:n]
-            np.add(block[clicked:n], np.arange(1, q)[:, None],
-                   block[n:lanes].reshape(q - 1, searching))
+        q = _BLOCK // n
+        lanes = q * n
+        ids[n:lanes].reshape(q - 1, n)[...] = ids[:n]
+        np.add(block[:n], np.arange(1, q)[:, None], block[n:lanes].reshape(q - 1, n))
         drawn = uniforms(cfg.seed, ids[:lanes].view(np.uint64), block[:lanes].view(np.uint64))
-        kept, codes, clicks, odd = _pass(cfg, drawn, q, held[:n], clicked, odd,
-                                         block[:n], columns, ids[:n])
-        lane[:, :len(kept)] = lane[:, clicked:n].take(kept, axis=1)
-        block[:len(kept)] += q
-        held[:len(kept)] = codes[kept]
-        clicked, n = clicks, len(kept)
-        del drawn, kept, codes  # before the next pass draws
-
-
-def _pass(cfg, drawn, q, codes, clicked, odd, block, columns, ids) -> tuple:
-    """One pass of the pool over ``drawn``, its Philox blocks: finish the
-    ``clicked`` rounds, the ``odd`` that clicked on row 1 first, from their
-    lanes, and read the searching rounds' attempts from their q lanes each,
-    block by block.  ``codes``, ``block`` and ``ids`` are the lanes' codes,
-    block numbers and round ids.  Write the rounds that finish to
-    ``columns[:, ids]``.  Return the order of the other searching rounds in
-    the compacted pool, those that clicked in their last block first; the
-    searching rounds' codes; and how many clicked, and on row 1."""
-    searching = len(ids) - clicked
-    clicks, hit = drawn[1::2, clicked:] < 1.0 / 3.0  # a click on row 1, on row 3
-    hit |= clicks
-    p = 0  # each round's first block with a click
-    click = drawn[:, clicked:]
-    if q > 1:
-        p = hit.reshape(q, searching).argmax(0)
-        at = p * searching + np.arange(searching)
-        clicks, hit, click = clicks.take(at), hit.take(at), click.take(at, axis=1)
-    fields = _advance(cfg, drawn[:, :clicked], codes, odd, block[:clicked], click, clicks)
-    columns[:, ids[:clicked]] = fields[:, :clicked]
-    codes = _CODE_WEIGHTS @ fields[:, clicked:]  # the sixth field is a click on row 1
-    codes += 4
-    del fields, click
-    # parts: finished in the pass, after a click on row 1 or on row 3; kept
-    # clicked, after a click on row 1 or on row 3; searching on.  A round
-    # finishes if it clicked before its last block, or on row 1 without Eve
-    part = np.subtract(4, hit, dtype=np.int8)
-    part -= clicks
-    finish = clicks if len(_LATER_ROWS[cfg.eve.kind]) == 2 else None
-    if q > 1:
-        early = hit & (p < q - 1)
-        finish = early if finish is None else finish | early
-    if finish is not None:
-        part -= 2 * finish
-    order = part.argsort(kind="stable")
-    done_odd, done_even, odd, even, _ = np.bincount(part, minlength=5).tolist()
-    done = done_odd + done_even
-    if done:
-        index = order[:done]
-        # the block after the click, which a round finished by its click
-        # block does not read: its lane may lie past the last one
-        after = index + searching
-        block = block[clicked:].take(index) + 1
+        odd, hit = drawn[1::2] < 1.0 / 3.0  # a click on row 1, and on row 1 or 3
+        hit |= odd
+        # the clicking attempt's setting: row 0 after a click on row 1, else row 2
+        np.copyto(drawn[0], drawn[2], where=~odd)
+        # each round's lane of its first block with a click, if it has one
+        at = np.arange(n)
         if q > 1:
-            after += p.take(index) * searching
-            block += p.take(index)
-        after = drawn[:, clicked:].take(after, axis=1, mode="clip")
-        fields = _advance(cfg, after, codes.take(index), done_odd, block, after[:, :0], clicks[:0])
-        columns[:, ids[clicked:].take(index)] = fields
-    return order[done:], codes, odd + even, odd
+            at += n * hit.reshape(q, n).argmax(0)
+        searching = ~hit.take(at)
+        at = at[~searching]
+        odd = odd.take(at)
+        at = np.concatenate((at[odd], at[~odd]))  # clicks on row 1 first
+        on_row1 = np.count_nonzero(odd)
+        fields = np.empty((len(Round._fields), len(at)), np.int16)
+        _eve_fixed(cfg, fields)
+        _integer5(drawn[0].take(at), fields[0])
+        fields[5] = 2 * block.take(at)
+        fields[5, :on_row1] -= 1
+        _later(cfg, iter(drawn[2:].take(at[:on_row1], axis=1)), fields[:, :on_row1], slice(2))
+        columns[:, ids.take(at)] = fields
+        n = np.count_nonzero(searching)
+        lane[:, :n] = lane[:, searching.nonzero()[0]]
+        block[:n] += q
+        del drawn, hit, odd, at, searching, fields  # before the next pass draws
 
 
-def _advance(cfg, after, codes, odd, block, click, clicks) -> np.ndarray:
-    """The fields, as a (6, rounds) int16 array, of two kinds of rounds with
-    the given ``codes``.  First the clicked rounds, the ``odd`` that clicked on
-    row 1 before the others, finished from ``after``, the rows (4, clicked) of
-    the block after the click, numbered ``block``; then the rounds that click
-    in ``click``, their rows (4, clicking), on row 1 where ``clicks`` holds.
-
-    A round's code is the row code of ``Transcript.cells`` of what its click
-    block decided, plus 900 after a click on row 1: Alice's setting and after
-    a click on row 1 the round's first two later draws, rows 2-3, which the
-    clicking rounds draw here.  After a click on row 3, the code's later
-    draws are not read, and the clicked round draws them all from the next
-    block.  A clicking round's code gives only Eve's fixed fields."""
-    clicked = after.shape[1]
-    fields = _code_fields().take(codes, axis=1)
-    fields[5, :clicked] += 2 * block  # the attempts, 2 (block - 1) - odd
-    _integer5(np.where(clicks, click[0], click[2]), fields[0, clicked:])  # Alice's setting
-    # the first two later draws: rows 0-1 of the block after a click on row
-    # 3, and rows 2-3 of the click block
-    first = np.concatenate((after[:2, odd:], click[2:]), axis=1)
-    _later(cfg, iter(first), fields[:, odd:], slice(2))
-    # the clicked rounds' other later draws, from the block after the click
-    rest = np.concatenate((after[:2, :odd], after[2:, odd:]), axis=1)
-    _later(cfg, iter(rest), fields[:, :clicked], slice(2, None))
-    fields[5, clicked:] = clicks
-    return fields
+def _finishing_sweep(cfg: ProtocolConfig, columns: np.ndarray) -> None:
+    """The later draws that the rounds of ``_search_sweep`` still need: all of
+    them after a click on row 3 (even attempts a), and all but the first two
+    after a click on row 1, which leaves none without Eve.  They are read from
+    block (a + 3) // 2, the one after the click.  The rounds are taken in
+    round order, up to ``_BLOCK`` a Philox call, from windows of 3 ``_BLOCK``
+    rounds: without Eve, only the 2/5 that clicked on row 3 need a block."""
+    rounds = columns.shape[1]
+    start = 0
+    while start < rounds:
+        odd = columns[5, start:start + 3 * _BLOCK] & 1
+        picked = np.flatnonzero((odd == 0) | cfg.eve.present)[:_BLOCK]
+        ids = picked + start
+        start += int(picked[-1]) + 1 if len(picked) == _BLOCK else len(odd)
+        if not len(ids):
+            continue
+        odd = odd.take(picked) == 1
+        ids = np.concatenate((ids[odd], ids[~odd]))  # clicks on row 1 first
+        on_row1 = np.count_nonzero(odd)
+        del picked, odd  # before the call draws
+        block = (columns[5].take(ids).astype(np.uint64) + 3) // 2
+        after = uniforms(cfg.seed, ids.view(np.uint64), block)
+        fields = columns[:, ids]
+        # the first two later draws after a click on row 3, then the rest of
+        # every round's: rows 0-1 after a click on row 1, rows 2-3 after one
+        # on row 3
+        _later(cfg, iter(after[:2, on_row1:]), fields[:, on_row1:], slice(2))
+        rest = np.concatenate((after[:2, :on_row1], after[2:, on_row1:]), axis=1)
+        _later(cfg, iter(rest), fields, slice(2, None))
+        columns[:, ids] = fields
+        del after, fields, rest  # before the next call draws
 
 
 def _finish(cfg: ProtocolConfig, u, out: np.ndarray) -> None:
@@ -541,20 +487,6 @@ def _row_fields():
     """(i, j, bob_outcome, k, e) of each row code in order; k and e are -1
     without Eve, and no round has only one of them -1."""
     return itertools.product(range(5), range(5), range(2), range(-1, 5), range(-1, 2))
-
-
-@cache
-def _code_fields() -> np.ndarray:
-    """The fields of each ``_advance`` code c in column c of a read-only int16
-    array of shape (6, 1800): rows i, j, bob_outcome, k, e, and -2, or -3
-    after a click on row 1 (c >= 900), the attempts less twice the number of
-    the block after the click."""
-    fields = np.array(list(_row_fields()), np.int16)
-    fields = np.concatenate((fields, fields))
-    fields = np.column_stack((fields, np.repeat(np.array([-2, -3], np.int16), _ROWS)))
-    fields = np.ascontiguousarray(fields.T)
-    fields.setflags(write=False)
-    return fields
 
 
 @cache

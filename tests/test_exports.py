@@ -33,24 +33,26 @@ def _read_names(trees) -> set[str]:
     return read
 
 
-def test_private_names_are_read():
-    # a top-level private name that nothing in the package reads is dead code
+def test_private_names_are_used():
+    # a top-level private function, class or constant that nothing in the
+    # package reads outside its own definition is dead code
     trees = {p.name: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
-    defined = {}
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                continue
-            private = (n for n in names if n.startswith("_") and not n.startswith("__"))
-            defined.update((name, module) for name in private)
-    read = _read_names(trees.values())
-    unread = sorted(f"{module}: {name}" for name, module in defined.items() if name not in read)
-    assert not unread, f"private names never read in the package: {unread}"
+    statements = [(module, node) for module, tree in trees.items() for node in tree.body]
+    reads = {node: _read_names([node]) for _, node in statements}
+    unused = []
+    for module, node in statements:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        private = {n for n in names if n.startswith("_") and not n.startswith("__")}
+        if private:
+            read = set().union(*(read for other, read in reads.items() if other is not node))
+            unused += [f"{module}: {name}" for name in sorted(private - read)]
+    assert not unused, f"private names never used in the package: {unused}"
 
 
 def test_source_lines_fit_100_columns():

@@ -130,6 +130,12 @@ _ROWS = math.prod(_CELLS)
 # rounds the statistics read per pass: their temporaries, at most about 10
 # bytes a round, are bounded by this, not by the session length
 _STATS_CHUNK = 3072
+# bit j - i + 4 is set where Bob's setting j sifts Alice's i (SIFT != C3): an
+# int16 the statistics read by shift, so their temporaries stay int16
+_SIFT_BITS = np.array(
+    sum(1 << d for d in {int(j - i) + 4 for i, j in np.argwhere(SIFT != C3)}), np.int16
+)
+_SIFT_BITS.setflags(write=False)
 # attempts summed per slice: an int16 sum accumulates in int64 through a
 # buffer of up to this many values (12 KB), where a whole column would take
 # numpy's default of 8,192 (64 KB)
@@ -536,13 +542,12 @@ def _subset_cells(columns: np.ndarray, positions: np.ndarray) -> np.ndarray:
         if done == len(positions):
             break
         chunk = columns[:, start:start + _STATS_CHUNK]
-        # the row codes of the chunk's sifted rounds: Bob's setting j sifts
-        # Alice's i where j - i is 0, +-1 or +-4, that is where (j - i)^2,
-        # else 4 or 9, is at most 1 in its low four bits
+        # the row codes of the chunk's sifted rounds, bit j - i + 4 of _SIFT_BITS
         sifted = chunk[1] - chunk[0]
-        sifted *= sifted
-        sifted &= 15
-        sifted = _row_codes(chunk)[sifted <= 1]
+        sifted += 4
+        np.right_shift(_SIFT_BITS, sifted, sifted)
+        sifted &= 1
+        sifted = _row_codes(chunk)[sifted.astype(bool)]
         if len(sifted):
             # the positions up to the chunk's last sifted round, found in their
             # own dtype: a Python int would cast them all to int64

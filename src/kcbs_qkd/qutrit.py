@@ -90,7 +90,8 @@ _S32 = np.array(32, np.uint64)
 _S11 = np.array(11, np.uint64)
 # Philox4x64-10 round multipliers of the two multiplied words (0 and 2) of a
 # block, stored flat as _LANES copies of each: see _lane_tables
-_MUL = np.repeat(np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64), _LANES)
+_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_MUL = np.repeat(np.array([_M0, _M1], np.uint64), _LANES)
 _MUL_HI = _MUL >> _S32
 _MUL_LO = _MUL & _U32
 # round r is keyed by (k0 + r B0, k1 + r B1) mod 2^64: the steps r B0, and
@@ -115,6 +116,28 @@ def _lane_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _MUL[lanes].reshape(2, m), _MUL_HI[lanes].reshape(2, m), _MUL_LO[lanes].reshape(2, m)
 
 
+def _mulhilo(a, mul, mul_hi, mul_lo, hi, t, u) -> None:
+    """hi, and lo in place of ``a``: the 128-bit products mul * a of uint64
+    arrays, from 32-bit halves a = ah 2^32 + al and mul = mh 2^32 + ml.  ``t``
+    and ``u`` are scratch of a's shape."""
+    np.bitwise_and(a, _U32, t)  # al
+    np.multiply(t, mul_lo, u)
+    np.right_shift(u, _S32, u)
+    np.multiply(t, mul_hi, t)
+    np.right_shift(a, _S32, hi)
+    np.multiply(hi, mul_lo, hi)
+    np.add(u, hi, u)  # ah ml + carry, below 2^64
+    np.bitwise_and(u, _U32, hi)
+    np.add(t, hi, t)  # al mh + low half of u
+    np.right_shift(a, _S32, hi)
+    np.multiply(hi, mul_hi, hi)  # ah mh
+    np.right_shift(u, _S32, u)
+    np.add(hi, u, hi)
+    np.right_shift(t, _S32, t)
+    np.add(hi, t, hi)
+    np.multiply(a, mul, a)  # lo
+
+
 def uniforms(seed: int, stream_ids: np.ndarray, blocks) -> np.ndarray:
     """Philox4x64-10 block ``blocks`` (counter (block, 0, 0, 0)) of each
     stream (seed, stream_ids[s]), as the doubles ``RngStream.uniform`` draws:
@@ -122,21 +145,29 @@ def uniforms(seed: int, stream_ids: np.ndarray, blocks) -> np.ndarray:
     is draw 4 (b - 1) + w of stream s, since numpy counts blocks from 1.
 
     ``seed`` is an int in [0, 2^64), ``stream_ids`` a 1-d uint64 array of at
-    most ``_LANES`` ids, and ``blocks`` one int or a uint64 array of a block
-    per id.  The scratch is 48 bytes a lane beside the result: three (2, m)
-    word arrays.  The seed's key word stays 0-d, and the stream ids' is
-    formed each round in the partial products' scratch, which lives in the
-    result's memory until the result is written."""
+    most ``_LANES`` ids, and ``blocks`` one int in [0, 2^64) or a 1-d uint64
+    array of a block per id.  With one int block, the first two rounds start
+    from the known counter: round 1 multiplies b and 0, so it is one XOR per
+    lane, and round 2 multiplies the seed, the same in every lane, and only
+    word c2 per lane.  A block per lane runs all ten rounds.  The scratch is
+    48 bytes a lane beside the result: three (2, m) word arrays.  The seed's
+    key word stays 0-d, and the stream ids' is formed each round in the
+    partial products' scratch, which lives in the result's memory until the
+    result is written."""
     if not _is_key(seed):
         raise ValueError(f"seed {seed!r} is not an int in [0, 2^64)")
     if not (isinstance(stream_ids, np.ndarray) and stream_ids.dtype == np.uint64
             and stream_ids.ndim == 1 and len(stream_ids) <= _LANES):
         raise ValueError(f"stream ids must be a 1-d uint64 array of at most {_LANES} ids")
     m = len(stream_ids)
+    one_block = _is_key(blocks)
+    if not (one_block or isinstance(blocks, np.ndarray) and blocks.dtype == np.uint64
+            and blocks.shape == (m,)):
+        raise ValueError(
+            f"blocks must be an int in [0, 2^64) or a uint64 array of {m} blocks, one per id")
     mul, mul_hi, mul_lo = _lane_tables(m)
-    even = np.zeros((2, m), np.uint64)  # words (c0, c2), the multiplied ones
-    even[0] = blocks
-    odd = np.zeros((2, m), np.uint64)  # words (c3, c1)
+    even = np.empty((2, m), np.uint64)  # words (c0, c2), the multiplied ones
+    odd = np.empty((2, m), np.uint64)  # words (c3, c1)
     hi = np.empty((2, m), np.uint64)
     out = np.empty((4, m))
     scratch = out.view(np.uint64)
@@ -147,30 +178,34 @@ def uniforms(seed: int, stream_ids: np.ndarray, blocks) -> np.ndarray:
     # k0 of each round as a 0-d view, which a ufunc takes about twice as
     # fast as a (1,) array
     k0 = _K0_STEPS + seed
-    for r, step1 in enumerate(_K1_STEPS):
-        # hi, lo (in place of even) = the 128-bit products mul * even, from
-        # 32-bit halves a = ah 2^32 + al and mul = mh 2^32 + ml
-        np.bitwise_and(even, _U32, t)  # al
-        np.multiply(t, mul_lo, u)
-        np.right_shift(u, _S32, u)
-        np.multiply(t, mul_hi, t)
-        np.right_shift(even, _S32, hi)
-        np.multiply(hi, mul_lo, hi)
-        np.add(u, hi, u)  # ah ml + carry, below 2^64
-        np.bitwise_and(u, _U32, hi)
-        np.add(t, hi, t)  # al mh + low half of u
-        np.right_shift(even, _S32, hi)
-        np.multiply(hi, mul_hi, hi)  # ah mh
-        np.right_shift(u, _S32, u)
-        np.add(hi, u, hi)
-        np.right_shift(t, _S32, t)
-        np.add(hi, t, hi)
-        np.multiply(even, mul, even)  # lo
+    first = 0  # the rounds done before the loop
+    if one_block:
+        # round 1 of (b, 0, 0, 0) gives (seed, 0, hi(M0 b) ^ id, lo(M0 b)),
+        # and round 2 of that (hi(M1 x) ^ k0, lo(M1 x), hi(M0 seed) ^ lo(M0 b)
+        # ^ k1, lo(M0 seed)) with x = hi(M0 b) ^ id: only x is multiplied per
+        # lane
+        hi_b, lo_b = divmod(_M0 * blocks, KEY_LIMIT)
+        hi_s, lo_s = divmod(_M0 * seed, KEY_LIMIT)
+        np.bitwise_xor(stream_ids, np.array(hi_b, np.uint64), even_rows[1])
+        _mulhilo(even_rows[1], mul[1], mul_hi[1], mul_lo[1], hi1, t[1], u[1])
+        np.bitwise_xor(hi1, k0[1, ...], odd_rows[0])
+        np.add(stream_ids, _K1_STEPS[1], odd_rows[1])
+        np.bitwise_xor(odd_rows[1], np.array(hi_s ^ lo_b, np.uint64), odd_rows[1])
+        even_rows[0].fill(lo_s)
+        del hi_b, lo_b, hi_s, lo_s  # else held beside the arrays at the peak
+        even, odd, even_rows, odd_rows = odd, even, odd_rows, even_rows
+        first = 2
+    else:
+        even[0] = blocks
+        even[1] = 0
+        odd[...] = 0
+    for r in range(first, 10):
+        _mulhilo(even, mul, mul_hi, mul_lo, hi, t, u)
         # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0), a row
         # at a time: a ufunc on a view with its rows swapped copies it
         np.bitwise_xor(hi, odd, hi)  # (hi0 ^ c3, hi1 ^ c1)
         np.bitwise_xor(hi1, k0[r, ...], odd_rows[0])
-        np.add(stream_ids, step1, t0)  # k1
+        np.add(stream_ids, _K1_STEPS[r], t0)  # k1
         np.bitwise_xor(hi0, t0, odd_rows[1])
         even, odd, even_rows, odd_rows = odd, even, odd_rows, even_rows
     even >>= _S11
@@ -179,4 +214,3 @@ def uniforms(seed: int, stream_ids: np.ndarray, blocks) -> np.ndarray:
         row[...] = word  # a cast in place: np.multiply would buffer it
     out *= 2.0**-53
     return out
-

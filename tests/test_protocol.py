@@ -24,6 +24,7 @@ from kcbs_qkd.protocol import (
     Transcript,
     _BLOCK,
     _CSV_CHUNK,
+    _SIFT_BITS,
     _STATS_CHUNK,
     _mutual_information,
     attack_expectation,
@@ -87,6 +88,15 @@ def test_round_cases_no_eve(basis):
         assert rec.eve_setting == rec.eve_outcome == -1 and rec.attempts == 1
         seen.add(int(case))
     assert seen == {0, 1, 2}
+
+
+def test_sift_bits_match_sift_table():
+    # the statistics find sifted rounds by bit j - i + 4 of one int16, read-only
+    assert _SIFT_BITS.dtype == np.int16 and _SIFT_BITS.shape == ()
+    assert not _SIFT_BITS.flags.writeable and int(_SIFT_BITS) >> 9 == 0
+    for i in range(5):
+        for j in range(5):
+            assert (int(_SIFT_BITS) >> (j - i + 4)) & 1 == (SIFT[i, j] != adversary.C3), (i, j)
 
 
 def test_sift_frequencies(basis):

@@ -202,28 +202,77 @@ def test_uniforms_match_rng_stream():
         assert drawn[:, col].tolist() == [rng.uniform() for _ in range(8)]
 
 
+IDS = np.array([0, 1, 2], np.uint64)
+
+
 @pytest.mark.parametrize(
-    "seed, ids",
+    "seed, ids, blocks",
     [
-        (np.array([-1]), np.array([0], np.uint64)),
-        (-1, np.array([0], np.uint64)),
-        (2**64, np.array([0], np.uint64)),
-        (2.0, np.array([0], np.uint64)),
-        (True, np.array([0], np.uint64)),
-        (1, np.array([0.7])),
-        (1, np.array([-1])),
-        (1, np.array([[0]], np.uint64)),
-        (1, [0]),
-        (1, np.arange(_LANES + 1, dtype=np.uint64)),
+        (np.array([-1]), np.array([0], np.uint64), 1),
+        (-1, np.array([0], np.uint64), 1),
+        (2**64, np.array([0], np.uint64), 1),
+        (2.0, np.array([0], np.uint64), 1),
+        (True, np.array([0], np.uint64), 1),
+        (1, np.array([0.7]), 1),
+        (1, np.array([-1]), 1),
+        (1, np.array([[0]], np.uint64), 1),
+        (1, [0], 1),
+        (1, np.arange(_LANES + 1, dtype=np.uint64), 1),
+        (1, IDS, 2.5),
+        (1, IDS, True),
+        (1, IDS, -1),
+        (1, IDS, 2**64),
+        (1, IDS, np.array([1, 2, 3])),
+        (1, IDS, np.array([1.5, 2, 3])),
+        (1, IDS, np.array([[1, 2, 3]], np.uint64)),
+        (1, IDS, [1, 2, 3]),
+        (1, IDS, np.array([1, 2], np.uint64)),
     ],
     ids=["seed-array", "seed-negative", "seed-2^64", "seed-float", "seed-bool",
-         "ids-float", "ids-int64", "ids-2d", "ids-list", "ids-too-many"],
+         "ids-float", "ids-int64", "ids-2d", "ids-list", "ids-too-many",
+         "blocks-float", "blocks-bool", "blocks-negative", "blocks-2^64", "blocks-int64",
+         "blocks-float-array", "blocks-2d", "blocks-list", "blocks-wrong-length"],
 )
-def test_uniforms_rejects_bad_keys(seed, ids):
-    # a key is never coerced: an int64 -1 would be drawn as 2^64 - 1 and a
-    # float id 0.7 as stream 0
-    with pytest.raises(ValueError, match="seed|stream ids"):
-        uniforms(seed, ids, 1)
+def test_uniforms_rejects_bad_keys(seed, ids, blocks):
+    # a key or block is never coerced: an int64 -1 would be drawn as 2^64 - 1,
+    # a float id 0.7 as stream 0 and a float block 2.5 as block 2
+    with pytest.raises(ValueError, match="seed|stream ids|blocks"):
+        uniforms(seed, ids, blocks)
+
+
+# the lane counts, blocks and key words of the folded rounds' test: one and
+# two lanes, odd and even widths up to a full call, and the entangled pool's
+FOLD_LANES = (1, 2, 383, 496, _LANES - 1, _LANES)
+FOLD_BLOCKS = (1, 2**32 + 3, 2**64 - 1)
+FOLD_KEYS = (0, 2**63, 2**64 - 1)
+
+
+def philox_block(seed, stream_id, block):
+    """Block ``block`` of stream (seed, stream_id) from numpy's Philox, whose
+    counter is incremented before each block is drawn."""
+    key = np.array([seed, stream_id], np.uint64)
+    counter = np.array([block - 1, 0, 0, 0], np.uint64)
+    return (np.random.Philox(key=key, counter=counter).random_raw(4) >> 11) * 2.0**-53
+
+
+@pytest.mark.parametrize("m", FOLD_LANES)
+def test_uniforms_folded_rounds_match_philox(m):
+    # an int block starts from its known counter, folding round 1 and half of
+    # round 2; a block per lane runs all ten rounds: both must be numpy's
+    # Philox, and equal for the same block
+    rng = np.random.default_rng(2_600_000 + m)
+    ids = rng.integers(0, 2**64, m, dtype=np.uint64, endpoint=False)
+    ids[:3] = FOLD_KEYS[:min(m, 3)]
+    lane_blocks = np.array(FOLD_BLOCKS, np.uint64)[rng.integers(0, len(FOLD_BLOCKS), m)]
+    for seed in FOLD_KEYS:
+        mixed = uniforms(seed, ids, lane_blocks)
+        for block in FOLD_BLOCKS:
+            drawn = uniforms(seed, ids, block)
+            expected = [philox_block(seed, stream_id, block) for stream_id in ids.tolist()]
+            assert drawn.T.tolist() == np.array(expected).tolist(), (seed, block)
+            assert uniforms(seed, ids, np.full(m, block, np.uint64)).tolist() == drawn.tolist()
+            lanes = lane_blocks == block
+            assert mixed[:, lanes].tolist() == drawn[:, lanes].tolist(), (seed, block)
 
 
 def test_philox_multipliers_contiguous(monkeypatch):

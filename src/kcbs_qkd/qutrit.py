@@ -8,17 +8,22 @@ numpy's Philox generator for one stream and draws one value at a time; the
 scalar replay of a round and the security test's subset use it.
 :func:`uniforms` evaluates one Philox block of up to ``_LANES`` = 1536 streams
 of one seed with uint64 numpy arithmetic, as the doubles ``RngStream.uniform``
-returns; the session kernel draws from it.  A call costs about 205 us plus
-0.19 us a lane (medians at 1 to 1536 lanes on a 2-vCPU host; the fastest runs
-read about half of each): the fixed part is the dispatch of the ~200 ufunc
-calls of Philox's ten rounds, each given its output positionally, which
-dispatches faster than ``out=``.  A call holds about 82 bytes a lane: its
-(4, m) result, in which the partial products live until it is written, and
-three (2, m) word arrays.  The pentagon's rays, projectors and overlaps are
-the arrays of ``kcbs.KcbsBasis``; the package samples from its overlaps and
-Eve's exact channel of ``adversary.build_channel``, and the tests'
-state-vector reference (``tests/reference.py``) samples measurements and
-collapses states.
+returns; the session kernel draws from it.  Each of Philox's ten rounds is
+about 20 ufunc calls, 16 of them the two 64x64 -> 128-bit products in 32-bit
+halves, each given its output positionally, which dispatches faster than
+``out=``.  A call with one int block, as the prepare-and-measure passes make,
+starts from its known counter (b, 0, 0, 0): round 1 is one XOR per lane and
+round 2 multiplies one word per lane, the other products being Python ints.
+A call with a block per lane, as the entangled sweeps make, runs all ten
+rounds.  Medians of alternating runs on a 2-vCPU host: with one int block,
+about 84, 121 and 209 us a call at 1, 496 and 1536 lanes, against 84, 132
+and 233 us for ten full rounds; with a block per lane, about 80, 135 and
+238 us.  A call holds about 82 bytes a lane: its (4, m) result, in which the
+partial products live until it is written, and three (2, m) word arrays.
+The pentagon's rays, projectors and overlaps are the arrays of
+``kcbs.KcbsBasis``; the package samples from its overlaps and Eve's exact
+channel of ``adversary.build_channel``, and the tests' state-vector reference
+(``tests/reference.py``) samples measurements and collapses states.
 """
 
 from __future__ import annotations
@@ -146,14 +151,15 @@ def uniforms(seed: int, stream_ids: np.ndarray, blocks) -> np.ndarray:
 
     ``seed`` is an int in [0, 2^64), ``stream_ids`` a 1-d uint64 array of at
     most ``_LANES`` ids, and ``blocks`` one int in [0, 2^64) or a 1-d uint64
-    array of a block per id.  With one int block, the first two rounds start
-    from the known counter: round 1 multiplies b and 0, so it is one XOR per
-    lane, and round 2 multiplies the seed, the same in every lane, and only
-    word c2 per lane.  A block per lane runs all ten rounds.  The scratch is
-    48 bytes a lane beside the result: three (2, m) word arrays.  The seed's
-    key word stays 0-d, and the stream ids' is formed each round in the
-    partial products' scratch, which lives in the result's memory until the
-    result is written."""
+    array of a block per id; anything else raises ``ValueError`` rather than
+    being drawn as some other block.  With one int block, the first two
+    rounds start from the known counter: round 1 multiplies b and 0, so it is
+    one XOR per lane, and round 2 multiplies the seed, the same in every
+    lane, and only word c2 per lane.  A block per lane runs all ten rounds.
+    The scratch is 48 bytes a lane beside the result: three (2, m) word
+    arrays.  The seed's key word stays 0-d, and the stream ids' is formed
+    each round in the partial products' scratch, which lives in the result's
+    memory until the result is written."""
     if not _is_key(seed):
         raise ValueError(f"seed {seed!r} is not an int in [0, 2^64)")
     if not (isinstance(stream_ids, np.ndarray) and stream_ids.dtype == np.uint64
@@ -166,8 +172,8 @@ def uniforms(seed: int, stream_ids: np.ndarray, blocks) -> np.ndarray:
         raise ValueError(
             f"blocks must be an int in [0, 2^64) or a uint64 array of {m} blocks, one per id")
     mul, mul_hi, mul_lo = _lane_tables(m)
-    even = np.empty((2, m), np.uint64)  # words (c0, c2), the multiplied ones
-    odd = np.empty((2, m), np.uint64)  # words (c3, c1)
+    even = np.zeros((2, m), np.uint64)  # words (c0, c2), the multiplied ones
+    odd = np.zeros((2, m), np.uint64)  # words (c3, c1)
     hi = np.empty((2, m), np.uint64)
     out = np.empty((4, m))
     scratch = out.view(np.uint64)
@@ -197,8 +203,6 @@ def uniforms(seed: int, stream_ids: np.ndarray, blocks) -> np.ndarray:
         first = 2
     else:
         even[0] = blocks
-        even[1] = 0
-        odd[...] = 0
     for r in range(first, 10):
         _mulhilo(even, mul, mul_hi, mul_lo, hi, t, u)
         # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0), a row

@@ -15,10 +15,11 @@ halves, each given its output positionally, which dispatches faster than
 starts from its known counter (b, 0, 0, 0): round 1 is one XOR per lane and
 round 2 multiplies one word per lane, the other products being Python ints.
 A call with a block per lane, as the entangled sweeps make, runs all ten
-rounds.  Medians of alternating runs on a 2-vCPU host: with one int block,
-about 84, 121 and 209 us a call at 1, 496 and 1536 lanes, against 84, 132
-and 233 us for ten full rounds; with a block per lane, about 80, 135 and
-238 us.  A call holds about 82 bytes a lane: its (4, m) result, in which the
+rounds.  On a 2-vCPU host at its fast clock, a call with one int block took
+about 85, 121 and 209 us at 1, 496 and 1536 lanes, and ten full rounds 84,
+132 and 233 us: per pair of alternating runs, 1.02, 0.90 and 0.86 of the
+ten-round time.  A call with a block per lane takes about 80, 135 and 238 us.
+A call holds about 82 bytes a lane: its (4, m) result, in which the
 partial products live until it is written, and three (2, m) word arrays.
 The pentagon's rays, projectors and overlaps are the arrays of
 ``kcbs.KcbsBasis``; the package samples from its overlaps and Eve's exact

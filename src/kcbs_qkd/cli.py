@@ -306,15 +306,16 @@ def _cmd_simulate(args) -> int:
         print(f"simulate: {exc}", file=sys.stderr)
         return 1
     report = build_report(cfg, transcript, stats, security)
-    text = report_json(report)
     path = args.transcript
     try:
         # both files are written before either replaces its path, and the
         # report replaces its path first: with --transcript P.tmp --out P, the
-        # report is written through P.tmp
+        # report is written through P.tmp.  The report's text is rendered once
+        # the CSV is written, so that it is never held beside the writer
         with contextlib.ExitStack() as outputs:
             if args.transcript:
                 write_transcript_csv(transcript, outputs.enter_context(_atomic_writer(path)))
+            text = report_json(report)
             if args.out:
                 path = args.out
                 outputs.enter_context(_atomic_writer(path)).write((text + "\n").encode())

@@ -43,7 +43,9 @@ rule ``adversary.SIFT``, from its per-(i, j) table, and ``attack_expectation``,
 the exact oracle of every Monte-Carlo estimate, reads the same table of Eve's
 channel.  No other module reads that layout or the sift rule.
 ``write_transcript_csv`` renders the CSV from a table of every line a round
-can have after its index, at the round's row code.
+can have after its index, at the round's row code, ``_CSV_HALF`` = 500 rounds
+at a time into one reused buffer, so that it holds less than the entangled
+sweeps.
 """
 
 from __future__ import annotations
@@ -109,10 +111,14 @@ CSV_COLUMNS = (
     "eve_outcome",
     "eve_guess",
 )
-# rounds the transcript writer renders per pass, so that their indices share
-# all but the last three digits; its buffers are bounded by this, not by the
-# session length
+# rounds whose indices share all but their last three digits, the unit of
+# the transcript writer's index prefix
 _CSV_CHUNK = 1000
+# rounds the transcript writer renders per pass, into one reused buffer of as
+# many NUL-padded lines (13.5 KB at 200,000 rounds): its working set (34.6 KB
+# measured at 20,000 rounds, the open file's buffer included) is bounded by
+# this, not by the session length, and stays below the entangled sweeps'
+_CSV_HALF = _CSV_CHUNK // 2
 # entangled rounds in flight, and rounds a finishing call draws: each sweep's
 # working set (51.6 KB measured: 80 bytes a lane in a uniforms call, 16 of
 # round id and block number) is bounded by this, not by the session length.
@@ -788,8 +794,10 @@ def _csv_tables() -> tuple[np.ndarray, np.ndarray]:
 def write_transcript_csv(t: Transcript, out) -> None:
     """One CSV line per round, CRLF-terminated; unset bits render as empty
     fields.  ``out`` is a path, replaced once the CSV is written, or a binary
-    file.  Each chunk of rounds is rendered in one buffer from its index
-    digits and its rows of line tails, and written without the NUL pad."""
+    file.  Each half chunk of rounds is rendered in one reused buffer, a
+    bytearray of NUL-padded lines, from its index digits and its rows of line
+    tails, and written without the pad; a chunk's index prefix is written into
+    the buffer once, as the chunk starts."""
     if isinstance(out, (str, os.PathLike)):
         with _atomic_writer(out) as fh:
             write_transcript_csv(t, fh)
@@ -798,12 +806,19 @@ def write_transcript_csv(t: Transcript, out) -> None:
     rounds = t.columns.shape[1]
     # the indices of chunk c are c followed by three digits
     prefix = len(str((rounds - 1) // _CSV_CHUNK))
-    buffer = np.empty((min(rounds, _CSV_CHUNK), prefix + 3 + tails.itemsize), np.uint8)
+    width = prefix + 3 + tails.itemsize
+    buffer = bytearray(min(rounds, _CSV_HALF) * width)
+    lines = np.frombuffer(buffer, np.uint8).reshape(-1, width)
     out.write((",".join(CSV_COLUMNS) + "\r\n").encode())
-    for c, start in enumerate(range(0, rounds, _CSV_CHUNK)):
-        tail = tails.take(_row_codes(t.columns[:, start:start + _CSV_CHUNK]))
-        lines = buffer[:len(tail)]
-        lines[:, :prefix] = np.frombuffer(f"{c or ''}".encode().ljust(prefix, b"\0"), np.uint8)
-        lines[:, prefix:prefix + 3] = digits[min(c, 1), :len(tail)]
-        lines[:, prefix + 3:] = tail.view(np.uint8).reshape(len(tail), tails.itemsize)
-        out.write(lines[lines != 0])
+    for start in range(0, rounds, _CSV_HALF):
+        c, offset = divmod(start, _CSV_CHUNK)
+        if offset == 0:
+            lines[:, :prefix] = np.frombuffer(f"{c or ''}".encode().ljust(prefix, b"\0"), np.uint8)
+        n = min(rounds - start, _CSV_HALF)
+        if n < len(lines):  # the session's last rounds: the rows after them are all pad
+            lines[n:] = 0
+        lines[:n, prefix:prefix + 3] = digits[min(c, 1), offset:offset + n]
+        tail = tails.take(_row_codes(t.columns[:, start:start + n]))
+        lines[:n, prefix + 3:] = tail.view(np.uint8).reshape(n, tails.itemsize)
+        del tail  # not held beside the unpadded copy that is written
+        out.write(buffer.translate(None, b"\0"))

@@ -1,9 +1,11 @@
 import ast
+import gc
 import importlib
 import importlib.resources
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -324,6 +326,27 @@ def test_simulate_transcript_csv(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert len(lines) == 301
     assert lines[0].startswith("index,i,j,case")
+
+
+def test_simulate_transcript_adds_no_peak(tmp_path, capsys):
+    # the CSV writer and the report's text each hold less than the session
+    # kernel, so the whole command peaks at run_session with or without the
+    # transcript
+    argv = ["simulate", "--mode", "entangled", "--eve", "random", "--rounds", "20000",
+            "--out", str(tmp_path / "report.json")]
+    csv = ["--transcript", str(tmp_path / "t.csv")]
+    run(capsys, *argv, "--seed", "1", *csv)  # warm: the channel, the oracle, the tables
+    peaks = []
+    for extra in (csv, []):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            main(argv + ["--seed", "7"] + extra)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+    assert peaks[0] <= 1.01 * peaks[1], peaks
 
 
 def test_simulate_json_stdout_round_trip(tmp_path, capsys):

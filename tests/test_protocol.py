@@ -24,6 +24,7 @@ from kcbs_qkd.protocol import (
     Transcript,
     _BLOCK,
     _CSV_CHUNK,
+    _CSV_HALF,
     _SIFT_BITS,
     _STATS_CHUNK,
     _mutual_information,
@@ -339,10 +340,16 @@ def test_transcript_csv(tmp_path, basis):
 @pytest.mark.parametrize("mode", [PREPARE_MEASURE, ENTANGLED])
 @pytest.mark.parametrize("kind", ["absent", "fixed", "random"])
 def test_transcript_csv_matches_row_writer(tmp_path, basis, mode, kind):
-    # byte for byte the csv.writer rows, around every chunk edge and across
-    # the index's growth from four to five digits
+    # byte for byte the csv.writer rows, around every chunk and half-chunk
+    # edge and across the index's growth from four to five digits; once, the
+    # chunk number's growth from two to three digits
     eve = EveStrategy(kind=kind, setting=1 if kind == "fixed" else None)
-    sizes = (1, 9, 10, 11, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1, 2 * _CSV_CHUNK + 7, 10_001)
+    sizes = (1, 9, 10, 11, _CSV_HALF - 1, _CSV_HALF, _CSV_HALF + 1,
+             _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1,
+             _CSV_CHUNK + _CSV_HALF - 1, _CSV_CHUNK + _CSV_HALF, _CSV_CHUNK + _CSV_HALF + 1,
+             2 * _CSV_CHUNK + 7, 10_001)
+    if (mode, kind) == (PREPARE_MEASURE, "random"):
+        sizes += (100 * _CSV_CHUNK + 1,)
     for rounds in sizes:
         t = run_session(config(basis, rounds=rounds, seed=rounds, mode=mode, eve=eve))
         write_transcript_csv(t, str(tmp_path / "columnar.csv"))
@@ -354,7 +361,8 @@ def test_transcript_csv_matches_row_writer(tmp_path, basis, mode, kind):
 
 @pytest.mark.parametrize("rounds", [20_000, 200_000])
 def test_transcript_csv_working_set_bounded(tmp_path, basis, rounds):
-    # the writer's memory is bounded by its chunk, not the session length
+    # the writer's memory is bounded by its half chunk, not the session
+    # length, and lies below the entangled sweeps' 51.6 KB
     eve = EveStrategy(kind="random")
     write_transcript_csv(run_session(config(basis, rounds=1, eve=eve)), str(tmp_path / "t.csv"))
     t = run_session(config(basis, rounds=rounds, seed=6, eve=eve))
@@ -364,7 +372,7 @@ def test_transcript_csv_working_set_bounded(tmp_path, basis, rounds):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 160 * 1024, peak
+    assert peak <= 40 * 1024, peak
 
 
 KINDS = ("absent", "fixed", "random")

@@ -10,11 +10,12 @@ guessing 1 (ROADMAP item 1).
 
 ``build_channel`` builds Eve's exact intercept-resend channel of a pentagon
 basis from explicit density matrices of the basis's projectors, once per
-(basis value, resend policy) and process; without Eve a round reads only
-``basis.overlap``.  Its arrays are read-only and shared by every caller: the
-session sampler draws from them, and the exact oracle in ``protocol``
-contracts them.  ``SIFT`` and ``eve_guess`` are read by ``protocol`` alone,
-which turns rounds and probabilities into statistics.  The tests hold the
+basis value and process.  She forwards the Lüders state of her outcome, on a
+click her rank-1 projector itself, so both resend labels name this channel.
+Without Eve a round reads only ``basis.overlap``.  The channel's read-only
+arrays hold every probability that a round with Eve draws from, and the
+oracle in ``protocol`` contracts them.  ``SIFT`` and ``eve_guess`` are read
+by ``protocol`` alone, which turns rounds and probabilities into statistics.  The tests hold the
 channel to an independent state-vector model of the same measurements, kept
 with them in ``tests/reference.py``.
 """
@@ -61,7 +62,7 @@ SIFT.setflags(write=False)
 
 @dataclass(frozen=True)
 class EveStrategy:
-    """Adversary configuration: measurement-setting policy and resend policy."""
+    """Adversary configuration: setting policy, and a resend label (see ``build_channel``)."""
 
     kind: str = ABSENT
     setting: int | None = None
@@ -106,15 +107,13 @@ class Channel:
 
 # bounded, as a process may build channels of any number of bases
 @lru_cache(maxsize=32)
-def build_channel(basis: KcbsBasis, resend: str) -> Channel:
-    """The intercept-resend channel of a basis under one resend policy.
-    Built once per value of the basis (the bytes of its rays) and ``resend``;
-    its arrays are read-only."""
-    if resend not in (RESEND_COLLAPSED, RESEND_EIGENSTATE):
-        raise ValueError(f"unknown resend policy {resend!r}")
+def build_channel(basis: KcbsBasis) -> Channel:
+    """The intercept-resend channel of a basis, with the Lüders collapse on
+    both of Eve's outcomes.  Built once per value of the basis (the bytes of
+    its rays); its arrays are read-only."""
     proj = basis.projectors
     identity = np.eye(3, dtype=np.complex128)
-    branch = np.zeros((5, 5, 2))
+    weights = np.zeros((2, 5, 5))  # [e, i, k], so that branch[..., e] is contiguous
     click = np.zeros((5, 5, 2, 5))
     for i in range(5):
         rho = proj[i]
@@ -123,12 +122,8 @@ def build_channel(basis: KcbsBasis, resend: str) -> Channel:
                 p_branch = float(np.trace(m @ rho).real)
                 if p_branch < 1e-15:
                     continue  # branch never sampled
-                if e == 1 and resend == RESEND_EIGENSTATE:
-                    rho_out = proj[k]
-                else:
-                    rho_out = m @ rho @ m / p_branch
-                branch[i, k, e] = p_branch
-                click[i, k, e] = np.trace(proj @ rho_out, axis1=1, axis2=2).real
-    branch.setflags(write=False)
+                weights[e, i, k] = p_branch
+                click[i, k, e] = np.trace(proj @ (m @ rho @ m / p_branch), axis1=1, axis2=2).real
+    weights.setflags(write=False)  # and so its view, branch
     click.setflags(write=False)
-    return Channel(branch=branch, click=click)
+    return Channel(branch=weights.transpose(1, 2, 0), click=click)

@@ -298,7 +298,11 @@ def _cmd_simulate(args) -> int:
     except ValueError as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return 1
-    transcript = run_session(cfg)
+    try:
+        transcript = run_session(cfg)
+    except (ValueError, MemoryError) as exc:  # numpy refuses a transcript this long
+        print(f"simulate: cannot hold {cfg.rounds} rounds: {exc}", file=sys.stderr)
+        return 1
     try:
         stats = key_stats(transcript)
         security = estimate_security(transcript)
@@ -383,7 +387,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="prepare-and-measure (default) or entangled-pair scheme")
     p_sim.add_argument("--eve", default="absent", help="absent | fixed:K (K = 0..4) | random")
     p_sim.add_argument("--resend", choices=[RESEND_COLLAPSED, RESEND_EIGENSTATE], default=None,
-                       help="Eve's resend rule (default collapsed); needs --eve fixed:K or random")
+                       help="Eve's resend label (default collapsed), recorded in the report: "
+                       "both name her Lüders channel; needs --eve fixed:K or random")
     p_sim.add_argument("--sacrifice", type=float, default=0.1,
                        help="fraction of sifted rounds spent on the security test, "
                        "in [0, 0.5] (default 0.1)")

@@ -31,8 +31,9 @@ draws.  Rounds of both modes are read alike from her setting, draw s = 0 or
 2 (a - 1).
 ``run_round`` is the scalar replay of one round through ``RngStream``, and the
 independent check of the kernel.  Undisturbed click probabilities come from
-``basis.overlap``; with Eve, Bob's come from her exact channel of
-``adversary.build_channel``, built once per config on first use.
+``basis.overlap``.  With Eve, her click and Bob's come from her exact channel,
+``adversary.build_channel`` of the basis, built on first use, which
+``attack_expectation`` contracts.
 
 A round is stored as what it drew, a ``Round``; a session's ``Transcript``
 holds these as the columns of one int16 array.  A round's row code numbers
@@ -180,7 +181,7 @@ class ProtocolConfig:
     def channel(self) -> Channel | None:
         """Eve's exact channel of this basis, built on first use; None
         without Eve."""
-        return build_channel(self.basis, self.eve.resend) if self.eve.present else None
+        return build_channel(self.basis) if self.eve.present else None
 
 
 class Round(NamedTuple):
@@ -290,7 +291,6 @@ def run_round(
     """Replay one protocol round alone, on its own derived random stream."""
     if rng is None:
         rng = RngStream(cfg.seed, stream_id=round_index)
-    overlap = cfg.basis.overlap
     attempts = 1
     if cfg.mode == ENTANGLED:
         # Alice measures {P_i (x) I} on a fresh isotropic pair until she
@@ -309,11 +309,10 @@ def run_round(
     if eve.kind == ABSENT:
         k = e = -1
         j = rng.integer(5)
-        p_click = overlap[i, j]
+        p_click = cfg.basis.overlap[i, j]
     else:
         k = eve.setting if eve.kind == FIXED else rng.integer(5)
-        # Eve's P_k clicks on ray i as Bob's would: overlap[i, k]
-        e = 1 if rng.uniform() < overlap[i, k] else 0
+        e = 1 if rng.uniform() < cfg.channel.branch[i, k, 1] else 0
         j = rng.integer(5)
         p_click = cfg.channel.click[i, k, e, j]
 
@@ -475,9 +474,8 @@ def _later(cfg: ProtocolConfig, u, fields: np.ndarray, draws: slice = slice(None
     for row in _LATER_ROWS[cfg.eve.kind][draws]:
         if row in (1, 3):  # Bob's setting j, or random Eve's k
             _integer5(next(u), fields[row])
-        elif row == 4:
-            # Eve's P_k clicks on ray i as Bob's would: overlap[i, k]
-            np.less(next(u), cfg.basis.overlap.ravel().take(i * 5 + k), out=e)
+        elif row == 4:  # Eve's click, from a contiguous view of her channel
+            np.less(next(u), cfg.channel.branch[..., 1].take(i * 5 + k), out=e)
         else:
             if cfg.eve.present:
                 p_click, cell = cfg.channel.click.ravel(), ((i * 5 + k) * 2 + e) * 5 + j
@@ -683,7 +681,7 @@ def _attack_tables(strategy: EveStrategy, basis: KcbsBasis) -> tuple[np.ndarray,
     each (i, j) row has mass 1.  Its entries sum Eve's settings k ascending,
     her click (guess 0) before no click, from 0.0; the weight of a setting
     she never measures is 0, which adds exact zeros."""
-    channel = build_channel(basis, strategy.resend)
+    channel = build_channel(basis)
     w_k = np.eye(5)[strategy.setting] if strategy.kind == FIXED else np.full(5, 0.2)
     weight = w_k[:, None] * channel.branch[..., ::-1]  # Eve's click first: g = 1 - e
     click = channel.click[:, :, ::-1]

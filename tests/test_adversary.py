@@ -39,19 +39,16 @@ EXPECTED_PE = (2 / 3 + 1 / 3 + 2 / 3 + 2 * Y) / 5
 EXPECTED_KAB = 0.898142  # (3 + 2x)/5, x from the density-matrix enumeration
 
 
-def test_strategy_validation(basis):
+def test_strategy_validation():
     with pytest.raises(ValueError):
         EveStrategy(kind="fixed")
     with pytest.raises(ValueError):
         EveStrategy(kind="random", setting=2)
-    # the resend rule is checked for every kind, absent Eve's too, and by the
-    # channel builder: without Eve a round reads basis.overlap, not a channel
+    # the resend label is checked for every kind, absent Eve's too
     for resend in ("teleport", None):
         for kwargs in (dict(kind="fixed", setting=1), dict(kind="random"), dict(kind="absent")):
             with pytest.raises(ValueError, match="unknown resend policy"):
                 EveStrategy(resend=resend, **kwargs)
-        with pytest.raises(ValueError, match="unknown resend policy"):
-            build_channel(basis, resend)
     # a setting that is not an int: run_session would truncate 2.5 to 2,
     # while run_round and attack_expectation fail on it
     for setting in (2.5, 2.0, True):
@@ -98,10 +95,11 @@ def test_intercept_requires_eve(basis):
 @pytest.mark.parametrize("which", ["basis", "complex_basis"])
 def test_channel_matches_state_vector_reference(request, which, resend):
     # every channel entry against Born probabilities of the states that the
-    # state-vector intercept() forwards; draw 0.0 forces a click, 1.0 none.
-    # The reference forms its projectors from the rays itself.
+    # state-vector intercept() forwards under either of its resend rules; draw
+    # 0.0 forces a click, 1.0 none.  The one channel is both rules'.  The
+    # reference forms its projectors from the rays itself.
     pentagon = request.getfixturevalue(which)
-    ch = build_channel(pentagon, resend)
+    ch = build_channel(pentagon)
     assert pentagon.overlap.shape == (5, 5) and ch.branch.shape == (5, 5, 2)
     assert ch.click.shape == (5, 5, 2, 5)
     proj = [projector(ray) for ray in pentagon.rays]
@@ -127,17 +125,17 @@ def test_channel_matches_state_vector_reference(request, which, resend):
 
 def test_oracle_matches_golden():
     # every field of every CLI strategy on the standard basis, bit for bit:
-    # json round-trips floats exactly
+    # json round-trips floats exactly.  Both resend labels name one channel,
+    # so each strategy has one row, its collapsed one
     golden = json.loads(GOLDEN_ORACLE.read_text())
     strategies = [(f"fixed:{k}", dict(kind="fixed", setting=k)) for k in range(5)]
     strategies.append(("random", dict(kind="random")))
-    names = []
     for resend in ("collapsed", "eigenstate"):
         for label, kwargs in strategies:
-            names.append(f"{label} {resend}")
             exp = attack_expectation(EveStrategy(resend=resend, **kwargs), standard_basis())
-            assert json.loads(json.dumps(dataclasses.asdict(exp))) == golden[names[-1]], names[-1]
-    assert sorted(names) == sorted(golden)
+            row = golden[f"{label} collapsed"]
+            assert json.loads(json.dumps(dataclasses.asdict(exp))) == row, (label, resend)
+    assert sorted(golden) == sorted(f"{label} collapsed" for label, _ in strategies)
 
 
 @pytest.mark.parametrize("resend", ["collapsed", "eigenstate"])
@@ -145,7 +143,8 @@ def test_oracle_matches_golden():
 def test_oracle_cell_table_matches_reference(basis, setting, resend):
     # the exact per-(i, j) table that the oracle reads, [Bob 0, Bob 1, Eve's
     # guess 0, 1, no Eve record], against the Born probabilities of the states
-    # that the state-vector intercept() forwards; draw 0.0 forces a click
+    # that the state-vector intercept() forwards under either of its resend
+    # rules; draw 0.0 forces a click
     kind = "random" if setting is None else "fixed"
     _, table = _attack_tables(EveStrategy(kind=kind, setting=setting, resend=resend), basis)
     proj = [projector(ray) for ray in basis.rays]
@@ -215,10 +214,11 @@ def test_oracle_random_strategy_matches_fixed_by_symmetry(basis):
 
 
 def test_oracle_eigenstate_resend_equivalent(basis):
-    # rank-1 projectors make the click branches of both policies coincide
+    # rank-1 projectors make the click branches of both rules coincide, so
+    # both labels name one channel and one oracle
     collapsed = attack_expectation(FIXED_1, basis)
     eigen = attack_expectation(EveStrategy(kind="fixed", setting=1, resend="eigenstate"), basis)
-    assert eigen.kab_expected == pytest.approx(collapsed.kab_expected, abs=1e-12)
+    assert eigen == collapsed
 
 
 def test_oracle_kae_and_paper_form(basis):

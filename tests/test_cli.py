@@ -307,6 +307,14 @@ def test_simulate_without_sifted_rounds(capsys):
     assert err.startswith("simulate: no sifted rounds")
 
 
+def test_simulate_rejects_rounds_beyond_memory(capsys):
+    # numpy refuses a transcript of 2^62 rounds by arithmetic, before it
+    # allocates anything; a count the kernel could start to fill is not tried
+    code, out, err = run(capsys, "simulate", "--rounds", str(2**62), "--seed", "1")
+    assert code == 1 and out == ""
+    assert err.startswith(f"simulate: cannot hold {2**62} rounds: ") and err.count("\n") == 1, err
+
+
 def test_simulate_inconclusive_exit_code(tmp_path, capsys):
     # tiny sacrifice subset -> Inconclusive -> exit 3
     code, out, _ = run(
@@ -504,6 +512,34 @@ def test_simulate_builds_channel_once(capsys):
     build_channel.cache_clear()
     run(capsys, "simulate", "--rounds", "300", "--seed", "4", "--eve", "fixed:1")
     assert build_channel.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("mode", ["prepare", "entangled"])
+def test_resend_labels_name_one_channel(tmp_path, capsys, mode):
+    # Eve's click projector has rank 1, so both resend labels name her one
+    # Lüders channel: a session under either label writes the same CSV and a
+    # report that differs in the label alone, both read one channel, and
+    # their oracles are equal field for field
+    from kcbs_qkd.adversary import EveStrategy, build_channel
+    from kcbs_qkd.protocol import attack_expectation
+
+    for eve in [*(f"fixed:{k}" for k in range(5)), "random"]:
+        build_channel.cache_clear()
+        runs = []
+        for resend in ("collapsed", "eigenstate"):
+            out, csv = tmp_path / f"{resend}.json", tmp_path / f"{resend}.csv"
+            run(capsys, "simulate", "--rounds", "2000", "--seed", "9", "--mode", mode,
+                "--eve", eve, "--resend", resend, "--out", str(out), "--transcript", str(csv))
+            report = json.loads(out.read_text())
+            assert report["config"]["eve"].pop("resend") == resend
+            runs.append((csv.read_bytes(), report))
+        assert runs[0] == runs[1], (mode, eve)
+        assert build_channel.cache_info().misses == 1, (mode, eve)
+        kind, _, setting = eve.partition(":")
+        oracles = [attack_expectation(EveStrategy(kind, int(setting) if setting else None, resend),
+                                      standard_basis())
+                   for resend in ("collapsed", "eigenstate")]
+        assert oracles[0] == oracles[1], (mode, eve)
 
 
 def test_simulate_insecure_exit_code(tmp_path, capsys, monkeypatch):

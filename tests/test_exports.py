@@ -117,6 +117,27 @@ def test_sift_rule_read_by_protocol_alone():
     assert not defined & {"attack_expectation", "AttackExpectation"}, defined
 
 
+def test_resend_label_read_by_cli_and_strategy_alone():
+    # both resend labels name one channel: the parser reads the label and
+    # EveStrategy validates it, and no model code reads it, so none branches
+    # on it.  The report echoes it through the strategy's fields
+    trees = {p.name: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    readers = []
+    for module, tree in trees.items():
+        if module == "cli.py":
+            continue
+        # adversary's statements but EveStrategy, where the label is validated
+        statements = [node for node in tree.body if not (
+            module == "adversary.py" and isinstance(node, ast.ClassDef)
+            and node.name == "EveStrategy")]
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        read = {name for name in _read_names(statements) | imported
+                if name == "resend" or name.startswith("RESEND_")}
+        readers += [f"{module}: {name}" for name in sorted(read)]
+    assert not readers, f"model code reads the resend label: {readers}"
+
+
 # what tests/reference.py may take from the package: sift and strategy
 # constants, the basis (for its rays), the random streams and the transcript
 # types; nothing that computes a probability or a state, so that the tests'

@@ -135,7 +135,7 @@ def test_channel_built_per_config():
         fresh_basis = KcbsBasis([vectors[i] for i in order])
         cfg = config(fresh_basis, rounds=1, eve=eve)
         run_round(cfg, 0)
-        fresh = adversary.build_channel.__wrapped__(fresh_basis, eve.resend)
+        fresh = adversary.build_channel.__wrapped__(fresh_basis)
         assert np.array_equal(cfg.channel.branch, fresh.branch)
         assert np.array_equal(cfg.channel.click, fresh.click)
         assert attack_expectation(eve, cfg.basis) == attack_expectation.__wrapped__(eve, fresh_basis)
@@ -376,7 +376,6 @@ def test_transcript_csv_working_set_bounded(tmp_path, basis, rounds):
 
 
 KINDS = ("absent", "fixed", "random")
-RESENDS = ("collapsed", "eigenstate")
 
 
 def test_run_round_matches_session(basis):
@@ -396,21 +395,21 @@ def test_run_round_matches_session(basis):
             _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7,
             3 * _BLOCK - 1, 3 * _BLOCK, 3 * _BLOCK + 1)
     passes = (_LANES - 1, _LANES, _LANES + 1, 2 * _LANES + 7)
-    for mode, kind, resend, rounds in itertools.chain(
-        itertools.product((PREPARE_MEASURE, ENTANGLED), KINDS, RESENDS, pool),
-        itertools.product((PREPARE_MEASURE,), KINDS, RESENDS, passes),
+    for mode, kind, rounds in itertools.chain(
+        itertools.product((PREPARE_MEASURE, ENTANGLED), KINDS, pool),
+        itertools.product((PREPARE_MEASURE,), KINDS, passes),
     ):
-        eve = EveStrategy(kind=kind, setting=1 if kind == "fixed" else None, resend=resend)
+        eve = EveStrategy(kind=kind, setting=1 if kind == "fixed" else None)
         cfg = config(basis, rounds=rounds, seed=2**63 + 5, mode=mode, eve=eve)
         t = run_session(cfg)
         replay = [run_round(cfg, r) for r in range(rounds)]
-        assert replay == [Round(*c) for c in t.columns.T.tolist()], (mode, kind, resend, rounds)
+        assert replay == [Round(*c) for c in t.columns.T.tolist()], (mode, kind, rounds)
         if mode == ENTANGLED and rounds > 2:
             # rounds that stay in the pool for several passes of the attempt
             # search, and rounds whose setting s = 2 (a - 1) sits in row 2, so
             # that their later draws cross into the next Philox block
             s = 2 * (t.columns[5] - 1)
-            assert t.columns[5].max() >= 10 and (s % 4 == 2).any(), (kind, resend)
+            assert t.columns[5].max() >= 10 and (s % 4 == 2).any(), kind
 
 
 @pytest.mark.parametrize(

@@ -155,8 +155,7 @@ def _cmd_verify(args) -> int:
     ktilde_max = float(np.linalg.eigvalsh(mean)[-1])
     constants = bounds()
     ok = (
-        neighbor <= 1e-10
-        and abs(ktilde_max - constants.quantum_projector_form) <= 1e-9
+        abs(ktilde_max - constants.quantum_projector_form) <= 1e-9
         and ktilde_max > constants.noncontextual_projector_form
     )
     block = {
@@ -372,12 +371,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_mono = sub.add_parser("monogamy", help="emit the monogamy decomposition certificate")
-    p_mono.add_argument(
+    graph = p_mono.add_mutually_exclusive_group()
+    graph.add_argument(
         "--mode", choices=[PAPER_ABSTRACT, MIMIC], default=PAPER_ABSTRACT,
         help="joint graph to certify: every edge exclusive (paper-abstract, the default), "
         "or each of Bob's projectors only compatible with Eve's copy of it (mimic)",
     )
-    p_mono.add_argument("--graph", help="JSON file with a custom graph and parts")
+    graph.add_argument("--graph", help="JSON file with a custom graph and parts")
 
     p_sim = sub.add_parser("simulate", help="run the protocol and emit a report")
     p_sim.add_argument("--rounds", type=int, required=True, help="rounds to simulate, at least 1")

@@ -11,14 +11,10 @@ of one seed with uint64 numpy arithmetic, as the doubles ``RngStream.uniform``
 returns; the session kernel draws from it.  Each of Philox's ten rounds is
 about 20 ufunc calls, 16 of them the two 64x64 -> 128-bit products in 32-bit
 halves, each given its output positionally, which dispatches faster than
-``out=``.  A call with one int block, as the prepare-and-measure passes make,
-starts from its known counter (b, 0, 0, 0): round 1 is one XOR per lane and
-round 2 multiplies one word per lane, the other products being Python ints.
-A call with a block per lane, as the entangled sweeps make, runs all ten
-rounds.  On a 2-vCPU host at its fast clock, a call with one int block took
-about 85, 121 and 209 us at 1, 496 and 1536 lanes, and ten full rounds 84,
-132 and 233 us: per pair of alternating runs, 1.02, 0.90 and 0.86 of the
-ten-round time.  A call with a block per lane takes about 80, 135 and 238 us.
+``out=``.  Every call starts from its known counter (b, 0, 0, 0), so rounds
+1 and 2 multiply one word per lane for an int block, as the
+prepare-and-measure passes give, and two for a block per lane, as the
+entangled sweeps give.
 A call holds about 82 bytes a lane: its (4, m) result, in which the
 partial products live until it is written, and three (2, m) word arrays.
 The pentagon's rays, projectors and overlaps are the arrays of
@@ -153,10 +149,11 @@ def uniforms(seed: int, stream_ids: np.ndarray, blocks) -> np.ndarray:
     ``seed`` is an int in [0, 2^64), ``stream_ids`` a 1-d uint64 array of at
     most ``_LANES`` ids, and ``blocks`` one int in [0, 2^64) or a 1-d uint64
     array of a block per id; anything else raises ``ValueError`` rather than
-    being drawn as some other block.  With one int block, the first two
-    rounds start from the known counter: round 1 multiplies b and 0, so it is
-    one XOR per lane, and round 2 multiplies the seed, the same in every
-    lane, and only word c2 per lane.  A block per lane runs all ten rounds.
+    being drawn as some other block.  Every call starts from its known
+    counter: round 1 multiplies b and 0, so it is the product M0 b and one
+    XOR per lane, and round 2 multiplies the seed, the same in every lane,
+    and only word c2 per lane.  M0 b is one Python int for an int block and
+    one row of products for a block per lane.  The loop runs rounds 3 to 10.
     The scratch is 48 bytes a lane beside the result: three (2, m) word
     arrays.  The seed's key word stays 0-d, and the stream ids' is formed
     each round in the partial products' scratch, which lives in the result's
@@ -173,8 +170,8 @@ def uniforms(seed: int, stream_ids: np.ndarray, blocks) -> np.ndarray:
         raise ValueError(
             f"blocks must be an int in [0, 2^64) or a uint64 array of {m} blocks, one per id")
     mul, mul_hi, mul_lo = _lane_tables(m)
-    even = np.zeros((2, m), np.uint64)  # words (c0, c2), the multiplied ones
-    odd = np.zeros((2, m), np.uint64)  # words (c3, c1)
+    even = np.empty((2, m), np.uint64)  # words (c0, c2), the multiplied ones
+    odd = np.empty((2, m), np.uint64)  # words (c3, c1)
     hi = np.empty((2, m), np.uint64)
     out = np.empty((4, m))
     scratch = out.view(np.uint64)
@@ -185,26 +182,28 @@ def uniforms(seed: int, stream_ids: np.ndarray, blocks) -> np.ndarray:
     # k0 of each round as a 0-d view, which a ufunc takes about twice as
     # fast as a (1,) array
     k0 = _K0_STEPS + seed
-    first = 0  # the rounds done before the loop
+    # round 1 of (b, 0, 0, 0) gives (seed, 0, hi(M0 b) ^ id, lo(M0 b)), and
+    # round 2 of that (hi(M1 x) ^ k0, lo(M1 x), hi(M0 seed) ^ lo(M0 b) ^ k1,
+    # lo(M0 seed)) with x = hi(M0 b) ^ id.  M0 b is an int or a row, into hi1
+    # and word c3; lo_b takes hi(M0 seed) in either form
+    hi_s, lo_s = divmod(_M0 * seed, KEY_LIMIT)
     if one_block:
-        # round 1 of (b, 0, 0, 0) gives (seed, 0, hi(M0 b) ^ id, lo(M0 b)),
-        # and round 2 of that (hi(M1 x) ^ k0, lo(M1 x), hi(M0 seed) ^ lo(M0 b)
-        # ^ k1, lo(M0 seed)) with x = hi(M0 b) ^ id: only x is multiplied per
-        # lane
         hi_b, lo_b = divmod(_M0 * blocks, KEY_LIMIT)
-        hi_s, lo_s = divmod(_M0 * seed, KEY_LIMIT)
-        np.bitwise_xor(stream_ids, np.array(hi_b, np.uint64), even_rows[1])
-        _mulhilo(even_rows[1], mul[1], mul_hi[1], mul_lo[1], hi1, t[1], u[1])
-        np.bitwise_xor(hi1, k0[1, ...], odd_rows[0])
-        np.add(stream_ids, _K1_STEPS[1], odd_rows[1])
-        np.bitwise_xor(odd_rows[1], np.array(hi_s ^ lo_b, np.uint64), odd_rows[1])
-        even_rows[0].fill(lo_s)
-        del hi_b, lo_b, hi_s, lo_s  # else held beside the arrays at the peak
-        even, odd, even_rows, odd_rows = odd, even, odd_rows, even_rows
-        first = 2
+        hi_b, lo_b = np.array(hi_b, np.uint64), np.array(hi_s ^ lo_b, np.uint64)
     else:
-        even[0] = blocks
-    for r in range(first, 10):
+        hi_b, lo_b = hi1, odd_rows[0]
+        lo_b[...] = blocks
+        _mulhilo(lo_b, mul[0], mul_hi[0], mul_lo[0], hi_b, t0, u[0])
+        np.bitwise_xor(lo_b, np.array(hi_s, np.uint64), lo_b)
+    np.bitwise_xor(stream_ids, hi_b, even_rows[1])
+    np.add(stream_ids, _K1_STEPS[1], odd_rows[1])
+    np.bitwise_xor(odd_rows[1], lo_b, odd_rows[1])
+    _mulhilo(even_rows[1], mul[1], mul_hi[1], mul_lo[1], hi1, t[1], u[1])
+    np.bitwise_xor(hi1, k0[1, ...], odd_rows[0])
+    even_rows[0].fill(lo_s)
+    del hi_b, lo_b, hi_s, lo_s  # else held beside the arrays at the peak
+    even, odd, even_rows, odd_rows = odd, even, odd_rows, even_rows
+    for r in range(2, 10):
         _mulhilo(even, mul, mul_hi, mul_lo, hi, t, u)
         # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0), a row
         # at a time: a ufunc on a view with its rows swapped copies it

@@ -74,6 +74,25 @@ def test_verify_rotated_basis(tmp_path, capsys):
         assert 0.0 <= block["pentagon_max_neighbor_overlap"] <= 1e-10, name
 
 
+def test_verify_irregular_pentagon(tmp_path, capsys):
+    # a pentagon whose neighbours are orthogonal, so KcbsBasis takes it, but
+    # not the regular one: its witness maximum misses the quantum bound
+    v2 = [math.cos(1.0), 0.0, math.sin(1.0)]
+    v4 = [0.0, math.cos(1.2), math.sin(1.2)]
+    v3 = np.cross(v2, v4)
+    rays = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], v2, (v3 / np.linalg.norm(v3)).tolist(), v4]
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(rays))
+    code, out, err = run(capsys, "verify", "--basis", str(path))
+    assert code == 1
+    assert "ktilde_max 0.440344" in out and "ok False" in out
+    assert "verify: scenario invariants failed" in err
+    code, out, err = run(capsys, "verify", "--json", "--basis", str(path))
+    assert code == 1
+    assert json.loads(out)["ok"] is False
+    assert "verify: scenario invariants failed" in err
+
+
 def test_verify_corrupt_basis(tmp_path, capsys):
     rows = _standard_rows()
     x = rows[0][0]
@@ -128,6 +147,19 @@ def test_monogamy_goldens(capsys):
         code, out, _ = run(capsys, "monogamy", *argv)
         assert code == 0
         assert out == (golden / f"monogamy_{name}.json").read_text(), name
+
+
+def test_monogamy_mode_and_graph_exclusive(tmp_path, capsys):
+    # a built-in mode and a custom graph cannot both be certified: a usage error
+    path = tmp_path / "graph.json"
+    path.write_text("{}")
+    for mode in ("paper-abstract", "mimic"):
+        with pytest.raises(SystemExit) as exc:
+            main(["monogamy", "--mode", mode, "--graph", str(path)])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
 
 
 def test_monogamy_custom_failure(tmp_path, capsys):

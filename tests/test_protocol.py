@@ -192,6 +192,16 @@ def test_key_stats_requires_sifted_rounds(basis):
     t = synthetic_transcript(basis, n_sifted=0, anticorr_fraction=1.0, n_c3=3)
     with pytest.raises(ValueError):
         key_stats(t)
+    with pytest.raises(ValueError):
+        estimate_security(t)
+
+
+def test_key_stats_constant_bits(basis):
+    # every sifted round of the synthetic transcript is C2, Alice's bit 1:
+    # the key carries no entropy
+    ks = key_stats(synthetic_transcript(basis, n_sifted=40, anticorr_fraction=0.5, n_c3=10))
+    assert (ks.p1, ks.p0, ks.shannon, ks.key_rate_per_transmission) == (1.0, 0.0, 0.0, 0.0)
+    assert ks.sift_rate == 0.8
 
 
 def test_entangled_mode_statistics(basis):

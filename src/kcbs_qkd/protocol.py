@@ -22,13 +22,13 @@ own column of the transcript.  The search sweep runs a pool of up to
 ``_BLOCK`` = 496 rounds in flight, each pass drawing the next Philox block of
 every round in it (the next q blocks once the pool drains, so that a session's
 last rounds take a few full calls, not many narrow ones).  A round that
-clicks, at attempt a (draws 1, 3, 5, ...), writes Alice's setting and its
-attempts and, after a click on row 1 (odd a), its first two later draws from
-rows 2-3 of the same block, and leaves the pool; without Eve, that completes
-it.  The finishing sweep then draws, in round order and up to ``_BLOCK``
-rounds a call, the block after the click of every round that still needs
-draws.  Rounds of both modes are read alike from her setting, draw s = 0 or
-2 (a - 1).
+clicks, at attempt a (draws 1, 3, 5, ...), writes Alice's setting, its
+attempts and its first two later draws as rows 2-3 of the same block give
+them, and leaves the pool.  Those draws are its own after a click on row 1
+(odd a), and without Eve they complete it.  The finishing sweep then draws,
+in round order and up to ``_BLOCK`` rounds a call, the block after the click
+of every round that still needs draws, in place in the columns with Eve.
+Rounds of both modes are read alike from her setting, draw s = 0 or 2 (a - 1).
 ``run_round`` is the scalar replay of one round through ``RngStream``, and the
 independent check of the kernel.  Undisturbed click probabilities come from
 ``basis.overlap``.  With Eve, her click and Bob's come from her exact channel,
@@ -121,7 +121,7 @@ _CSV_CHUNK = 1000
 # this, not by the session length, and stays below the entangled sweeps'
 _CSV_HALF = _CSV_CHUNK // 2
 # entangled rounds in flight, and rounds a finishing call draws: each sweep's
-# working set (51.6 KB measured: 80 bytes a lane in a uniforms call, 16 of
+# working set (50.9 KB measured: 80 bytes a lane in a uniforms call, 16 of
 # round id and block number) is bounded by this, not by the session length.
 # Prepare-and-measure passes are qutrit._LANES rounds wide.
 _BLOCK = 496
@@ -346,12 +346,13 @@ def _rows(seed: int, ids: np.ndarray, blocks: int):
         yield from uniforms(seed, ids, b)
 
 
-def _integer5(u: np.ndarray, out: np.ndarray) -> None:
+def _integer5(u: np.ndarray, out: np.ndarray, where=True) -> None:
     """``RngStream.integer(5)`` of each uniform, min(int(5 u), 4), into the
-    int16 ``out``; ``u`` is overwritten.  A Philox double is at most
-    1 - 2^-53, whose 5 u rounds to 5 - 2^-50, so int(5 u) is at most 4."""
+    int16 ``out`` where ``where`` is true; ``u`` is overwritten.  A Philox
+    double is at most 1 - 2^-53, whose 5 u rounds to 5 - 2^-50, so int(5 u)
+    is at most 4."""
     np.multiply(u, 5, u)
-    out[...] = u  # truncates, as int() does for u >= 0
+    np.copyto(out, u, "unsafe", where)  # truncates, as int() does for u >= 0
 
 
 def _search_sweep(cfg: ProtocolConfig, columns: np.ndarray) -> None:
@@ -364,9 +365,10 @@ def _search_sweep(cfg: ProtocolConfig, columns: np.ndarray) -> None:
     each of the n rounds in the pool: q is 1 while rounds are left to start,
     and grows as the pool drains, so that each call stays near _BLOCK lanes.
     A round that clicks in block c writes to its column Alice's setting, its
-    attempts (2c - 1 on row 1, 2c on row 3) and Eve's fixed fields, and after
-    a click on row 1 its first two later draws, rows 2-3 of that block; then
-    it leaves the pool.  Without Eve, a click on row 1 completes the round."""
+    attempts (2c - 1 on row 1, 2c on row 3), Eve's fixed fields and its first
+    two later draws from rows 2-3 of that block, which ``_finishing_sweep``
+    draws again after a click on row 3; then it leaves the pool.  Without
+    Eve, a click on row 1 completes the round."""
     rounds = columns.shape[1]
     # each lane's round id and block, as int64 rows that uniforms reads as uint64
     lane = np.empty((2, _BLOCK), np.int64)
@@ -390,55 +392,62 @@ def _search_sweep(cfg: ProtocolConfig, columns: np.ndarray) -> None:
         at = np.arange(n)
         if q > 1:
             at += n * hit.reshape(q, n).argmax(0)
-        searching = ~hit.take(at)
-        at = at[~searching]
+        clicked = hit.take(at)
+        at = at.compress(clicked)
         odd = odd.take(at)
-        at = np.concatenate((at[odd], at[~odd]))  # clicks on row 1 first
-        on_row1 = np.count_nonzero(odd)
         fields = np.empty((len(Round._fields), len(at)), np.int16)
         _eve_fixed(cfg, fields)
         _integer5(drawn[0].take(at), fields[0])
         fields[5] = 2 * block.take(at)
-        fields[5, :on_row1] -= 1
-        _later(cfg, iter(drawn[2:].take(at[:on_row1], axis=1)), fields[:, :on_row1], slice(2))
+        fields[5] -= odd
+        _later(cfg, iter(drawn[2:].take(at, axis=1)), fields, slice(2))
         columns[:, ids.take(at)] = fields
-        n = np.count_nonzero(searching)
-        lane[:, :n] = lane[:, searching.nonzero()[0]]
+        searching = lane[:, :n].compress(~clicked, axis=1)
+        n = searching.shape[1]
+        lane[:, :n] = searching
         block[:n] += q
-        del drawn, hit, odd, at, searching, fields  # before the next pass draws
+        del drawn, hit, odd, at, clicked, fields, searching  # before the next pass draws
 
 
 def _finishing_sweep(cfg: ProtocolConfig, columns: np.ndarray) -> None:
     """The later draws that the rounds of ``_search_sweep`` still need: all of
     them after a click on row 3 (even attempts a), and all but the first two
     after a click on row 1, which leaves none without Eve.  They are read from
-    block (a + 3) // 2, the one after the click.  The rounds are taken in
-    round order, up to ``_BLOCK`` a Philox call, from windows of 3 ``_BLOCK``
-    rounds: without Eve, only the 2/5 that clicked on row 3 need a block."""
+    block (a + 3) // 2, the one after the click, up to ``_BLOCK`` rounds a
+    Philox call.  With Eve every round needs that block, so each window of
+    ``_BLOCK`` consecutive rounds is finished in place in its view of the
+    columns; without Eve only the 2/5 that clicked on row 3 do, taken in round
+    order from windows of 3 ``_BLOCK`` rounds."""
     rounds = columns.shape[1]
+    if cfg.eve.present:
+        ids = np.arange(min(_BLOCK, rounds), dtype=np.uint64)
+        for start in range(0, rounds, _BLOCK):
+            out = columns[:, start:start + _BLOCK]
+            block = (out[5].astype(np.uint64) + 3) // 2
+            after = uniforms(cfg.seed, ids[:out.shape[1]], block)
+            on_row1 = (out[5] & 1).astype(bool)
+            # each round's draws after its first two later ones, from rows 0-1
+            # after a click on row 1, else rows 2-3: moved to rows 2-3
+            np.copyto(after[2:], after[:2], where=on_row1)
+            _later(cfg, iter(after[:2]), out, slice(2), ~on_row1)
+            _later(cfg, iter(after[2:]), out, slice(2, None))
+            ids += len(ids)
+            del after, on_row1  # before the next call draws
+        return
     start = 0
     while start < rounds:
-        odd = columns[5, start:start + 3 * _BLOCK] & 1
-        picked = np.flatnonzero((odd == 0) | cfg.eve.present)[:_BLOCK]
-        ids = picked + start
-        start += int(picked[-1]) + 1 if len(picked) == _BLOCK else len(odd)
+        on_row3 = np.flatnonzero(columns[5, start:start + 3 * _BLOCK] & 1 == 0)
+        ids = on_row3[:_BLOCK] + start
+        start += int(on_row3[_BLOCK - 1]) + 1 if len(ids) == _BLOCK else 3 * _BLOCK
+        del on_row3  # before the call draws
         if not len(ids):
             continue
-        odd = odd.take(picked) == 1
-        ids = np.concatenate((ids[odd], ids[~odd]))  # clicks on row 1 first
-        on_row1 = np.count_nonzero(odd)
-        del picked, odd  # before the call draws
         block = (columns[5].take(ids).astype(np.uint64) + 3) // 2
         after = uniforms(cfg.seed, ids.view(np.uint64), block)
         fields = columns[:, ids]
-        # the first two later draws after a click on row 3, then the rest of
-        # every round's: rows 0-1 after a click on row 1, rows 2-3 after one
-        # on row 3
-        _later(cfg, iter(after[:2, on_row1:]), fields[:, on_row1:], slice(2))
-        rest = np.concatenate((after[:2, :on_row1], after[2:, on_row1:]), axis=1)
-        _later(cfg, iter(rest), fields, slice(2, None))
+        _later(cfg, iter(after), fields)
         columns[:, ids] = fields
-        del after, fields, rest  # before the next call draws
+        del after, fields  # before the next call draws
 
 
 def _finish(cfg: ProtocolConfig, u, out: np.ndarray) -> None:
@@ -462,27 +471,28 @@ def _eve_fixed(cfg: ProtocolConfig, fields: np.ndarray) -> None:
         fields[3] = eve.setting
 
 
-def _later(cfg: ProtocolConfig, u, fields: np.ndarray, draws: slice = slice(None)) -> None:
+def _later(cfg: ProtocolConfig, u, fields: np.ndarray, draws: slice = slice(None),
+           where=True) -> None:
     """The ``draws`` of a round's later draws, ``_LATER_ROWS``, into their rows
     of ``fields`` (int16 rows i, j, bob_outcome, k, e), each from the next
     row of uniforms of the iterator ``u`` and the fields drawn before it, as
-    ``run_round`` draws them.  Outcome probabilities are looked up by flat
-    int16 index."""
+    ``run_round`` draws them; only the rounds ``where`` is true are written.
+    Outcome probabilities are looked up by flat int16 index."""
     if not fields.shape[1]:
         return
     i, j, bob_outcome, k, e = fields[:5]
     for row in _LATER_ROWS[cfg.eve.kind][draws]:
         if row in (1, 3):  # Bob's setting j, or random Eve's k
-            _integer5(next(u), fields[row])
+            _integer5(next(u), fields[row], where)
         elif row == 4:  # Eve's click, from a contiguous view of her channel
-            np.less(next(u), cfg.channel.branch[..., 1].take(i * 5 + k), out=e)
+            np.less(next(u), cfg.channel.branch[..., 1].take(i * 5 + k), out=e, where=where)
         else:
             if cfg.eve.present:
                 p_click, cell = cfg.channel.click.ravel(), ((i * 5 + k) * 2 + e) * 5 + j
             else:
                 p_click, cell = cfg.basis.overlap.ravel(), i * 5 + j
             # Bob's draw before his click probabilities: it may start a block
-            np.less(next(u), p_click.take(cell), out=bob_outcome)
+            np.less(next(u), p_click.take(cell), out=bob_outcome, where=where)
 
 
 def _row_codes(columns: np.ndarray) -> np.ndarray:

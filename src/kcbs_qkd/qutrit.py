@@ -8,15 +8,17 @@ numpy's Philox generator for one stream and draws one value at a time; the
 scalar replay of a round and the security test's subset use it.
 :func:`uniforms` evaluates one Philox block of up to ``_LANES`` = 1536 streams
 of one seed with uint64 numpy arithmetic, as the doubles ``RngStream.uniform``
-returns; the session kernel draws from it.  Each of Philox's ten rounds is
-about 20 ufunc calls, 16 of them the two 64x64 -> 128-bit products in 32-bit
-halves, each given its output positionally, which dispatches faster than
-``out=``.  Every call starts from its known counter (b, 0, 0, 0), so rounds
-1 and 2 multiply one word per lane for an int block, as the
-prepare-and-measure passes give, and two for a block per lane, as the
-entangled sweeps give.
-A call holds about 82 bytes a lane: its (4, m) result, in which the
-partial products live until it is written, and three (2, m) word arrays.
+returns; the session kernel draws from it.  Each Philox round is 19 ufunc
+calls on ufuncs and tables bound to locals, 15 of them the two 64x64 ->
+128-bit products in 32-bit halves, each given its output positionally, which
+dispatches faster than ``out=``.  Every call starts from its known counter
+(b, 0, 0, 0), so for an int block, as the prepare-and-measure passes give,
+round 1 is one Python product and the loop runs nine rounds; for a block per
+lane, as the entangled sweeps give, it runs all ten.  The seed's round keys
+are built once per seed.
+A call holds about 81 bytes a lane: its (4, m) result, in which the
+partial products live until it is written, the (4, m) words and the (2, m)
+high halves of the products.
 The pentagon's rays, projectors and overlaps are the arrays of
 ``kcbs.KcbsBasis``; the package samples from its overlaps and Eve's exact
 channel of ``adversary.build_channel``, and the tests' state-vector reference
@@ -26,6 +28,7 @@ channel of ``adversary.build_channel``, and the tests' state-vector reference
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,26 +121,13 @@ def _lane_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _MUL[lanes].reshape(2, m), _MUL_HI[lanes].reshape(2, m), _MUL_LO[lanes].reshape(2, m)
 
 
-def _mulhilo(a, mul, mul_hi, mul_lo, hi, t, u) -> None:
-    """hi, and lo in place of ``a``: the 128-bit products mul * a of uint64
-    arrays, from 32-bit halves a = ah 2^32 + al and mul = mh 2^32 + ml.  ``t``
-    and ``u`` are scratch of a's shape."""
-    np.bitwise_and(a, _U32, t)  # al
-    np.multiply(t, mul_lo, u)
-    np.right_shift(u, _S32, u)
-    np.multiply(t, mul_hi, t)
-    np.right_shift(a, _S32, hi)
-    np.multiply(hi, mul_lo, hi)
-    np.add(u, hi, u)  # ah ml + carry, below 2^64
-    np.bitwise_and(u, _U32, hi)
-    np.add(t, hi, t)  # al mh + low half of u
-    np.right_shift(a, _S32, hi)
-    np.multiply(hi, mul_hi, hi)  # ah mh
-    np.right_shift(u, _S32, u)
-    np.add(hi, u, hi)
-    np.right_shift(t, _S32, t)
-    np.add(hi, t, hi)
-    np.multiply(a, mul, a)  # lo
+@lru_cache(maxsize=1)  # a session draws every block of one seed
+def _round_keys(seed: int) -> tuple[np.ndarray, ...]:
+    """k0 = seed + r B0 mod 2^64 of Philox rounds r = 0 to 9, as 0-d views,
+    which a ufunc takes about twice as fast as a (1,) array."""
+    keys = _K0_STEPS + seed
+    keys.setflags(write=False)
+    return tuple(keys[r, ...] for r in range(10))
 
 
 def uniforms(seed: int, stream_ids: np.ndarray, blocks) -> np.ndarray:
@@ -150,14 +140,16 @@ def uniforms(seed: int, stream_ids: np.ndarray, blocks) -> np.ndarray:
     most ``_LANES`` ids, and ``blocks`` one int in [0, 2^64) or a 1-d uint64
     array of a block per id; anything else raises ``ValueError`` rather than
     being drawn as some other block.  Every call starts from its known
-    counter: round 1 multiplies b and 0, so it is the product M0 b and one
-    XOR per lane, and round 2 multiplies the seed, the same in every lane,
-    and only word c2 per lane.  M0 b is one Python int for an int block and
-    one row of products for a block per lane.  The loop runs rounds 3 to 10.
-    The scratch is 48 bytes a lane beside the result: three (2, m) word
-    arrays.  The seed's key word stays 0-d, and the stream ids' is formed
-    each round in the partial products' scratch, which lives in the result's
-    memory until the result is written."""
+    counter: round 1 multiplies b and 0, so for an int block it is the product
+    M0 b and one XOR per lane, and the loop runs rounds 2 to 10; for a block
+    per lane the loop runs all ten.  The product is written once, in the
+    loop, and the two partial-product rows are shifted by one ufunc on their
+    contiguous (4, m) scratch.
+    The scratch is 48 bytes a lane beside the result: the four words and the
+    high halves of the products.  The seed's key words are 0-d views built
+    once per seed, and the stream ids' is formed each round in the partial
+    products' scratch, which lives in the result's memory until the result is
+    written."""
     if not _is_key(seed):
         raise ValueError(f"seed {seed!r} is not an int in [0, 2^64)")
     if not (isinstance(stream_ids, np.ndarray) and stream_ids.dtype == np.uint64
@@ -170,51 +162,61 @@ def uniforms(seed: int, stream_ids: np.ndarray, blocks) -> np.ndarray:
         raise ValueError(
             f"blocks must be an int in [0, 2^64) or a uint64 array of {m} blocks, one per id")
     mul, mul_hi, mul_lo = _lane_tables(m)
-    even = np.empty((2, m), np.uint64)  # words (c0, c2), the multiplied ones
-    odd = np.empty((2, m), np.uint64)  # words (c3, c1)
+    words = np.empty((4, m), np.uint64)
+    rows = tuple(words)
+    # words (c0, c2), the multiplied ones, and (c3, c1); the two swap each round
+    even, odd, even_rows, odd_rows = words[:2], words[2:], rows[:2], rows[2:]
     hi = np.empty((2, m), np.uint64)
     out = np.empty((4, m))
     scratch = out.view(np.uint64)
     t, u = scratch[:2], scratch[2:]
     hi0, hi1 = hi
     t0 = t[0]
-    even_rows, odd_rows = tuple(even), tuple(odd)
-    # k0 of each round as a 0-d view, which a ufunc takes about twice as
-    # fast as a (1,) array
-    k0 = _K0_STEPS + seed
-    # round 1 of (b, 0, 0, 0) gives (seed, 0, hi(M0 b) ^ id, lo(M0 b)), and
-    # round 2 of that (hi(M1 x) ^ k0, lo(M1 x), hi(M0 seed) ^ lo(M0 b) ^ k1,
-    # lo(M0 seed)) with x = hi(M0 b) ^ id.  M0 b is an int or a row, into hi1
-    # and word c3; lo_b takes hi(M0 seed) in either form
-    hi_s, lo_s = divmod(_M0 * seed, KEY_LIMIT)
     if one_block:
+        # round 1 of (b, 0, 0, 0) gives (seed, 0, hi(M0 b) ^ id, lo(M0 b))
         hi_b, lo_b = divmod(_M0 * blocks, KEY_LIMIT)
-        hi_b, lo_b = np.array(hi_b, np.uint64), np.array(hi_s ^ lo_b, np.uint64)
+        even_rows[0].fill(seed)
+        np.bitwise_xor(stream_ids, np.array(hi_b, np.uint64), even_rows[1])
+        odd_rows[0].fill(lo_b)
+        odd_rows[1].fill(0)
+        first = 1
     else:
-        hi_b, lo_b = hi1, odd_rows[0]
-        lo_b[...] = blocks
-        _mulhilo(lo_b, mul[0], mul_hi[0], mul_lo[0], hi_b, t0, u[0])
-        np.bitwise_xor(lo_b, np.array(hi_s, np.uint64), lo_b)
-    np.bitwise_xor(stream_ids, hi_b, even_rows[1])
-    np.add(stream_ids, _K1_STEPS[1], odd_rows[1])
-    np.bitwise_xor(odd_rows[1], lo_b, odd_rows[1])
-    _mulhilo(even_rows[1], mul[1], mul_hi[1], mul_lo[1], hi1, t[1], u[1])
-    np.bitwise_xor(hi1, k0[1, ...], odd_rows[0])
-    even_rows[0].fill(lo_s)
-    del hi_b, lo_b, hi_s, lo_s  # else held beside the arrays at the peak
-    even, odd, even_rows, odd_rows = odd, even, odd_rows, even_rows
-    for r in range(2, 10):
-        _mulhilo(even, mul, mul_hi, mul_lo, hi, t, u)
+        even_rows[0][...] = blocks
+        even_rows[1].fill(0)
+        odd.fill(0)
+        first = 0
+    keys0, keys1 = _round_keys(seed), _K1_STEPS
+    u32, s32 = _U32, _S32
+    bitwise_and, multiply, right_shift = np.bitwise_and, np.multiply, np.right_shift
+    add, bitwise_xor = np.add, np.bitwise_xor
+    for r in range(first, 10):
+        # hi, and lo in place of even: the 128-bit products mul * even, from
+        # 32-bit halves e = eh 2^32 + el and mul = mh 2^32 + ml; each ufunc is
+        # given its output positionally, which dispatches faster than out=
+        bitwise_and(even, u32, t)  # el
+        multiply(t, mul_lo, u)
+        right_shift(u, s32, u)
+        multiply(t, mul_hi, t)
+        right_shift(even, s32, hi)
+        multiply(hi, mul_lo, hi)
+        add(u, hi, u)  # eh ml + carry, below 2^64
+        bitwise_and(u, u32, hi)
+        add(t, hi, t)  # el mh + low half of u
+        right_shift(scratch, s32, scratch)  # the high halves of t and u
+        right_shift(even, s32, hi)
+        multiply(hi, mul_hi, hi)  # eh mh
+        add(hi, u, hi)
+        add(hi, t, hi)
+        multiply(even, mul, even)  # lo
         # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0), a row
         # at a time: a ufunc on a view with its rows swapped copies it
-        np.bitwise_xor(hi, odd, hi)  # (hi0 ^ c3, hi1 ^ c1)
-        np.bitwise_xor(hi1, k0[r, ...], odd_rows[0])
-        np.add(stream_ids, _K1_STEPS[r], t0)  # k1
-        np.bitwise_xor(hi0, t0, odd_rows[1])
+        bitwise_xor(hi, odd, hi)  # (hi0 ^ c3, hi1 ^ c1)
+        bitwise_xor(hi1, keys0[r], odd_rows[0])
+        add(stream_ids, keys1[r], t0)  # k1
+        bitwise_xor(hi0, t0, odd_rows[1])
         even, odd, even_rows, odd_rows = odd, even, odd_rows, even_rows
-    even >>= _S11
-    odd >>= _S11
-    for row, word in zip(out, (even[0], odd[1], even[1], odd[0])):
-        row[...] = word  # a cast in place: np.multiply would buffer it
+    words >>= _S11
+    out[0::2] = even  # a cast in place: np.multiply would buffer it
+    out[1::2] = odd[::-1]
     out *= 2.0**-53
     return out

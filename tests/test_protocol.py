@@ -372,7 +372,7 @@ def test_transcript_csv_matches_row_writer(tmp_path, basis, mode, kind):
 @pytest.mark.parametrize("rounds", [20_000, 200_000])
 def test_transcript_csv_working_set_bounded(tmp_path, basis, rounds):
     # the writer's memory is bounded by its half chunk, not the session
-    # length, and lies below the entangled sweeps' 51.6 KB
+    # length, and lies below the entangled sweeps' 50.9 KB
     eve = EveStrategy(kind="random")
     write_transcript_csv(run_session(config(basis, rounds=1, eve=eve)), str(tmp_path / "t.csv"))
     t = run_session(config(basis, rounds=rounds, seed=6, eve=eve))
@@ -435,6 +435,24 @@ def test_entangled_session_independent_of_pool_width(basis, monkeypatch, eve):
     for width in (1, 2, 3, 7, 100):
         monkeypatch.setattr(protocol, "_BLOCK", width)
         assert np.array_equal(run_session(cfg).columns, expected), width
+
+
+@pytest.mark.parametrize("eve", [*(f"fixed:{k}" for k in range(5)), "random"])
+def test_entangled_finishing_in_place_matches_run_round(basis, monkeypatch, eve):
+    # with Eve the finishing sweep runs in place on windows of _BLOCK rounds,
+    # mixing clicks on rows 1 and 3 in one call; every setting of Eve's, at
+    # the pool's own and at small widths, whose windows end mid-session or
+    # on its last round, replays through run_round
+    kind, _, setting = eve.partition(":")
+    eve = EveStrategy(kind=kind, setting=int(setting) if setting else None)
+    for rounds in (2 * _BLOCK + 7, 3 * _BLOCK):
+        cfg = config(basis, rounds=rounds, seed=2**63 + 5, mode=ENTANGLED, eve=eve)
+        replay = [run_round(cfg, r) for r in range(rounds)]
+        for width in (_BLOCK, 1, 3, 100):
+            monkeypatch.setattr(protocol, "_BLOCK", width)
+            t = run_session(cfg)
+            assert [Round(*c) for c in t.columns.T.tolist()] == replay, (rounds, width)
+            assert (t.columns[5] % 2 == 1).any() and (t.columns[5] % 2 == 0).any()
 
 
 def test_entangled_pool_fills_its_last_passes(basis, monkeypatch):

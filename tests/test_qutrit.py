@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,9 +258,9 @@ def philox_block(seed, stream_id, block):
 
 @pytest.mark.parametrize("m", FOLD_LANES)
 def test_uniforms_folded_rounds_match_philox(m):
-    # an int block starts from its known counter, folding round 1 and half of
-    # round 2; a block per lane runs all ten rounds: both must be numpy's
-    # Philox, and equal for the same block
+    # every call starts from its known counter: an int block folds round 1
+    # into one Python product, and a block per lane multiplies it per lane.
+    # Both must be numpy's Philox, and equal for the same block
     rng = np.random.default_rng(2_600_000 + m)
     ids = rng.integers(0, 2**64, m, dtype=np.uint64, endpoint=False)
     ids[:3] = FOLD_KEYS[:min(m, 3)]
@@ -273,6 +274,24 @@ def test_uniforms_folded_rounds_match_philox(m):
             assert uniforms(seed, ids, np.full(m, block, np.uint64)).tolist() == drawn.tolist()
             lanes = lane_blocks == block
             assert mixed[:, lanes].tolist() == drawn[:, lanes].tolist(), (seed, block)
+
+
+@pytest.mark.parametrize("m, figure", [(1, 2_937), (496, 42_565), (_LANES, 125_765)])
+def test_uniforms_working_set_bounded(m, figure):
+    # one call holds its result, its words and its scratch: per-call speed
+    # is not bought with scratch.  The figures are BENCH_26.json's one-call
+    # peaks for an int block, which both forms stay within; the seed's round
+    # keys, built once per seed, are built before the measurement
+    ids = np.arange(m, dtype=np.uint64)
+    for blocks in (2, np.full(m, 2, np.uint64)):
+        uniforms(5, ids, blocks)
+        tracemalloc.start()
+        try:
+            uniforms(5, ids, blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= figure, (m, type(blocks), peak)
 
 
 def test_philox_multipliers_contiguous(monkeypatch):

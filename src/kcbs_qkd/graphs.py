@@ -5,13 +5,15 @@ Vertices stand for projective measurements.  Edges carry one of two kinds:
 ``COMPATIBLE`` (jointly measurable but not mutually exclusive).  Every
 exclusive edge therefore also counts as compatible.
 
-All searches are exact and exponential, which is fine: the scenario graphs of
-interest have at most 10 vertices.  Hard size caps raise explicit errors.
+All searches are exact.  The independence number is a branch and bound,
+exponential in the worst case; the scenario graphs of interest have 10
+vertices, and a graph of more than ``MAX_VERTICES`` raises an error.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache
@@ -25,18 +27,16 @@ __all__ = [
     "MonogamyCheckError",
     "independence_number",
     "is_chordal",
-    "noncontextual_max",
     "joint_commutation_graph",
     "verify_monogamy_decomposition",
     "certificate_from_graph_document",
 ]
 
 MAX_VERTICES = 32
-MAX_ENUMERATION_VERTICES = 20
 
 
 class GraphTooLargeError(ValueError):
-    """Raised when an exact search is requested beyond its size cap."""
+    """Raised when a graph has more than ``MAX_VERTICES`` vertices."""
 
 
 class MonogamyCheckError(RuntimeError):
@@ -121,11 +121,13 @@ class ContextGraph:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ContextGraph":
-        n, labels = _integer("n", doc["n"]), doc["labels"]
+        n, labels, triples = _integer("n", doc["n"]), doc["labels"], doc["edges"]
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
             raise ValueError(f"labels must be a list of strings, got {labels!r}")
+        if not isinstance(triples, list):
+            raise ValueError(f"edges must be a list of [u, v, kind] triples, got {triples!r}")
         edges: dict[frozenset[int], EdgeKind] = {}
-        for u, v, kind in doc["edges"]:
+        for u, v, kind in triples:
             edge = frozenset((_integer("edge vertex", u), _integer("edge vertex", v)))
             if edge in edges:
                 raise ValueError(f"edge {sorted(edge)} listed more than once")
@@ -173,33 +175,6 @@ def is_chordal(g: ContextGraph) -> bool:
     return True
 
 
-def noncontextual_max(g: ContextGraph) -> int:
-    """Max number of 1-valued vertices over exclusivity-respecting assignments.
-
-    Equals the exclusive-edge independence number by definition, but is kept
-    as a fully independent enumeration to serve as a cross-check oracle.
-    """
-    if g.n > MAX_ENUMERATION_VERTICES:
-        raise GraphTooLargeError(
-            f"instance too large: assignment enumeration is capped at "
-            f"{MAX_ENUMERATION_VERTICES} vertices, got {g.n}"
-        )
-    adj = g.adjacency(EdgeKind.EXCLUSIVE)
-    best = 0
-    for mask in range(1 << g.n):
-        ok = True
-        m = mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            if adj[v] & mask:
-                ok = False
-                break
-            m &= m - 1
-        if ok:
-            best = max(best, bin(mask).count("1"))
-    return best
-
-
 # --- the joint Alice-Bob / Alice-Eve scenario ------------------------------
 
 PAPER_ABSTRACT = "paper-abstract"
@@ -243,7 +218,8 @@ _PART_2 = (0, 3, 8, 4, 9)
 
 @dataclass(frozen=True)
 class MonogamyCertificate:
-    """A brute-force-verified decomposition certificate for the joint graph."""
+    """A verified two-part chordal decomposition of a joint graph, with the
+    independence number of the whole graph as ``deterministic_max``."""
 
     joint_graph: ContextGraph
     parts: tuple[tuple[int, ...], tuple[int, ...]]
@@ -271,19 +247,17 @@ def _build_certificate(
     mode: str,
     expected_alpha: tuple[int, int] | None,
 ) -> MonogamyCertificate:
-    unknown = sorted({v for part in parts for v in part} - set(range(g.n)))
+    counts = Counter(v for part in parts for v in part)
+    unknown = sorted(counts.keys() - range(g.n))
     if unknown:
         raise MonogamyCheckError("parts_vertices", f"vertices {unknown} not in 0..{g.n - 1}")
-    seen: set[int] = set()
-    for part in parts:
-        overlap = seen.intersection(part)
-        if overlap:
-            raise MonogamyCheckError("parts_disjoint", f"vertices {sorted(overlap)} repeated")
-        seen.update(part)
-    if seen != set(range(g.n)):
-        raise MonogamyCheckError(
-            "parts_cover", f"vertices {sorted(set(range(g.n)) - seen)} uncovered"
-        )
+    # a repeat inside one part counts too: induced() would make it a new vertex
+    repeated = sorted(v for v, count in counts.items() if count > 1)
+    if repeated:
+        raise MonogamyCheckError("parts_disjoint", f"vertices {repeated} repeated")
+    uncovered = sorted(set(range(g.n)) - counts.keys())
+    if uncovered:
+        raise MonogamyCheckError("parts_cover", f"vertices {uncovered} uncovered")
     subgraphs = [g.induced(part) for part in parts]
     chordal = tuple(is_chordal(sub) for sub in subgraphs)
     if not all(chordal):
@@ -295,20 +269,13 @@ def _build_certificate(
             "independence_numbers", f"expected {expected_alpha}, got {alpha}"
         )
     bound = sum(alpha) / 5.0
-    det_max = noncontextual_max(g)
-    cross_check = independence_number(g)
-    if det_max != cross_check:
-        raise MonogamyCheckError(
-            "deterministic_max_cross_check",
-            f"assignment enumeration {det_max} != independence number {cross_check}",
-        )
     return MonogamyCertificate(
         joint_graph=g,
         parts=parts,
         chordal=chordal,  # type: ignore[arg-type]
         alpha=alpha,  # type: ignore[arg-type]
         bound=bound,
-        deterministic_max=det_max,
+        deterministic_max=independence_number(g),
         mode=mode,
     )
 

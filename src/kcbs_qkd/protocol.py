@@ -689,12 +689,14 @@ def _attack_tables(strategy: EveStrategy, basis: KcbsBasis) -> tuple[np.ndarray,
     measures k and guesses g on ray i, over her five settings, and the
     per-cell table of ``_sift_read`` of the same rounds, of probabilities:
     each (i, j) row has mass 1.  Its entries sum Eve's settings k ascending,
-    her click (guess 0) before no click, from 0.0; the weight of a setting
-    she never measures is 0, which adds exact zeros."""
+    her guess 0 before guess 1, from 0.0; the weight of a setting she never
+    measures is 0, which adds exact zeros.  ``eve_guess`` must map her two
+    outcomes onto the two guesses."""
     channel = build_channel(basis)
     w_k = np.eye(5)[strategy.setting] if strategy.kind == FIXED else np.full(5, 0.2)
-    weight = w_k[:, None] * channel.branch[..., ::-1]  # Eve's click first: g = 1 - e
-    click = channel.click[:, :, ::-1]
+    by_guess = sorted(range(2), key=eve_guess)  # Eve's outcome e of each guess g
+    weight = w_k[:, None] * channel.branch[..., by_guess]
+    click = channel.click[:, :, by_guess]
     guess = np.broadcast_to(np.eye(2)[:, None, None, :, None], (2, *click.shape))
     columns = np.stack([1.0 - click, click, *guess, np.zeros_like(click)], axis=-1)
     terms = weight[..., None, None] * columns  # [i, k, g, j, column]

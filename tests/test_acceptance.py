@@ -186,14 +186,14 @@ def test_criterion_7_threshold_logic(basis):
 
 def test_criterion_8a_graph_cross_checks():
     from test_graphs import brute_force_alpha, naive_is_chordal, random_graph
-    from kcbs_qkd.graphs import EdgeKind, independence_number, is_chordal, noncontextual_max
+    from kcbs_qkd.graphs import EdgeKind, independence_number, is_chordal
 
     rng = np.random.Generator(np.random.Philox(key=4242))
     mismatches = 0
     for _ in range(200):
         n = int(rng.integers(1, 10))
         g = random_graph(rng, n, p=float(rng.uniform(0.2, 0.7)))
-        if independence_number(g) != noncontextual_max(g):
+        if independence_number(g) != brute_force_alpha(g, EdgeKind.EXCLUSIVE):
             mismatches += 1
         if is_chordal(g) != naive_is_chordal(g):
             mismatches += 1

@@ -171,6 +171,25 @@ def test_oracle_cell_table_matches_reference(basis, setting, resend):
     assert not table[..., 4].any()
 
 
+def test_oracle_reads_published_guess_rule(basis, monkeypatch):
+    # the oracle orders Eve's outcomes by the guess rule that the estimators
+    # read, so a rule that guesses her outcome itself turns p_E into 1 - p_E
+    import kcbs_qkd.protocol as protocol
+
+    strategies = [FIXED_1, EveStrategy(kind="random")]
+    published = [attack_expectation(s, basis).pe_expected for s in strategies]
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "eve_guess", lambda outcome: outcome)
+            protocol._sift_fold.cache_clear()
+            attack_expectation.cache_clear()
+            guessed = [attack_expectation(s, basis).pe_expected for s in strategies]
+    finally:
+        protocol._sift_fold.cache_clear()
+        attack_expectation.cache_clear()
+    assert guessed == pytest.approx([1 - pe for pe in published], abs=1e-12)
+
+
 def test_oracle_fixed_collapsed(basis):
     exp = attack_expectation(FIXED_1, basis)
     assert exp.kab_expected == pytest.approx(EXPECTED_KAB, abs=1e-6)

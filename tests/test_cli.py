@@ -180,9 +180,9 @@ def test_monogamy_custom_failure(tmp_path, capsys):
 
 
 def test_monogamy_custom_graph_size_caps(tmp_path, capsys):
-    # an edgeless graph in two parts passes every check but the size caps
-    caps = {21: "capped at 20 vertices, got 21", 33: "vertex count 33 outside [0, 32]"}
-    for n, message in caps.items():
+    # an edgeless graph in two parts passes every check up to ContextGraph's
+    # cap of 32 vertices, and each of its vertices counts once
+    for n in (21, 32, 33):
         doc = {
             "n": n,
             "labels": [f"v{v}" for v in range(n)],
@@ -191,9 +191,14 @@ def test_monogamy_custom_graph_size_caps(tmp_path, capsys):
         }
         path = tmp_path / f"graph{n}.json"
         path.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "monogamy", "--graph", str(path))
-        assert code == 1
-        assert message in err, err
+        code, out, err = run(capsys, "monogamy", "--graph", str(path))
+        if n <= 32:
+            assert code == 0, err
+            cert = json.loads(out)
+            assert (cert["alpha"], cert["deterministic_max"]) == ([n // 2, n - n // 2], n)
+        else:
+            assert code == 1 and out == ""
+            assert "vertex count 33 outside [0, 32]" in err, err
 
 
 def test_monogamy_custom_graph_types_rejected(tmp_path, capsys):
@@ -213,6 +218,7 @@ def test_monogamy_custom_graph_types_rejected(tmp_path, capsys):
         "bool_part": ({"parts": [[0, 1], [True]]}, "part vertex must be an integer, got True"),
         "string_part": ({"parts": [[0, 1], ["2"]]}, "part vertex must be an integer, got '2'"),
         "labels": ({"labels": "abc"}, "labels must be a list of strings"),
+        "edges_object": ({"edges": {}}, "edges must be a list of [u, v, kind] triples"),
         "label_types": ({"labels": ["a", "b", 3]}, "labels must be a list of strings"),
         "float_n": ({"n": 3.7}, "n must be an integer, got 3.7"),
         "bool_n": (

@@ -14,7 +14,6 @@ from kcbs_qkd.graphs import (
     independence_number,
     is_chordal,
     joint_commutation_graph,
-    noncontextual_max,
     verify_monogamy_decomposition,
 )
 
@@ -93,7 +92,7 @@ def test_alpha_random_cross_check():
     for _ in range(200):
         n = int(rng.integers(1, 13))
         g = random_graph(rng, n)
-        assert independence_number(g) == noncontextual_max(g)
+        assert independence_number(g) == brute_force_alpha(g, EdgeKind.EXCLUSIVE)
 
 
 # --- chordality ----------------------------------------------------------------
@@ -142,7 +141,7 @@ def test_mimic_mode_exclusive_degree():
 def test_joint_graph_alpha():
     g = joint_commutation_graph(PAPER_ABSTRACT)
     assert independence_number(g) == 2
-    assert noncontextual_max(g) == 2
+    assert brute_force_alpha(g, EdgeKind.EXCLUSIVE) == 2
 
 
 def test_unknown_mode_rejected():
@@ -170,6 +169,12 @@ def test_certificate_mimic_mode():
     # with the same-index cross edges relaxed, the parts admit larger
     # exclusive-independent sets; reported, not asserted against the paper
     assert cert.bound >= 0.8
+
+
+@pytest.mark.parametrize("mode", [PAPER_ABSTRACT, MIMIC])
+def test_certificate_deterministic_max_matches_enumeration(mode):
+    cert = verify_monogamy_decomposition(mode)
+    assert cert.deterministic_max == brute_force_alpha(cert.joint_graph, EdgeKind.EXCLUSIVE)
 
 
 def test_certificate_json_round_trip():
@@ -222,6 +227,16 @@ def test_custom_document_bad_partition_rejected():
     }
     with pytest.raises(MonogamyCheckError):
         certificate_from_graph_document(doc)
+
+
+def test_custom_document_vertex_repeated_in_one_part_rejected():
+    # the induced subgraph of [0, 0, 1] would hold the repeat as one more
+    # isolated vertex: alpha (2, 0) and bound 0.4 in place of (1, 0) and 0.2
+    base = {"n": 2, "labels": ["a", "b"], "edges": [[0, 1, "exclusive"]]}
+    cert = certificate_from_graph_document({**base, "parts": [[0, 1], []]})
+    assert (cert.alpha, cert.bound) == ((1, 0), 0.2)
+    with pytest.raises(MonogamyCheckError, match=r"parts_disjoint: vertices \[0\] repeated"):
+        certificate_from_graph_document({**base, "parts": [[0, 0, 1], []]})
 
 
 def test_custom_document_mode_is_custom():

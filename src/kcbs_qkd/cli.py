@@ -17,6 +17,7 @@ import os
 import pickle
 import sys
 from functools import cache, lru_cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -60,12 +61,18 @@ __all__ = ["main", "build_report", "round_floats", "report_json"]
 _VERDICT_EXIT = {"Secure": 0, "Insecure": 2, "Inconclusive": 3}
 
 
+def _digits15(x: float) -> str:
+    """``x`` to 15 significant digits, the precision of every report float,
+    as ``%g`` text."""
+    return f"{x:.15g}"
+
+
 def round_floats(obj):
     """Recursively round floats to 15 significant digits for stable JSON."""
     if isinstance(obj, float):
         if math.isnan(obj):
             return None
-        return float(f"{obj:.15g}")
+        return float(_digits15(obj))
     if isinstance(obj, dict):
         return {k: round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -73,25 +80,89 @@ def round_floats(obj):
     return obj
 
 
+_INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
+
+def _encode(obj, indent: str, out: list) -> None:
+    """Append to ``out`` the text that ``json.dumps(round_floats(obj),
+    indent=2, sort_keys=True)`` writes for ``obj``, with every line after the
+    first starting with ``indent``: a newline and the spaces of ``obj``'s
+    depth.  Any type that JSON does not name, and any key that is not a
+    str, raises ``TypeError``."""
+    if isinstance(obj, float):  # first: most of a report's values
+        if obj != obj:
+            out.append("null")
+            return
+        # %g writes fixed notation for exponents -4 to 14, where a double
+        # holds any 15 digits: they are then the shortest that parse back to
+        # the rounded float, the digits repr writes, and only the ".0" of a
+        # whole number, which %g drops, differs
+        text = _digits15(obj)
+        if "e" in text or "n" in text:  # an exponent, or inf
+            obj = float(text)
+            text = _INFINITIES.get(obj) or repr(obj)
+        elif "." not in text:
+            text += ".0"
+        out.append(text)
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        opening = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, got {type(key).__name__} {key!r}")
+            out.append(opening + encode_basestring_ascii(key) + ": ")
+            _encode(obj[key], inner, out)
+            opening = "," + inner
+        out.append(indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        opening = "[" + inner
+        for item in obj:
+            out.append(opening)
+            _encode(item, inner, out)
+            opening = "," + inner
+        out.append(indent + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 # report blocks that depend only on (Eve, basis): every report embeds the
 # paper-abstract certificate, whatever the session's mode
 _CONSTANT_BLOCKS = ("kcbs_constants", "monogamy_certificate", "monogamy_anticorr_bounds", "oracle")
 
 
-def _nested_json(block) -> str:
-    """``block`` as ``report_json`` renders it one level down in a document."""
-    return json.dumps(round_floats(block), indent=2, sort_keys=True).replace("\n", "\n  ")
+def _nested_text(block) -> str:
+    """``block``'s text one level down in a report."""
+    out = []
+    _encode(block, "\n  ", out)
+    return "".join(out)
 
 
 def _block_text(block) -> str:
-    """``_nested_json(block)``, kept by the block's value: its pickle, which
+    """``_nested_text(block)``, kept by the block's value: its pickle, which
     loads back to an equal value of the same types (a tuple and a list
     differ, so each gets an entry of the same text).  A value that cannot be
     pickled, such as an instance of a local class, is rendered every time."""
     try:
         key = pickle.dumps(block)
     except (pickle.PicklingError, TypeError, AttributeError):
-        return _nested_json(block)
+        return _nested_text(block)
     return _pickled_text(key)
 
 
@@ -100,26 +171,33 @@ def _block_text(block) -> str:
 def _pickled_text(key: bytes) -> str:
     """The text of the block pickled as ``key``, rendered from the key alone,
     so that no entry can disagree with its key."""
-    return _nested_json(pickle.loads(key))
+    return _nested_text(pickle.loads(key))
 
 
 def report_json(report: dict) -> str:
     """``json.dumps(round_floats(report), indent=2, sort_keys=True)``, byte
-    for byte, for any dict.
+    for byte, for any dict whose keys, at every depth, are str; any other
+    key raises ``TypeError``.
 
-    The constant blocks (``_CONSTANT_BLOCKS``) are rendered once per value.
-    The rest is rounded and encoded in one call, with ``null`` at each
-    constant key, and each block's text replaces that ``null``.  The line
-    that holds it, a newline, two spaces and ``"key": null``, occurs once:
-    only a top-level key starts a line with two spaces and a quote, and no
-    encoded string holds a raw newline.
+    One encoder, ``_encode``, writes the whole text, rounding each float as
+    it goes.  The constant blocks (``_CONSTANT_BLOCKS``) are rendered once
+    per value, and their texts are written in place of their keys' values.
     """
-    rounded = {k: None if k in _CONSTANT_BLOCKS else round_floats(v) for k, v in report.items()}
-    text = json.dumps(rounded, indent=2, sort_keys=True)
-    for key in _CONSTANT_BLOCKS:
-        if key in report:
-            text = text.replace(f'\n  "{key}": null', f'\n  "{key}": {_block_text(report[key])}', 1)
-    return text
+    if not report:
+        return "{}"
+    out = []
+    opening = "{\n  "
+    for key in sorted(report):
+        if not isinstance(key, str):
+            raise TypeError(f"report keys must be str, got {type(key).__name__} {key!r}")
+        out.append(opening + encode_basestring_ascii(key) + ": ")
+        if key in _CONSTANT_BLOCKS:
+            out.append(_block_text(report[key]))
+        else:
+            _encode(report[key], "\n  ", out)
+        opening = ",\n  "
+    out.append("\n}")
+    return "".join(out)
 
 
 def _load_basis(path: str | None) -> KcbsBasis:
@@ -222,10 +300,15 @@ def _parse_eve(eve: str, resend: str | None) -> EveStrategy:
     )
 
 
+@cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def _fields(obj) -> dict:
     """A new dict of a frozen dataclass's fields.  Shallow: their values are
     immutable (the oracle's tables are tuples), so nothing is copied."""
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return {name: getattr(obj, name) for name in _field_names(type(obj))}
 
 
 def build_report(cfg: ProtocolConfig, transcript, stats, security) -> dict:

@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kcbs_qkd.cli import _build_parser, main, report_json, round_floats
@@ -226,9 +226,20 @@ def test_monogamy_custom_graph_types_rejected(tmp_path, capsys):
             "n must be an integer, got True",
         ),
     }
-    for name, (change, message) in bad.items():
+    # whole documents: each error names the field at fault
+    documents = {
+        "no_n": ({k: v for k, v in good.items() if k != "n"}, "graph document lacks n"),
+        "no_labels": ({k: v for k, v in good.items() if k != "labels"},
+                      "graph document lacks labels"),
+        "no_edges": ({k: v for k, v in good.items() if k != "edges"},
+                     "graph document lacks edges"),
+        "list": ([good], "graph document must be a JSON object with keys n, labels, edges, parts"),
+        "short_edge": ({**good, "edges": [[0, 1]]}, "each edge must be a [u, v, kind] triple"),
+    }
+    cases = {name: ({**good, **change}, message) for name, (change, message) in bad.items()}
+    for name, (doc, message) in {**cases, **documents}.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps({**good, **change}))
+        path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "monogamy", "--graph", str(path))
         assert code == 1 and out == "", name
         assert message in err, err
@@ -671,8 +682,20 @@ JSON_VALUES = st.recursive(
 )
 
 
+# each side of %g's switch to an exponent, whole numbers, signed zero,
+# subnormals, and finite floats that round to infinity
+FLOAT_EDGES = [
+    0.0, -0.0, 1.0, -3.0, 1e-4, 9.99999999999999e-5, 1e-5, 1e14, 1e15, 1e16,
+    123456789012345.6, 999999999999999.9, 9999999999999999.0, 5e-324,
+    2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+    math.inf, -math.inf, math.nan, 0.1 + 0.2, 1 / 3, np.float64(2 / 3),
+    *(math.nextafter(10.0 ** e, d) for e in range(-6, 17) for d in (0, math.inf)),
+]
+
+
 @given(st.dictionaries(st.sampled_from(CONSTANT_KEYS) | st.text(max_size=8) | TRICKY,
                        JSON_VALUES, max_size=7))
+@example({"config": FLOAT_EDGES, "oracle": tuple(FLOAT_EDGES)})
 @settings(max_examples=300, deadline=None)
 def test_report_json_matches_plain_encoder(doc):
     expected = plain_json(doc)
@@ -742,8 +765,10 @@ def test_mutated_report_leaves_next_report_unchanged(capsys, monkeypatch):
 
 
 def test_warm_report_encodes_once(capsys, monkeypatch):
-    # the constant blocks are encoded once: a warm session makes one indented
-    # json.dumps call, whose pure-Python encoder leaves cyclic garbage per call
+    # the constant blocks are encoded once, and no report goes through
+    # json.dumps: a warm session makes no indented call and no cache miss
+    import kcbs_qkd.cli as cli
+
     argv = ("simulate", "--rounds", "300", "--seed", "4", "--eve", "random", "--json")
     _, first, _ = run(capsys, *argv)
     indented = []
@@ -755,6 +780,37 @@ def test_warm_report_encodes_once(capsys, monkeypatch):
 
     dumps = json.dumps
     monkeypatch.setattr(json, "dumps", spy)
+    misses = cli._pickled_text.cache_info().misses
     _, second, _ = run(capsys, *argv)
     assert second == first
-    assert len(indented) == 1
+    assert indented == []
+    assert cli._pickled_text.cache_info().misses == misses
+
+
+def test_report_json_rejects_non_str_keys():
+    # json.dumps would write 1 as "1"; a report's keys are str at every depth
+    for doc in ({1: 0.5}, {"config": {2: "x"}}, {"oracle": {None: 1}}, {"a": [{(1,): 2}]}):
+        with pytest.raises(TypeError, match="keys must be str"):
+            report_json(doc)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        report_json({"config": {1, 2}})
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--rounds", "300", "--seed", "4", "--eve", "random", "--json"),
+    ("simulate", "--rounds", "300", "--seed", "4", "--mode", "entangled", "--out", "{out}"),
+    ("verify", "--json"),
+    ("monogamy",),
+])
+def test_warm_command_leaves_no_cyclic_garbage(argv, tmp_path, capsys):
+    # nothing a warm command allocates waits for the cyclic collector
+    argv = [a.format(out=tmp_path / "report.json") for a in argv]
+    run(capsys, *argv)
+    gc.collect()
+    gc.disable()
+    try:
+        main(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()

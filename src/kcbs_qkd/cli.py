@@ -93,17 +93,8 @@ def _encode(obj, indent: str, out: list) -> None:
         if obj != obj:
             out.append("null")
             return
-        # %g writes fixed notation for exponents -4 to 14, where a double
-        # holds any 15 digits: they are then the shortest that parse back to
-        # the rounded float, the digits repr writes, and only the ".0" of a
-        # whole number, which %g drops, differs
-        text = _digits15(obj)
-        if "e" in text or "n" in text:  # an exponent, or inf
-            obj = float(text)
-            text = _INFINITIES.get(obj) or repr(obj)
-        elif "." not in text:
-            text += ".0"
-        out.append(text)
+        obj = float(_digits15(obj))
+        out.append(_INFINITIES.get(obj) or repr(obj))
     elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif obj is None:
@@ -300,15 +291,10 @@ def _parse_eve(eve: str, resend: str | None) -> EveStrategy:
     )
 
 
-@cache
-def _field_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls))
-
-
 def _fields(obj) -> dict:
     """A new dict of a frozen dataclass's fields.  Shallow: their values are
     immutable (the oracle's tables are tuples), so nothing is copied."""
-    return {name: getattr(obj, name) for name in _field_names(type(obj))}
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
 def build_report(cfg: ProtocolConfig, transcript, stats, security) -> dict:

@@ -52,16 +52,6 @@ class EdgeKind(enum.Enum):
     COMPATIBLE = "compatible"
 
 
-def _require_keys(doc, keys: tuple[str, ...]) -> None:
-    """Refuse a graph document that is not a JSON object holding ``keys``."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"graph document must be a JSON object with keys {', '.join(keys)}, "
-                         f"got {type(doc).__name__}")
-    missing = [key for key in keys if key not in doc]
-    if missing:
-        raise ValueError(f"graph document lacks {', '.join(missing)}")
-
-
 def _integer(what: str, value) -> int:
     """``value`` if it is an int and not a bool: nothing is coerced."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -131,7 +121,12 @@ class ContextGraph:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ContextGraph":
-        _require_keys(doc, ("n", "labels", "edges"))
+        if not isinstance(doc, dict):
+            raise ValueError("graph document must be a JSON object with keys n, labels, edges, "
+                             f"got {type(doc).__name__}")
+        missing = [key for key in ("n", "labels", "edges") if key not in doc]
+        if missing:
+            raise ValueError(f"graph document lacks {', '.join(missing)}")
         n, labels, triples = _integer("n", doc["n"]), doc["labels"], doc["edges"]
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
             raise ValueError(f"labels must be a list of strings, got {labels!r}")
@@ -317,9 +312,8 @@ def certificate_from_graph_document(doc: dict) -> MonogamyCertificate:
     independence numbers and bound are reported as computed, under the mode
     ``custom`` whatever the document says.
     """
-    _require_keys(doc, ("n", "labels", "edges", "parts"))
     g = ContextGraph.from_json_dict(doc)
-    parts = doc["parts"]
+    parts = doc.get("parts")
     if not isinstance(parts, list) or len(parts) != 2:
         raise ValueError("document must supply exactly two parts")
     parts_t = tuple(tuple(_integer("part vertex", v) for v in part) for part in parts)

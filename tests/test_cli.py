@@ -233,7 +233,9 @@ def test_monogamy_custom_graph_types_rejected(tmp_path, capsys):
                       "graph document lacks labels"),
         "no_edges": ({k: v for k, v in good.items() if k != "edges"},
                      "graph document lacks edges"),
-        "list": ([good], "graph document must be a JSON object with keys n, labels, edges, parts"),
+        "no_parts": ({k: v for k, v in good.items() if k != "parts"},
+                     "document must supply exactly two parts"),
+        "list": ([good], "graph document must be a JSON object with keys n, labels, edges, got"),
         "short_edge": ({**good, "edges": [[0, 1]]}, "each edge must be a [u, v, kind] triple"),
     }
     cases = {name: ({**good, **change}, message) for name, (change, message) in bad.items()}

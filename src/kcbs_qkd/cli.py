@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -47,8 +48,6 @@ from .protocol import (
     ENTANGLED,
     PREPARE_MEASURE,
     ProtocolConfig,
-    _atomic_writer,
-    _temporary_path,
     attack_expectation,
     estimate_security,
     key_stats,
@@ -56,45 +55,36 @@ from .protocol import (
     write_transcript_csv,
 )
 
-__all__ = ["main", "build_report", "round_floats", "report_json"]
+__all__ = ["main", "build_report", "report_json"]
 
 _VERDICT_EXIT = {"Secure": 0, "Insecure": 2, "Inconclusive": 3}
 
 
-def _digits15(x: float) -> str:
-    """``x`` to 15 significant digits, the precision of every report float,
-    as ``%g`` text."""
-    return f"{x:.15g}"
-
-
-def round_floats(obj):
-    """Recursively round floats to 15 significant digits for stable JSON."""
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return None
-        return float(_digits15(obj))
-    if isinstance(obj, dict):
-        return {k: round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [round_floats(v) for v in obj]
-    return obj
+def _report_float(x: float) -> float | None:
+    """``x`` as a report writes it: rounded to 15 significant digits, the
+    precision of every report float, and NaN as ``None``."""
+    return None if x != x else float(f"{x:.15g}")
 
 
 _INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
 
 
+class _Text(str):
+    """JSON text that ``_encode`` writes as it is."""
+
+
 def _encode(obj, indent: str, out: list) -> None:
-    """Append to ``out`` the text that ``json.dumps(round_floats(obj),
-    indent=2, sort_keys=True)`` writes for ``obj``, with every line after the
-    first starting with ``indent``: a newline and the spaces of ``obj``'s
-    depth.  Any type that JSON does not name, and any key that is not a
-    str, raises ``TypeError``."""
+    """Append to ``out`` the text that ``json.dumps(obj, indent=2,
+    sort_keys=True)`` writes for ``obj`` with each float passed through
+    ``_report_float``, with every line after the first starting with
+    ``indent``: a newline and the spaces of ``obj``'s depth.  A ``_Text`` is
+    written as it is.  Any type that JSON does not name, and any key that is
+    not a str, raises ``TypeError``."""
     if isinstance(obj, float):  # first: most of a report's values
-        if obj != obj:
-            out.append("null")
-            return
-        obj = float(_digits15(obj))
-        out.append(_INFINITIES.get(obj) or repr(obj))
+        obj = _report_float(obj)
+        out.append("null" if obj is None else _INFINITIES.get(obj) or repr(obj))
+    elif type(obj) is _Text:
+        out.append(obj)
     elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif obj is None:
@@ -166,28 +156,14 @@ def _pickled_text(key: bytes) -> str:
 
 
 def report_json(report: dict) -> str:
-    """``json.dumps(round_floats(report), indent=2, sort_keys=True)``, byte
-    for byte, for any dict whose keys, at every depth, are str; any other
-    key raises ``TypeError``.
-
-    One encoder, ``_encode``, writes the whole text, rounding each float as
-    it goes.  The constant blocks (``_CONSTANT_BLOCKS``) are rendered once
-    per value, and their texts are written in place of their keys' values.
-    """
-    if not report:
-        return "{}"
+    """The indented, key-sorted JSON text of ``report``, as ``_encode``
+    writes it, for any dict whose keys, at every depth, are str; any other
+    key raises ``TypeError``.  The constant blocks (``_CONSTANT_BLOCKS``)
+    are rendered once per value, and their texts are written in place of
+    their keys' values."""
     out = []
-    opening = "{\n  "
-    for key in sorted(report):
-        if not isinstance(key, str):
-            raise TypeError(f"report keys must be str, got {type(key).__name__} {key!r}")
-        out.append(opening + encode_basestring_ascii(key) + ": ")
-        if key in _CONSTANT_BLOCKS:
-            out.append(_block_text(report[key]))
-        else:
-            _encode(report[key], "\n  ", out)
-        opening = ",\n  "
-    out.append("\n}")
+    _encode({key: _Text(_block_text(value)) if key in _CONSTANT_BLOCKS else value
+             for key, value in report.items()}, "\n", out)
     return "".join(out)
 
 
@@ -238,13 +214,12 @@ def _cmd_verify(args) -> int:
     if args.json:
         print(report_json(block))
     else:
-        rounded = round_floats(block)
-        print(f"pentagon_max_neighbor_overlap {rounded['pentagon_max_neighbor_overlap']}")
-        print(f"ktilde_max {rounded['ktilde_max']:.6f}")
-        print(f"noncontextual_bound {rounded['noncontextual_bound']}")
-        print(f"quantum_bound {rounded['quantum_bound']:.6f}")
-        print(f"exclusivity_max {rounded['exclusivity_max']}")
-        print(f"ok {rounded['ok']}")
+        print(f"pentagon_max_neighbor_overlap {_report_float(neighbor)}")
+        print(f"ktilde_max {_report_float(ktilde_max):.6f}")
+        print(f"noncontextual_bound {_report_float(constants.noncontextual_projector_form)}")
+        print(f"quantum_bound {_report_float(constants.quantum_projector_form):.6f}")
+        print(f"exclusivity_max {_report_float(constants.exclusivity_max)}")
+        print(f"ok {ok}")
     if not ok:
         print("verify: scenario invariants failed", file=sys.stderr)
         return 1
@@ -338,6 +313,29 @@ def build_report(cfg: ProtocolConfig, transcript, stats, security) -> dict:
     return report
 
 
+def _temporary_path(path: str) -> str:
+    """The file that ``_atomic_writer`` writes before it replaces ``path``."""
+    return f"{path}.tmp"
+
+
+@contextlib.contextmanager
+def _atomic_writer(path: str):
+    """A binary file that replaces ``path`` once written; removed on failure.
+    Entering fails, before anything is written, where ``path`` is a directory
+    that the file could not replace."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    tmp = _temporary_path(path)
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def _check_outputs(out: str | None, transcript: str | None) -> None:
     """Refuse an ``--out`` that the transcript would overwrite: its own path,
     or the temporary file it is written through."""
@@ -397,20 +395,15 @@ def _cmd_simulate(args) -> int:
     if args.json:
         print(text)
     else:
-        ks = round_floats(report["key_stats"])
-        sec = round_floats(report["security"])
         print(f"rounds {cfg.rounds}")
-        print(f"sift_rate {ks['sift_rate']}")
-        print(f"p0 {ks['p0']}")
-        print(f"p1 {ks['p1']}")
-        print(f"shannon {ks['shannon']}")
-        print(f"key_rate_per_transmission {ks['key_rate_per_transmission']}")
-        print(f"anticorr_fraction {ks['anticorr_fraction']}")
-        print(f"kab_estimate {sec['kab_estimate']}")
-        print(f"threshold {sec['threshold']}")
-        print(f"verdict {sec['verdict']}")
-        if sec["pe_estimate"] is not None:
-            print(f"pe_estimate {sec['pe_estimate']}")
+        for name in ("sift_rate", "p0", "p1", "shannon", "key_rate_per_transmission",
+                     "anticorr_fraction"):
+            print(f"{name} {_report_float(getattr(stats, name))}")
+        print(f"kab_estimate {_report_float(security.kab_estimate)}")
+        print(f"threshold {_report_float(security.threshold)}")
+        print(f"verdict {security.verdict}")
+        if security.pe_estimate is not None:
+            print(f"pe_estimate {_report_float(security.pe_estimate)}")
     return _VERDICT_EXIT[security.verdict]
 
 

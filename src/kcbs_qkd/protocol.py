@@ -51,11 +51,8 @@ sweeps.
 
 from __future__ import annotations
 
-import contextlib
-import errno
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from typing import NamedTuple
@@ -746,29 +743,6 @@ def attack_expectation(strategy: EveStrategy, basis: KcbsBasis) -> AttackExpecta
     )
 
 
-def _temporary_path(path: str) -> str:
-    """The file that ``_atomic_writer`` writes before it replaces ``path``."""
-    return f"{path}.tmp"
-
-
-@contextlib.contextmanager
-def _atomic_writer(path: str):
-    """A binary file that replaces ``path`` once written; removed on failure.
-    Entering fails, before anything is written, where ``path`` is a directory
-    that the file could not replace."""
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    tmp = _temporary_path(path)
-    try:
-        with open(tmp, "wb") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-
-
 @cache
 def _csv_tables() -> tuple[np.ndarray, np.ndarray]:
     """The pieces of a transcript line, NUL-padded to one width per table.
@@ -802,14 +776,15 @@ def _csv_tables() -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_transcript_csv(t: Transcript, out) -> None:
-    """One CSV line per round, CRLF-terminated; unset bits render as empty
-    fields.  ``out`` is a path, replaced once the CSV is written, or a binary
-    file.  Each half chunk of rounds is rendered in one reused buffer, a
-    bytearray of NUL-padded lines, from its index digits and its rows of line
-    tails, and written without the pad; a chunk's index prefix is written into
-    the buffer once, as the chunk starts."""
-    if isinstance(out, (str, os.PathLike)):
-        with _atomic_writer(out) as fh:
+    """One CSV line per round, CRLF-terminated, written to the binary file
+    ``out``; unset bits render as empty fields.  ``out`` may also be a path,
+    which is opened and written in place.  Each half chunk of rounds is
+    rendered in one reused buffer, a bytearray of NUL-padded lines, from its
+    index digits and its rows of line tails, and written without the pad; a
+    chunk's index prefix is written into the buffer once, as the chunk
+    starts."""
+    if not hasattr(out, "write"):
+        with open(out, "wb") as fh:
             write_transcript_csv(t, fh)
         return
     digits, tails = _csv_tables()

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,28 @@ import pytest
 from kcbs_qkd.adversary import EveStrategy
 from kcbs_qkd.kcbs import KcbsBasis, standard_basis
 from kcbs_qkd.protocol import PREPARE_MEASURE, ProtocolConfig, Round, Transcript
+
+
+# Byte-exact `simulate --rounds 5000` reports for each mode and Eve kind, and
+# the sha256 of the Eve runs' CSV transcripts (tests/golden/transcripts.sha256).
+# Regenerate them only for an intended change of the report or the draws.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CONFIGS = {
+    "prepare_absent": ["--mode", "prepare", "--seed", "11"],
+    "prepare_fixed1_collapsed": [
+        "--mode", "prepare", "--seed", "12", "--eve", "fixed:1", "--resend", "collapsed",
+    ],
+    "prepare_random_eigenstate": [
+        "--mode", "prepare", "--seed", "13", "--eve", "random", "--resend", "eigenstate",
+    ],
+    "entangled_absent": ["--mode", "entangled", "--seed", "14"],
+    "entangled_fixed1_collapsed": [
+        "--mode", "entangled", "--seed", "15", "--eve", "fixed:1", "--resend", "collapsed",
+    ],
+    "entangled_random_eigenstate": [
+        "--mode", "entangled", "--seed", "16", "--eve", "random", "--resend", "eigenstate",
+    ],
+}
 
 
 @pytest.fixture(scope="session")

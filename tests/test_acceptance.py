@@ -7,13 +7,12 @@ lines.  The heavy Monte-Carlo criteria use fixed seeds and stated tolerances.
 import hashlib
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from conftest import D2_OVERLAP, synthetic_transcript
+from conftest import D2_OVERLAP, GOLDEN, GOLDEN_CONFIGS, synthetic_transcript
 from kcbs_qkd.adversary import EveStrategy
 from kcbs_qkd.cli import main
 from kcbs_qkd.graphs import verify_monogamy_decomposition
@@ -202,28 +201,6 @@ def test_criterion_8a_graph_cross_checks():
         mismatches == 0,
         f"{mismatches} mismatches over 200 random instances",
     )
-
-
-# Byte-exact `simulate --rounds 5000` reports for each mode and Eve kind, and
-# the sha256 of the Eve runs' CSV transcripts (tests/golden/transcripts.sha256).
-# Regenerate them only for an intended change of the report or the draws.
-GOLDEN = Path(__file__).parent / "golden"
-GOLDEN_CONFIGS = {
-    "prepare_absent": ["--mode", "prepare", "--seed", "11"],
-    "prepare_fixed1_collapsed": [
-        "--mode", "prepare", "--seed", "12", "--eve", "fixed:1", "--resend", "collapsed",
-    ],
-    "prepare_random_eigenstate": [
-        "--mode", "prepare", "--seed", "13", "--eve", "random", "--resend", "eigenstate",
-    ],
-    "entangled_absent": ["--mode", "entangled", "--seed", "14"],
-    "entangled_fixed1_collapsed": [
-        "--mode", "entangled", "--seed", "15", "--eve", "fixed:1", "--resend", "collapsed",
-    ],
-    "entangled_random_eigenstate": [
-        "--mode", "entangled", "--seed", "16", "--eve", "random", "--resend", "eigenstate",
-    ],
-}
 
 
 def test_criterion_8b_golden_reports(tmp_path, capsys):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kcbs_qkd.cli import _build_parser, main, report_json, round_floats
+from kcbs_qkd.cli import _build_parser, _report_float, main, report_json
 from kcbs_qkd.kcbs import standard_basis
 
 
@@ -654,8 +654,69 @@ def test_every_option_has_help():
     assert missing == []
 
 
+# --- text output ---------------------------------------------------------------
+
+# The whole standard output of the commands without --json, each printed
+# value rounded as the report rounds it: verify, a Secure session that prints
+# p_E, and an Inconclusive one, whose sacrificed subset is too small for K(A,B)
+TEXT_OUTPUTS = {
+    ("verify",): (0, """\
+pentagon_max_neighbor_overlap 2.39049309900246e-32
+ktilde_max 0.447214
+noncontextual_bound 0.4
+quantum_bound 0.447214
+exclusivity_max 0.5
+ok True
+"""),
+    ("simulate", "--rounds", "2000", "--seed", "7", "--eve", "fixed:1"): (0, """\
+rounds 2000
+sift_rate 0.5905
+p0 0.312447078746825
+p1 0.687552921253175
+shannon 0.895978025018962
+key_rate_per_transmission 0.529075023773697
+anticorr_fraction 0.92887383573243
+kab_estimate 0.949152542372881
+threshold 0.625
+verdict Secure
+pe_estimate 0.541066892464014
+"""),
+    ("simulate", "--rounds", "500", "--seed", "3", "--sacrifice", "0.1"): (3, """\
+rounds 500
+sift_rate 0.618
+p0 0.288025889967638
+p1 0.711974110032362
+shannon 0.866157486378697
+key_rate_per_transmission 0.535285326582035
+anticorr_fraction 1.0
+kab_estimate None
+threshold 0.625
+verdict Inconclusive
+"""),
+}
+
+
+@pytest.mark.parametrize("argv", TEXT_OUTPUTS, ids=lambda argv: " ".join(argv))
+def test_text_output_pinned(capsys, argv):
+    assert run(capsys, *argv)[:2] == TEXT_OUTPUTS[argv]
+
+
+def round_floats(obj):
+    """The reports' rounding, spelled out on a whole document: floats to 15
+    significant digits, NaN as None, tuples as lists."""
+    if isinstance(obj, float):
+        return None if math.isnan(obj) else float(f"{obj:.15g}")
+    if isinstance(obj, dict):
+        return {k: round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round_floats(v) for v in obj]
+    return obj
+
+
 def test_round_floats_precision():
-    assert round_floats(0.1 + 0.2) == 0.3
+    for rounded in (round_floats, _report_float):
+        assert rounded(0.1 + 0.2) == 0.3
+        assert rounded(float("nan")) is None
     assert round_floats({"x": [float("nan")]}) == {"x": [None]}
 
 

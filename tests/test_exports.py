@@ -99,6 +99,25 @@ def test_cells_layout_read_by_protocol_alone():
     assert not readers, f"modules other than protocol read the transcript's counts: {readers}"
 
 
+def test_files_handled_by_cli_alone():
+    # protocol writes the CSV to the file it is given; cli decides the paths,
+    # the temporary file and the replacement.  The one open in protocol is
+    # write_transcript_csv's path form, which the benchmark's per-layer run
+    # calls with a path
+    tree = ast.parse((PACKAGE / "protocol.py").read_text())
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {(node.module or "").split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"os", "errno", "contextlib", "pathlib", "shutil", "tempfile"}, imported
+    openers = sorted(
+        function.name for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"
+    )
+    assert openers == ["write_transcript_csv"], openers
+
+
 def test_sift_rule_read_by_protocol_alone():
     # protocol turns rounds and exact probabilities into statistics through
     # the sift rule and Eve's guess; adversary defines them and the channel,

@@ -331,7 +331,11 @@ def test_mutual_information_matches_shannon_on_ideal_run(basis):
 def test_transcript_csv(tmp_path, basis):
     t = run_session(config(basis, rounds=200, seed=2, eve=EveStrategy(kind="fixed", setting=1)))
     path = tmp_path / "t.csv"
-    write_transcript_csv(t, str(path))
+    with open(path, "wb") as fh:
+        write_transcript_csv(t, fh)
+    # a path is opened and written in place, to the same bytes
+    write_transcript_csv(t, str(tmp_path / "by_path.csv"))
+    assert (tmp_path / "by_path.csv").read_bytes() == path.read_bytes()
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == [
@@ -362,7 +366,8 @@ def test_transcript_csv_matches_row_writer(tmp_path, basis, mode, kind):
         sizes += (100 * _CSV_CHUNK + 1,)
     for rounds in sizes:
         t = run_session(config(basis, rounds=rounds, seed=rounds, mode=mode, eve=eve))
-        write_transcript_csv(t, str(tmp_path / "columnar.csv"))
+        with open(tmp_path / "columnar.csv", "wb") as fh:
+            write_transcript_csv(t, fh)
         write_transcript_csv_rows(t, str(tmp_path / "rows.csv"))
         expected = (tmp_path / "rows.csv").read_bytes()
         assert (tmp_path / "columnar.csv").read_bytes() == expected, rounds
@@ -374,11 +379,13 @@ def test_transcript_csv_working_set_bounded(tmp_path, basis, rounds):
     # the writer's memory is bounded by its half chunk, not the session
     # length, and lies below the entangled sweeps' 50.9 KB
     eve = EveStrategy(kind="random")
-    write_transcript_csv(run_session(config(basis, rounds=1, eve=eve)), str(tmp_path / "t.csv"))
+    with open(tmp_path / "t.csv", "wb") as fh:
+        write_transcript_csv(run_session(config(basis, rounds=1, eve=eve)), fh)
     t = run_session(config(basis, rounds=rounds, seed=6, eve=eve))
     tracemalloc.start()
     try:
-        write_transcript_csv(t, str(tmp_path / "t.csv"))
+        with open(tmp_path / "t.csv", "wb") as fh:  # its buffer counted, as simulate's is
+            write_transcript_csv(t, fh)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

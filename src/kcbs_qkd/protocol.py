@@ -28,6 +28,14 @@ them, and leaves the pool.  Those draws are its own after a click on row 1
 (odd a), and without Eve they complete it.  The finishing sweep then draws,
 in round order and up to ``_BLOCK`` rounds a call, the block after the click
 of every round that still needs draws, in place in the columns with Eve.
+Around each Philox call the sweeps read only what they need: a search pass
+gathers the clicking lanes once and scatters their columns a row at a time,
+and a finishing window draws every round's first two later draws unmasked and
+puts back those the search sweep made.  At 200,000 rounds that bookkeeping
+takes about 29 us a search pass and 32-34 us a finishing call with Eve (20 us
+without), against 47-50 and 47-48 us (38 us) when every lane was gathered and
+the draws masked (medians in one warm process, Philox replayed, on a shared
+2-vCPU host).
 Rounds of both modes are read alike from her setting, draw s = 0 or 2 (a - 1).
 ``run_round`` is the scalar replay of one round through ``RngStream``, and the
 independent check of the kernel.  Undisturbed click probabilities come from
@@ -118,13 +126,23 @@ _CSV_CHUNK = 1000
 # this, not by the session length, and stays below the entangled sweeps'
 _CSV_HALF = _CSV_CHUNK // 2
 # entangled rounds in flight, and rounds a finishing call draws: each sweep's
-# working set (50.9 KB measured: 80 bytes a lane in a uniforms call, 16 of
-# round id and block number) is bounded by this, not by the session length.
+# working set (50.9 KB measured at most: 96 bytes a lane, 80 in a uniforms
+# call and 16 of round id and block number, and 3.3 KB more) is bounded by
+# this, not by the session length.
 # Prepare-and-measure passes are qutrit._LANES rounds wide.
 _BLOCK = 496
 # the Round rows a round draws after Alice's setting, in order, by Eve's kind:
 # (k), e, j, Bob's outcome
 _LATER_ROWS = {ABSENT: (1, 2), FIXED: (4, 1, 2), RANDOM: (3, 4, 1, 2)}
+# the flat index of Bob's click probability with Eve, at (i, k, e, j) of her
+# channel's click table: these weights dotted with (i, j, bob_outcome, k, e)
+_BOB_CELL = np.array([50, 1, 0, 10, 5], np.int16)
+# the click probability of each of Alice's attempts, and the factor of
+# RngStream.integer(5) and of a flat index, as 0-d arrays, which a ufunc takes
+# faster than a Python number
+_THIRD = np.array(1.0 / 3.0)
+_FIVE = np.array(5.0)
+_FIVE16 = np.array(5, np.int16)
 # a round's row code is ((5 i + j) 2 + bob_outcome) 18 + 3 (k + 1) + e + 1, the
 # weights below dotted with (i, j, bob_outcome, k, e) plus 4; Transcript.cells
 # counts rounds by it, shaped _CELLS
@@ -343,13 +361,12 @@ def _rows(seed: int, ids: np.ndarray, blocks: int):
         yield from uniforms(seed, ids, b)
 
 
-def _integer5(u: np.ndarray, out: np.ndarray, where=True) -> None:
+def _integer5(u: np.ndarray, out: np.ndarray) -> None:
     """``RngStream.integer(5)`` of each uniform, min(int(5 u), 4), into the
-    int16 ``out`` where ``where`` is true; ``u`` is overwritten.  A Philox
-    double is at most 1 - 2^-53, whose 5 u rounds to 5 - 2^-50, so int(5 u)
-    is at most 4."""
-    np.multiply(u, 5, u)
-    np.copyto(out, u, "unsafe", where)  # truncates, as int() does for u >= 0
+    int16 ``out``; ``u`` is overwritten.  A Philox double is at most
+    1 - 2^-53, whose 5 u rounds to 5 - 2^-50, so int(5 u) is at most 4."""
+    np.multiply(u, _FIVE, u)
+    out[...] = u  # truncates, as int() does for u >= 0
 
 
 def _search_sweep(cfg: ProtocolConfig, columns: np.ndarray) -> None:
@@ -362,48 +379,74 @@ def _search_sweep(cfg: ProtocolConfig, columns: np.ndarray) -> None:
     each of the n rounds in the pool: q is 1 while rounds are left to start,
     and grows as the pool drains, so that each call stays near _BLOCK lanes.
     A round that clicks in block c writes to its column Alice's setting, its
-    attempts (2c - 1 on row 1, 2c on row 3), Eve's fixed fields and its first
-    two later draws from rows 2-3 of that block, which ``_finishing_sweep``
-    draws again after a click on row 3; then it leaves the pool.  Without
-    Eve, a click on row 1 completes the round."""
+    attempts (2c - 1 on row 1, 2c on row 3) and its first two later draws from
+    rows 2-3 of that block, which ``_finishing_sweep`` draws again after a
+    click on row 3; then it leaves the pool.  Without Eve, a click on row 1
+    completes the round.  Eve's fixed fields are written to every column
+    once, before the first pass.
+
+    A pass reads the clicking lanes alone: it gathers their four rows and
+    their ids and blocks once each, writes their columns a row at a time, and
+    gives each one's lane to the next round in place, so that the pool is
+    compacted only once no round is left to start.  The drain's bookkeeping
+    runs only while q > 1.  Outside Philox a pass takes about 29 us at
+    200,000 rounds, where gathering every lane and masking the setting took
+    47-50 us."""
     rounds = columns.shape[1]
+    _eve_fixed(cfg, columns)
+    later = _LATER_ROWS[cfg.eve.kind]
     # each lane's round id and block, as int64 rows that uniforms reads as uint64
     lane = np.empty((2, _BLOCK), np.int64)
     ids, block = lane
-    n = top = 0
-    while n or top < rounds:
-        fresh = min(_BLOCK - n, rounds - top)
-        ids[n:n + fresh] = np.arange(top, top + fresh)
-        block[n:n + fresh] = 1
-        n, top = n + fresh, top + fresh
+    n = top = min(_BLOCK, rounds)
+    ids[:n] = np.arange(n)
+    block[:n] = 1
+    while n:
         q = _BLOCK // n
-        lanes = q * n
-        ids[n:lanes].reshape(q - 1, n)[...] = ids[:n]
-        np.add(block[:n], np.arange(1, q)[:, None], block[n:lanes].reshape(q - 1, n))
-        drawn = uniforms(cfg.seed, ids[:lanes].view(np.uint64), block[:lanes].view(np.uint64))
-        odd, hit = drawn[1::2] < 1.0 / 3.0  # a click on row 1, and on row 1 or 3
-        hit |= odd
+        if q > 1:  # lanes n to q n hold the pool's next q - 1 blocks
+            lane[:, n:q * n].reshape(2, q - 1, n)[...] = lane[:, None, :n]
+            block[n:q * n].reshape(q - 1, n)[...] += np.arange(1, q)[:, None]
+        drawn = uniforms(cfg.seed, ids[:q * n].view(np.uint64), block[:q * n].view(np.uint64))
+        odd = drawn[1] < _THIRD  # a click on row 1
+        hit = drawn[3] < _THIRD
+        hit |= odd  # and on row 1 or 3
+        if q > 1:  # the rounds that click, and the lane of each one's first click
+            by_block = hit.reshape(q, n)
+            hit = by_block.any(0)
+            at = hit.nonzero()[0]
+            lanes = at + n * by_block.argmax(0).take(at)
+            del by_block
+        else:
+            at = lanes = hit.nonzero()[0]
+        rows = drawn.take(lanes, axis=1)
+        del drawn  # the clicking lanes' rows are all a pass reads of it
+        odd = odd.take(lanes)
+        clicked, attempts = lane.take(lanes, axis=1)  # their ids, and blocks
         # the clicking attempt's setting: row 0 after a click on row 1, else row 2
-        np.copyto(drawn[0], drawn[2], where=~odd)
-        # each round's lane of its first block with a click, if it has one
-        at = np.arange(n)
-        if q > 1:
-            at += n * hit.reshape(q, n).argmax(0)
-        clicked = hit.take(at)
-        at = at.compress(clicked)
-        odd = odd.take(at)
+        np.putmask(rows[0], ~odd, rows[2])
         fields = np.empty((len(Round._fields), len(at)), np.int16)
-        _eve_fixed(cfg, fields)
-        _integer5(drawn[0].take(at), fields[0])
-        fields[5] = 2 * block.take(at)
-        fields[5] -= odd
-        _later(cfg, iter(drawn[2:].take(at, axis=1)), fields, slice(2))
-        columns[:, ids.take(at)] = fields
-        searching = lane[:, :n].compress(~clicked, axis=1)
-        n = searching.shape[1]
-        lane[:, :n] = searching
+        attempts += attempts
+        attempts -= odd
+        fields[5] = attempts
+        _integer5(rows[0], fields[0])
+        _later(cfg, iter(rows[2:]), fields, slice(2))
+        # the rows drawn, one at a time: a 2-d scatter takes longer than four
+        for row in (0, *later[:2], 5):
+            columns[row][clicked] = fields[row]
+        # the pool's next blocks; the rounds that clicked give their lanes to
+        # the next rounds, and leave the pool once none is left
         block[:n] += q
-        del drawn, hit, odd, at, clicked, fields, searching  # before the next pass draws
+        fresh = min(len(at), rounds - top)
+        ids[at[:fresh]] = np.arange(top, top + fresh)
+        block[at[:fresh]] = 1
+        top += fresh
+        if fresh < len(at):
+            hit[at[:fresh]] = False
+            searching = lane[:, :n].compress(~hit, axis=1)
+            n = searching.shape[1]
+            lane[:, :n] = searching
+            del searching
+        del hit, lanes, rows, odd, clicked, attempts, fields, at  # before the next pass draws
 
 
 def _finishing_sweep(cfg: ProtocolConfig, columns: np.ndarray) -> None:
@@ -413,38 +456,53 @@ def _finishing_sweep(cfg: ProtocolConfig, columns: np.ndarray) -> None:
     block (a + 3) // 2, the one after the click, up to ``_BLOCK`` rounds a
     Philox call.  With Eve every round needs that block, so each window of
     ``_BLOCK`` consecutive rounds is finished in place in its view of the
-    columns; without Eve only the 2/5 that clicked on row 3 do, taken in round
-    order from windows of 3 ``_BLOCK`` rounds."""
+    columns: the first two later draws are made for every round, from rows
+    0-1, and put back to the search sweep's where it clicked on row 1; the
+    rest are read from rows 0-1 after a click on row 1, else from rows 2-3.
+    Without Eve only the 2/5 that clicked on row 3 do, taken in round order
+    from windows of 3 ``_BLOCK`` rounds.  Outside Philox a call takes about
+    32-34 us with Eve and 20 us without at 200,000 rounds, where the masked
+    draws took 47-48 and 38 us."""
     rounds = columns.shape[1]
     if cfg.eve.present:
+        later = _LATER_ROWS[cfg.eve.kind]
         ids = np.arange(min(_BLOCK, rounds), dtype=np.uint64)
         for start in range(0, rounds, _BLOCK):
             out = columns[:, start:start + _BLOCK]
-            block = (out[5].astype(np.uint64) + 3) // 2
-            after = uniforms(cfg.seed, ids[:out.shape[1]], block)
+            after = uniforms(cfg.seed, ids[:out.shape[1]], _next_block(out[5]))
             on_row1 = (out[5] & 1).astype(bool)
-            # each round's draws after its first two later ones, from rows 0-1
-            # after a click on row 1, else rows 2-3: moved to rows 2-3
-            np.copyto(after[2:], after[:2], where=on_row1)
-            _later(cfg, iter(after[:2]), out, slice(2), ~on_row1)
+            for row in range(len(later) - 2):  # the rest's uniforms, in rows 2-3
+                np.putmask(after[row + 2], on_row1, after[row])
+            made = out.take(later[:2], 0)  # the search sweep's first two later draws
+            _later(cfg, iter(after[:2]), out, slice(2))
+            for row, kept in zip(later, made):
+                np.putmask(out[row], on_row1, kept)
             _later(cfg, iter(after[2:]), out, slice(2, None))
             ids += len(ids)
-            del after, on_row1  # before the next call draws
+            del after, on_row1, made, kept  # before the next call draws
         return
     start = 0
     while start < rounds:
-        on_row3 = np.flatnonzero(columns[5, start:start + 3 * _BLOCK] & 1 == 0)
+        on_row3 = (columns[5, start:start + 3 * _BLOCK] & 1 == 0).nonzero()[0]
         ids = on_row3[:_BLOCK] + start
         start += int(on_row3[_BLOCK - 1]) + 1 if len(ids) == _BLOCK else 3 * _BLOCK
         del on_row3  # before the call draws
         if not len(ids):
             continue
-        block = (columns[5].take(ids).astype(np.uint64) + 3) // 2
-        after = uniforms(cfg.seed, ids.view(np.uint64), block)
-        fields = columns[:, ids]
+        after = uniforms(cfg.seed, ids.view(np.uint64), _next_block(columns[5].take(ids)))
+        fields = columns[:3].take(ids, axis=1)  # i, and j and Bob's outcome to draw
         _later(cfg, iter(after), fields)
-        columns[:, ids] = fields
+        for row in (1, 2):
+            columns[row][ids] = fields[row]
         del after, fields  # before the next call draws
+
+
+def _next_block(attempts: np.ndarray) -> np.ndarray:
+    """Block (a + 3) // 2, the one after the click, of each round's attempts a,
+    as the uint64 array uniforms reads."""
+    block = np.add(attempts, 3, dtype=np.uint64, casting="unsafe")
+    block >>= 1
+    return block
 
 
 def _finish(cfg: ProtocolConfig, u, out: np.ndarray) -> None:
@@ -468,28 +526,28 @@ def _eve_fixed(cfg: ProtocolConfig, fields: np.ndarray) -> None:
         fields[3] = eve.setting
 
 
-def _later(cfg: ProtocolConfig, u, fields: np.ndarray, draws: slice = slice(None),
-           where=True) -> None:
+def _later(cfg: ProtocolConfig, u, fields: np.ndarray, draws: slice = slice(None)) -> None:
     """The ``draws`` of a round's later draws, ``_LATER_ROWS``, into their rows
     of ``fields`` (int16 rows i, j, bob_outcome, k, e), each from the next
     row of uniforms of the iterator ``u`` and the fields drawn before it, as
-    ``run_round`` draws them; only the rounds ``where`` is true are written.
-    Outcome probabilities are looked up by flat int16 index."""
-    if not fields.shape[1]:
-        return
-    i, j, bob_outcome, k, e = fields[:5]
+    ``run_round`` draws them.  Click probabilities are looked up by flat
+    int16 index."""
     for row in _LATER_ROWS[cfg.eve.kind][draws]:
         if row in (1, 3):  # Bob's setting j, or random Eve's k
-            _integer5(next(u), fields[row], where)
+            _integer5(next(u), fields[row])
+            continue
+        drawn = next(u)  # before the click probabilities: it may start a block
+        if row == 4 and cfg.eve.kind == FIXED:  # Eve's click at her one setting
+            p_click, cell = cfg.channel.branch[:, cfg.eve.setting, 1], fields[0]
         elif row == 4:  # Eve's click, from a contiguous view of her channel
-            np.less(next(u), cfg.channel.branch[..., 1].take(i * 5 + k), out=e, where=where)
+            p_click, cell = cfg.channel.branch[..., 1], fields[0] * _FIVE16 + fields[3]
+        elif cfg.eve.present:
+            # one einsum, where a chain of six ufuncs or a matmul takes longer
+            p_click, cell = cfg.channel.click, np.einsum("r,rn->n", _BOB_CELL, fields[:5])
         else:
-            if cfg.eve.present:
-                p_click, cell = cfg.channel.click.ravel(), ((i * 5 + k) * 2 + e) * 5 + j
-            else:
-                p_click, cell = cfg.basis.overlap.ravel(), i * 5 + j
-            # Bob's draw before his click probabilities: it may start a block
-            np.less(next(u), p_click.take(cell), out=bob_outcome, where=where)
+            p_click, cell = cfg.basis.overlap, fields[0] * _FIVE16 + fields[1]
+        fields[row] = drawn < p_click.take(cell)
+        del drawn, cell  # before the next row is drawn
 
 
 def _row_codes(columns: np.ndarray) -> np.ndarray:

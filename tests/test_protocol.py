@@ -266,6 +266,58 @@ def test_absent_eve_round_finishes_in_its_click_block(basis, monkeypatch):
     assert sum(lanes) <= 2.35 * 20_000, sum(lanes) / 20_000
 
 
+@pytest.mark.parametrize("rounds", [2 * _BLOCK + 7, 20_000])
+@pytest.mark.parametrize(
+    "eve", [NO_EVE, EveStrategy(kind="fixed", setting=1), EveStrategy(kind="random")],
+    ids=["absent", "fixed", "random"],
+)
+def test_entangled_philox_blocks_drawn(basis, monkeypatch, eve, rounds):
+    # every Philox block an entangled session draws, read against its attempts
+    # a: the search sweep draws blocks 1 to ceil(a / 2) of each round once,
+    # and later ones only in the calls of a draining pool, whose ids repeat;
+    # the finishing sweep draws block (a + 3) // 2 once, of every round with
+    # Eve and of every round with even a without her.  This pins the lanes a
+    # round costs (2.8 with Eve, 2.2 without) however the sweeps are written
+    calls = {"search": [], "finish": []}
+    sweep = ["search"]
+
+    def spy(seed, ids, blocks):
+        assert len(ids) <= _BLOCK
+        calls[sweep[0]].append((ids.copy(), np.broadcast_to(blocks, ids.shape).copy()))
+        return uniforms(seed, ids, blocks)
+
+    def finishing(cfg, columns):
+        sweep[0] = "finish"
+        return finishing_sweep(cfg, columns)
+
+    uniforms, finishing_sweep = protocol.uniforms, protocol._finishing_sweep
+    monkeypatch.setattr(protocol, "uniforms", spy)
+    monkeypatch.setattr(protocol, "_finishing_sweep", finishing)
+    attempts = run_session(config(basis, rounds=rounds, seed=29, mode=ENTANGLED,
+                                  eve=eve)).columns[5].astype(np.int64)
+    last = (attempts + 1) // 2  # the block of the click, ceil(a / 2)
+
+    def drawn(calls):
+        ids = np.concatenate([c[0] for c in calls]).astype(np.int64)
+        blocks = np.concatenate([c[1] for c in calls]).astype(np.int64)
+        repeats = np.concatenate([np.full(len(c[0]), len(np.unique(c[0])) < len(c[0]))
+                                  for c in calls])
+        return ids, blocks, repeats
+
+    ids, blocks, repeats = drawn(calls["search"])
+    within = blocks <= last[ids]
+    assert blocks.min() >= 1
+    pairs = ids[within] * (last.max() + 1) + blocks[within]
+    assert len(np.unique(pairs)) == len(pairs) == last.sum()
+    assert repeats[~within].all()
+
+    ids, blocks, _ = drawn(calls["finish"])
+    order = np.argsort(ids, kind="stable")
+    expected = np.arange(rounds) if eve.present else np.flatnonzero(attempts % 2 == 0)
+    assert np.array_equal(ids[order], expected)
+    assert np.array_equal(blocks[order], (attempts[expected] + 3) // 2)
+
+
 def test_security_ideal_run(basis):
     t = run_session(config(basis, rounds=20_000, seed=8))
     rep = estimate_security(t)

@@ -1,6 +1,6 @@
 """Simulator and analysis toolkit for a contextuality-based qutrit QKD protocol."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .adversary import EveStrategy
 from .graphs import (

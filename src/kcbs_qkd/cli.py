@@ -299,17 +299,7 @@ def build_report(cfg: ProtocolConfig, transcript, stats, security) -> dict:
         "monogamy_anticorr_bounds": {"paper": 6.0 / 5.0, "derived": 2 * cert.bound},
     }
     if cfg.eve.present:
-        oracle = attack_expectation(cfg.eve, cfg.basis)
-        report["oracle"] = _fields(oracle)
-        if security.pe_estimate is not None and not math.isnan(security.kab_estimate):
-            report["diagnostics"] = {
-                "kab_plus_pe_estimate": security.kab_estimate + security.pe_estimate,
-                "note": (
-                    "diagnostic only: operational post-processed estimates are "
-                    "not bounded by the monogamy relation for raw measurement "
-                    "statistics"
-                ),
-            }
+        report["oracle"] = _fields(attack_expectation(cfg.eve, cfg.basis))
     return report
 
 

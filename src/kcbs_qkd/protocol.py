@@ -46,11 +46,12 @@ independent check of the kernel.  Undisturbed click probabilities come from
 A round is stored as what it drew, a ``Round``; a session's ``Transcript``
 holds these as the columns of one int16 array.  A round's row code numbers
 what it drew, (i, j, Bob's outcome, Eve's setting and outcome), in 900 rows.
-``Transcript.cells`` counts the rounds of each row, once per transcript; the
-key statistics, p_E and the security test's sizes are read, through the sift
-rule ``adversary.SIFT``, from its per-(i, j) table, and ``attack_expectation``,
-the exact oracle of every Monte-Carlo estimate, reads the same table of Eve's
-channel.  No other module reads that layout or the sift rule.
+``Transcript.cells`` counts the rounds of each row, once per transcript, and
+``_expected_cells`` is their exact law with Eve, P.  One fold through the sift
+rule ``adversary.SIFT``, ``_sifted_counts``, reads either: the key statistics
+and the security test from counts, and ``attack_expectation``, the exact
+oracle of every Monte-Carlo estimate, from P, with one definition each of
+K(A,B) and p_E.  No other module reads that layout or the sift rule.
 ``write_transcript_csv`` renders the CSV from a table of every line a round
 can have after its index, at the round's row code, ``_CSV_HALF`` = 500 rounds
 at a time into one reused buffer, so that it holds less than the entangled
@@ -566,11 +567,11 @@ def _row_fields():
 
 @cache
 def _sift_fold() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The read-only int64 tables of the sift fold.  Row code r is 36 (5 i + j)
-    + t, and ``by_outcome[t]`` is 1 in column bob_outcome and in column 2 +
-    eve_guess(e), or 4 without Eve: it folds counts into ``_sift_read``'s table.
+    """The read-only int64 tables of ``_sifted_counts``.  Row code r is 36 (5 i
+    + j) + t, and ``by_outcome[t]`` is 1 in column bob_outcome and in column 2
+    + eve_guess(e), or 4 without Eve: it folds ``cells`` by (i, j).
     ``by_bit[a, 5 i + j]`` is 1 where (i, j) are sifted with Alice's bit a, and
-    ``reads`` holds, per sifted (i, j) row-major, the flat index in that table
+    ``reads`` holds, per sifted (i, j) row-major, the flat index in that fold
     of Bob's outcome 1 - a (row 0) and of Eve's guess a (row 1)."""
     by_bit = np.zeros((2, 25), np.int64)
     by_outcome = np.zeros((36, 5), np.int64)
@@ -586,19 +587,27 @@ def _sift_fold() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return by_bit, by_outcome, reads
 
 
-def _sift_read(table: np.ndarray) -> tuple[list, list, list]:
-    """The statistics of a per-cell table, of counts or of probabilities: row
-    5 i + j holds the (i, j) rounds' [Bob's outcome 0, 1, Eve's guess 0, 1, no
-    Eve record].  Returns its sifted rows summed by Alice's bit a, as two
-    lists, and per sifted (i, j), row-major, the entries where Bob's outcome
-    differs from a (read for K(A,B)) and where Eve's guess is a (for p_E)."""
-    by_bit, _, reads = _sift_fold()
+def _sifted_counts(cells: np.ndarray) -> tuple[list, list, list]:
+    """The sift fold of counts or probabilities laid out as ``cells``: the
+    sifted (i, j) summed by Alice's bit a, as two lists [Bob's outcome 0, 1,
+    Eve's guess 0, 1, no Eve record], and per sifted (i, j), row-major, the
+    entries where Bob's outcome differs from a and where Eve's guess is a."""
+    by_bit, by_outcome, reads = _sift_fold()
+    table = cells.reshape(25, 36) @ by_outcome
     return (by_bit @ table).tolist(), *table.take(reads).tolist()
 
 
-def _sifted_counts(cells: np.ndarray) -> tuple[list, list, list]:
-    """``_sift_read`` of 900 counts laid out as ``Transcript.cells`` is."""
-    return _sift_read(cells.reshape(25, 36) @ _sift_fold()[1])
+def _sifted_total(sifted: tuple) -> float:
+    """The sifted rounds n of a ``_sifted_counts`` fold: Bob's outcomes of both bits."""
+    (b00, b01, *_), (b10, b11, *_) = sifted[0]
+    return b00 + b01 + b10 + b11
+
+
+def _shares(sifted: tuple) -> tuple[float, float]:
+    """K(A,B) and p_E of a ``_sifted_counts`` fold: the shares of its sifted
+    rounds where Bob's outcome differs from Alice's bit, and where Eve guesses it."""
+    n = _sifted_total(sifted)
+    return sum(sifted[1]) / n, sum(sifted[2]) / n
 
 
 def _subset_cells(columns: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -637,22 +646,21 @@ def _entropy_bits(p: float) -> float:
 def key_stats(t: Transcript) -> KeyStats:
     """Sift-rate, bit frequencies, entropy and key rate over sifted rounds,
     counted from ``t.cells``."""
-    ((a00, a01, *_), (a10, a11, *_)), anticorrelated, _ = t._sifted
-    n = a00 + a01 + a10 + a11
+    sifted = t._sifted
+    n = _sifted_total(sifted)
     if not n:
         raise ValueError("no sifted rounds: cannot compute key statistics")
+    _, (a10, a11, *_) = sifted[0]
     p1 = (a10 + a11) / n
-    p0 = 1.0 - p1
     shannon = _entropy_bits(p1)
     sift_rate = n / t.columns.shape[1]
-    anticorr = sum(anticorrelated) / n
     return KeyStats(
         sift_rate=sift_rate,
-        p0=p0,
+        p0=1.0 - p1,
         p1=p1,
         shannon=shannon,
         key_rate_per_transmission=sift_rate * shannon,
-        anticorr_fraction=anticorr,
+        anticorr_fraction=_shares(sifted)[0],
     )
 
 
@@ -674,11 +682,11 @@ def _mutual_information(joint: list) -> float:
 def estimate_pe(t: Transcript) -> float:
     """Fraction of sifted rounds where Eve's guess matches Alice's key bit,
     counted from ``t.cells``."""
-    ((b00, b01, *_, missing0), (b10, b11, *_, missing1)), _, guessed = t._sifted
-    n = b00 + b01 + b10 + b11
-    if missing0 or missing1 or not n:
+    sifted = t._sifted
+    (*_, missing0), (*_, missing1) = sifted[0]
+    if missing0 or missing1 or not _sifted_total(sifted):
         raise ValueError("no sifted rounds, or sifted rounds without Eve records")
-    return sum(guessed) / n
+    return _shares(sifted)[1]
 
 
 def estimate_security(t: Transcript) -> SecurityReport:
@@ -693,8 +701,7 @@ def estimate_security(t: Transcript) -> SecurityReport:
     in a second pass over the columns.
     """
     cfg = t.config
-    ((b00, b01, *_), (b10, b11, *_)), *_ = t._sifted
-    n = b00 + b01 + b10 + b11
+    n = _sifted_total(t._sifted)
     if not n:
         raise ValueError("no sifted rounds: cannot run a security test")
     m = int(round(cfg.sacrifice_fraction * n))
@@ -707,9 +714,10 @@ def estimate_security(t: Transcript) -> SecurityReport:
             sacrificed_count=m,
             note=f"sacrificed subset too small ({m} < 100 sifted rounds)",
         )
-    subset = _subset_cells(t.columns, RngStream(cfg.seed, stream_id=cfg.rounds).subset(n, m))
-    ((b00, b01, g00, g01, _), (b10, b11, g10, g11, _)), anticorrelated, _ = _sifted_counts(subset)
-    kab = sum(anticorrelated) / m
+    positions = RngStream(cfg.seed, stream_id=cfg.rounds).subset(n, m)
+    subset = _sifted_counts(_subset_cells(t.columns, positions))
+    ((b00, b01, g00, g01, _), (b10, b11, g10, g11, _)), *_ = subset
+    kab, _ = _shares(subset)
     if kab in (0.0, 1.0):
         halfwidth = 1.0 / m
     else:
@@ -739,23 +747,19 @@ def estimate_security(t: Transcript) -> SecurityReport:
     )
 
 
-def _attack_tables(strategy: EveStrategy, basis: KcbsBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Eve's exact weights ``weight[i, k, g]``, the probability that she
-    measures k and guesses g on ray i, over her five settings, and the
-    per-cell table of ``_sift_read`` of the same rounds, of probabilities:
-    each (i, j) row has mass 1.  Its entries sum Eve's settings k ascending,
-    her guess 0 before guess 1, from 0.0; the weight of a setting she never
-    measures is 0, which adds exact zeros.  ``eve_guess`` must map her two
-    outcomes onto the two guesses."""
+def _expected_cells(strategy: EveStrategy, basis: KcbsBasis) -> np.ndarray:
+    """P, the exact ``cells`` of a round with Eve: a read-only float64 array
+    whose slice (i, j) is the law of (Bob's outcome, k + 1, e + 1) given the
+    settings, 0 where k or e is -1: the weight of Eve's setting times her
+    channel's branch, times Bob's click or no click."""
     channel = build_channel(basis)
     w_k = np.eye(5)[strategy.setting] if strategy.kind == FIXED else np.full(5, 0.2)
-    by_guess = sorted(range(2), key=eve_guess)  # Eve's outcome e of each guess g
-    weight = w_k[:, None] * channel.branch[..., by_guess]
-    click = channel.click[:, :, by_guess]
-    guess = np.broadcast_to(np.eye(2)[:, None, None, :, None], (2, *click.shape))
-    columns = np.stack([1.0 - click, click, *guess, np.zeros_like(click)], axis=-1)
-    terms = weight[..., None, None] * columns  # [i, k, g, j, column]
-    return weight, sum(np.moveaxis(terms, 0, 2).reshape(10, 25, 5), 0.0)
+    eve = (w_k[:, None] * channel.branch)[:, None]  # [i, 1, k, e]: P(k, e | i)
+    cells = np.zeros(_CELLS)
+    cells[:, :, 1, 1:, 1:] = click = eve * channel.click.transpose(0, 3, 1, 2)
+    cells[:, :, 0, 1:, 1:] = eve - click
+    cells.setflags(write=False)
+    return cells
 
 
 # bounded, as a process may ask for the oracle of any number of bases
@@ -763,22 +767,24 @@ def _attack_tables(strategy: EveStrategy, basis: KcbsBasis) -> tuple[np.ndarray,
 def attack_expectation(strategy: EveStrategy, basis: KcbsBasis) -> AttackExpectation:
     """Exact expected values of an intercept-resend attack (no sampling).
 
-    ``_sift_read`` reads the exact per-cell table of ``_attack_tables`` as
-    the estimators read counts; each of the 15 sifted (i, j) has mass 1, so
-    K(A,B) and p_E are its reads summed row-major, over 15.  Every value is
-    reproducible to the last bit.  Computed once per value of the strategy
-    and of the basis; the result is immutable.
+    The fold and the statistics that the estimators read from ``cells`` read
+    P, ``_expected_cells``, in its place: each of the 15 sifted (i, j) has
+    mass 1.  Every value is reproducible to the last bit.  Computed once per
+    value of the strategy and of the basis; the result is immutable.
     """
     if not strategy.present:
         raise ValueError("attack_expectation requires a present eavesdropper")
-    weight, table = _attack_tables(strategy, basis)
-    _, anticorrelated, guessed = _sift_read(table)
+    cells = _expected_cells(strategy, basis)
+    sifted = _sifted_counts(cells)
+    _, anticorrelated, guessed = sifted
+    kab, pe = _shares(sifted)
 
     # Alice-Eve anti-correlation: Eve in Bob's role, whose outcome differs
-    # from Alice's bit where her guess equals it
+    # from Alice's bit where her guess equals it, over P's (i, k, e) marginal
+    marginal = cells.sum((1, 2))[:, 1:, 1:]
     eve_bit = SIFT[..., None]  # [i, k, 1]: Alice's bit, or C3 out of context
-    kae_num = sum((weight * (eve_bit == np.arange(2))).ravel().tolist())
-    kae_den = sum((weight * (eve_bit != C3)).ravel().tolist())
+    kae_num = sum((marginal * (eve_bit == [eve_guess(e) for e in range(2)])).ravel().tolist())
+    kae_den = sum((marginal * (eve_bit != C3)).ravel().tolist())
 
     # Published linear form: (3/5) * P01 + 1/5, with P01 the guess-success
     # probability when Eve's setting is one step from Alice's preparation.
@@ -792,9 +798,9 @@ def attack_expectation(strategy: EveStrategy, basis: KcbsBasis) -> AttackExpecta
                      for row in SIFT.tolist())
 
     return AttackExpectation(
-        kab_expected=sum(anticorrelated) / 15.0,
-        pe_expected=sum(guessed) / 15.0,
-        kae_expected=kae_num / kae_den if kae_den > 0 else 0.0,
+        kab_expected=kab,
+        pe_expected=pe,
+        kae_expected=kae_num / kae_den,
         paper_kae_linear_form=0.6 * p01 + 0.2,
         anticorr_table=by_setting(anticorrelated),
         guess_table=by_setting(guessed),

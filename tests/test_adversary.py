@@ -13,7 +13,7 @@ from kcbs_qkd.protocol import (
     PREPARE_MEASURE,
     SECURITY_THRESHOLD,
     ProtocolConfig,
-    _attack_tables,
+    _expected_cells,
     attack_expectation,
     estimate_pe,
     estimate_security,
@@ -141,14 +141,17 @@ def test_oracle_matches_golden():
 @pytest.mark.parametrize("resend", ["collapsed", "eigenstate"])
 @pytest.mark.parametrize("setting", [0, 1, 2, 3, 4, None], ids=[*map(str, range(5)), "random"])
 def test_oracle_cell_table_matches_reference(basis, setting, resend):
-    # the exact per-(i, j) table that the oracle reads, [Bob 0, Bob 1, Eve's
-    # guess 0, 1, no Eve record], against the Born probabilities of the states
-    # that the state-vector intercept() forwards under either of its resend
-    # rules; draw 0.0 forces a click
+    # P, the exact cells that the oracle folds, laid out as Transcript.cells:
+    # each cell (i, j, Bob's outcome, k + 1, e + 1) against the Born
+    # probability of Bob's outcome on the state that the state-vector
+    # intercept() forwards under either of its resend rules, times Eve's
+    # setting weight and her outcome's probability; draw 0.0 forces a click
     kind = "random" if setting is None else "fixed"
-    _, table = _attack_tables(EveStrategy(kind=kind, setting=setting, resend=resend), basis)
+    cells = _expected_cells(EveStrategy(kind=kind, setting=setting, resend=resend), basis)
+    assert cells.shape == (5, 5, 2, 6, 3) and cells.dtype == np.float64
+    assert not cells.flags.writeable
     proj = [projector(ray) for ray in basis.rays]
-    expected = np.zeros((5, 5, 5))
+    expected = np.zeros((5, 5, 2, 6, 3))
     w = 0.2 if setting is None else 1.0
     for i, ray in enumerate(basis.rays):
         for k in range(5) if setting is None else [setting]:
@@ -161,14 +164,12 @@ def test_oracle_cell_table_matches_reference(basis, setting, resend):
                 assert outcome == e
                 for j in range(5):
                     bob = born(resent, proj[j])
-                    expected[i, j] += w * p_e * np.array([1 - bob, bob, e, 1 - e, 0.0])
-    table = table.reshape(5, 5, 5)
-    assert np.abs(table - expected).max() <= 1e-12
-    # each (i, j) row has mass 1 for Bob and for Eve, and every round has an
-    # Eve record
-    assert np.abs(table[..., 0] + table[..., 1] - 1).max() <= 1e-15
-    assert np.abs(table[..., 2] + table[..., 3] - 1).max() <= 1e-15
-    assert not table[..., 4].any()
+                    expected[i, j, :, k + 1, e + 1] = w * p_e * np.array([1 - bob, bob])
+    assert np.abs(cells - expected).max() <= 1e-12
+    # each (i, j) slice is the law of one round given the settings, and every
+    # round with Eve records her setting and outcome
+    assert np.abs(cells.sum((2, 3, 4)) - 1).max() <= 1e-15
+    assert not cells[:, :, :, 0].any() and not cells[..., 0].any()
 
 
 def test_oracle_reads_published_guess_rule(basis, monkeypatch):

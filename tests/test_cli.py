@@ -298,7 +298,6 @@ def test_simulate_with_eve(tmp_path, capsys, schema):
     jsonschema.validate(report, schema)
     assert report["oracle"]["kab_expected"] == pytest.approx(0.898142, abs=1e-6)
     assert report["security"]["pe_estimate"] is not None
-    assert report["diagnostics"]["note"].startswith("diagnostic only")
     assert report["kcbs_constants"]["paper"]["noncontextual_anticorr_form"] == 0.6
     assert report["kcbs_constants"]["derived"]["noncontextual_anticorr_form"] == 0.8
 
